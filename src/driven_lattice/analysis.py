@@ -100,6 +100,8 @@ class ExperimentConfig:
                 raise ConfigError("omega grid must be monotone increasing")
         # constructing the domain objects validates every module invariant
         try:
+            if self.substeps is not None:
+                PropagationParams(substeps_per_period=self.substeps)
             self.make_domain()
             if isinstance(self.initial, GaussianState):
                 make_initial_state(self.initial, self.make_domain())
@@ -308,7 +310,7 @@ def _sweep_point(args) -> SweepRecord:
             omega=float(omega), n_max=n_max, argmax_site=arg_site, argmax_m=arg_m,
             overlap=float(weights[0]), eps_fgs=float(eps[0]), gap=float(gap),
         )
-    except (ValueError, ToleranceError) as exc:
+    except (ConfigError, ToleranceError, np.linalg.LinAlgError) as exc:
         return SweepRecord(
             omega=float(omega), n_max=math.nan, argmax_site=-1, argmax_m=-1,
             overlap=math.nan, eps_fgs=math.nan, gap=math.nan, error=str(exc),
@@ -362,6 +364,8 @@ def run_nmax_sweep(config: ExperimentConfig) -> SweepResult:
 
 def run_overlap_sweep(config: ExperimentConfig) -> SweepResult:
     """Ground-mode uniform overlap (and gap) per frequency; no populations."""
+    if config.domain != "supercell":
+        raise ConfigError("overlap sweeps run on the supercell (kappa = 0) domain")
     records = _run_points(config, config.omega_grid(), False)
     records.sort(key=lambda r: r.omega)
     failures = tuple((r.omega, r.error) for r in records if r.error)

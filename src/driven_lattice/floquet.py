@@ -4,10 +4,13 @@ The monodromy is integrated directly in a truncated plane-wave basis
 ``exp(i (2 pi a / (n_p L) + kappa) x)``, |a| <= (B-1)/2, with the same
 symmetric kinetic-potential-kinetic splitting as the grid propagators but
 with the potential represented by its exact Fourier-coefficient (Toeplitz)
-matrix and exponentiated by Hermitian eigendecomposition.  Every factor is
-unitary on the truncated space, so the product is unitary to roundoff
-regardless of basis size; basis adequacy is checked separately through the
-kinetic-energy cutoff and the grid-propagator consistency tests.
+matrix.  Each substep's potential factor ``exp(-i W dt / hbar)`` is its
+Taylor polynomial, of the smallest degree whose remainder bound
+``theta^(m+1) / (m+1)!`` (theta bounds ``||W|| dt / hbar``) is below
+roundoff, so every factor is unitary on the truncated space to roundoff and
+the product is unitary regardless of basis size; basis adequacy is checked
+separately through the kinetic-energy cutoff and the grid-propagator
+consistency tests.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from scipy.linalg import schur
 from scipy.optimize import linear_sum_assignment
 
-from .errors import UnitarityError
+from .errors import ConfigError, UnitarityError
 from .lattice import ComplexState, LatticeSpec, SupercellGrid, UniformState, make_initial_state
 from .propagate import PropagationParams, default_params
 
@@ -28,7 +31,7 @@ _EIGENPHASE_TOL = 1e-8
 _DEGENERACY_REL_TOL = 1e-10
 _OVERLAP_TIE_TOL = 1e-12
 _MATCH_AMBIGUITY_TOL = 1e-3
-_EIGH_CHUNK = 256
+_SUBSTEP_CHUNK = 256
 
 # The eigenvalue accuracy of a truncated-basis monodromy degrades near the
 # basis edge; reports keep only this many best-converged modes.
@@ -80,6 +83,20 @@ def _potential_coefficients(spec: LatticeSpec, q, envelope, times) -> np.ndarray
     return envelope[None, :] * phase  # (nt, 2B-1)
 
 
+def _taylor_degree(theta: float) -> int:
+    """Smallest degree m >= 1 with theta^(m+1) / (m+1)! below 2^-53.
+
+    For Hermitian W and theta >= ||W|| dt / hbar this bounds the 2-norm of
+    the Taylor remainder of exp(-i W dt / hbar), because the integral form
+    of the remainder carries the unitary factor exp(-i s W dt / hbar).
+    """
+    m, remainder = 1, theta * theta / 2.0
+    while remainder >= 2.0**-53:
+        m += 1
+        remainder *= theta / (m + 1)
+    return m
+
+
 def monodromy_matrix(
     spec: LatticeSpec,
     kappa: float,
@@ -94,15 +111,15 @@ def monodromy_matrix(
     params = params if params is not None else default_params(spec)
     B = basis_size if basis_size is not None else default_basis_size(spec)
     if B % 2 == 0 or B < 1:
-        raise ValueError("basis_size must be odd and positive")
+        raise ConfigError("basis_size must be odd and positive")
     if abs(kappa) > spec.brillouin_edge * (1 + 1e-12):
-        raise ValueError("kappa outside the first Brillouin zone")
+        raise ConfigError("kappa outside the first Brillouin zone")
     edge_kinetic = spec.hbar**2 * (2.0 * math.pi * ((B - 1) // 2) / spec.cell_length) ** 2
     edge_kinetic /= 2.0 * spec.mass
     # an undriven lattice absorbs no drive quanta, so only v0 sets the scale
     demand = 5.0 * max(spec.v0, spec.hbar * spec.omega if spec.amplitude > 0 else 0.0)
     if spec.v0 > 0 and edge_kinetic < demand:
-        raise ValueError(
+        raise ConfigError(
             f"basis_size={B} puts the kinetic cutoff {edge_kinetic:.3g} below "
             f"5*max(v0, hbar*omega); enlarge the basis"
         )
@@ -125,17 +142,23 @@ def monodromy_matrix(
         vals, vecs = np.linalg.eigh(h)
         return (vecs * np.exp(-1j * vals * spec.period / spec.hbar)) @ vecs.conj().T
 
+    # ||W|| <= sum_n |c_n| <= n_p * sum(envelope) for the Toeplitz matrix W
+    degree = _taylor_degree(spec.sites_per_cell * envelope.sum() * dt / spec.hbar)
     kin_half = np.exp(-1j * kinetic * dt / (2.0 * spec.hbar))
     kin_full = kin_half * kin_half
     U = np.diag(kin_half.astype(complex))
-    for start in range(0, n, _EIGH_CHUNK):
-        stop = min(start + _EIGH_CHUNK, n)
+    for start in range(0, n, _SUBSTEP_CHUNK):
+        stop = min(start + _SUBSTEP_CHUNK, n)
         times = t0 + (np.arange(start, stop) + 0.5) * dt
         coeffs = _potential_coefficients(spec, q, envelope, times)
-        w = coeffs[:, idx]  # (chunk, B, B) Hermitian Toeplitz stack
-        vals, vecs = np.linalg.eigh(w)
-        phases = np.exp(-1j * vals * dt / spec.hbar)
-        exp_w = np.matmul(vecs * phases[:, None, :], vecs.conj().transpose(0, 2, 1))
+        x = (coeffs * (-1j * dt / spec.hbar))[:, idx]  # (chunk, B, B) -i W dt / hbar
+        # Horner: exp(x) ~ I + x (I + x/2 (I + ... (I + x/m)))
+        exp_w = x * (1.0 / degree)
+        exp_w.reshape(stop - start, B * B)[:, :: B + 1] += 1.0
+        for j in range(degree - 1, 0, -1):
+            exp_w = np.matmul(x, exp_w)
+            exp_w *= 1.0 / j
+            exp_w.reshape(stop - start, B * B)[:, :: B + 1] += 1.0
         for j in range(stop - start):
             U = exp_w[j] @ U
             U = (kin_full if start + j < n - 1 else kin_half)[:, None] * U

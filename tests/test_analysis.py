@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -92,6 +93,8 @@ class TestConfigParsing:
             tiny_config(domain="torus")
         with pytest.raises(dl.ConfigError):
             tiny_config(omega_start=1.0, omega_stop=None, omega_step=None)
+        with pytest.raises(dl.ConfigError):
+            tiny_config(substeps=100)
 
     def test_overrides_beat_file_values(self):
         values = analysis.parse_config_text(CONFIG_TEXT)
@@ -136,6 +139,23 @@ class TestSweeps:
         assert sweep.failures[0][0] == pytest.approx(1.1)
         failed = [r for r in sweep.records if r.error]
         assert len(failed) == 1 and math.isnan(failed[0].n_max)
+
+    @pytest.mark.parametrize("error", [IndexError, ValueError])
+    def test_programming_errors_propagate(self, monkeypatch, error):
+        # a shape or broadcast bug is not a per-frequency failure
+        config = tiny_config(omega_start=1.0, omega_stop=1.1, omega_step=0.1)
+
+        def broken(*args, **kwargs):
+            raise error("synthetic bug")
+
+        monkeypatch.setattr(analysis, "labeled_spectrum", broken)
+        with pytest.raises(error, match="synthetic bug"):
+            dl.run_nmax_sweep(config)
+
+    def test_overlap_sweep_rejects_ring(self):
+        config = tiny_config(domain="ring", omega_start=1.0, omega_stop=1.1, omega_step=0.1)
+        with pytest.raises(dl.ConfigError, match="supercell"):
+            dl.run_overlap_sweep(config)
 
     def test_peak_refinement_inserts_points(self):
         config = tiny_config(
@@ -336,3 +356,30 @@ class TestCli:
             "--outdir", str(tmp_path), "--overlap-only",
         ])
         assert code == 4
+
+    def test_basis_below_cutoff_is_a_recorded_failure(self, tmp_path):
+        # B = 41 clears 5 hbar omega at 1.70 but not at 1.80
+        code = cli.main([
+            "sweep", "--basis-size", "41", "--substeps", "512", "--horizon", "3",
+            "--omega-start", "1.70", "--omega-stop", "1.80", "--omega-step", "0.1",
+            "--outdir", str(tmp_path),
+        ])
+        assert code == 4
+        meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+        assert [f["omega"] for f in meta["failures"]] == [pytest.approx(1.80)]
+        assert "cutoff" in meta["failures"][0]["error"]
+
+    def test_basis_below_cutoff_exit_code(self, tmp_path):
+        code = cli.main([
+            "modes", "--basis-size", "21", "--substeps", "512", "--outdir", str(tmp_path),
+        ])
+        assert code == 2
+
+    def test_ring_overlap_sweep_exit_code(self, tmp_path, capsys):
+        code = cli.main([
+            "sweep", "--overlap-only", "--domain", "ring", "--substeps", "512",
+            "--omega-start", "1.0", "--omega-stop", "1.1", "--omega-step", "0.1",
+            "--outdir", str(tmp_path),
+        ])
+        assert code == 2
+        assert "supercell" in capsys.readouterr().err

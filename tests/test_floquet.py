@@ -6,10 +6,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import driven_lattice as dl
+from driven_lattice import floquet
 from driven_lattice.dynamics import site_populations
 
 REF = dl.LatticeSpec()
 FAST = dl.PropagationParams(substeps_per_period=512)
+
+
+def eigh_monodromy(spec, kappa, params, basis_size):
+    """Reference monodromy: the same splitting with every potential factor
+    exponentiated by Hermitian eigendecomposition."""
+    B, n = basis_size, params.substeps_per_period
+    dt = spec.period / n
+    k = dl.basis_wavenumbers(spec, B, kappa)
+    kin_half = np.exp(-1j * spec.hbar * k**2 * dt / (4 * spec.mass))
+    q, envelope = floquet._fourier_ladder(spec, B)
+    idx = (B - 1) + np.arange(B)[:, None] - np.arange(B)[None, :]
+    times = params.start_time + (np.arange(n) + 0.5) * dt
+    U = np.diag(kin_half)
+    for j, t in enumerate(times):
+        w = floquet._potential_coefficients(spec, q, envelope, [t])[0][idx]
+        vals, vecs = np.linalg.eigh(w)
+        U = (vecs * np.exp(-1j * vals * dt / spec.hbar)) @ vecs.conj().T @ U
+        U = (kin_half**2 if j < n - 1 else kin_half)[:, None] * U
+    return U
 
 
 def free_quasienergies(spec, alphas):
@@ -44,6 +64,29 @@ class TestMonodromy:
         k = dl.basis_wavenumbers(spec, 41, kappa)
         translation = np.diag(np.exp(-1j * k * spec.spacing))
         assert np.abs(U @ translation - translation @ U).max() < 1e-8
+
+    @pytest.mark.parametrize(
+        "spec, kappa, params, B",
+        [
+            (REF, 0.3 * REF.brillouin_edge, FAST, 41),
+            # theta = n_p sum|c_n| dt / hbar ~ 3.7: a high Taylor degree;
+            # 215 is the smallest basis that clears the 5 v0 cutoff
+            (dl.LatticeSpec(v0=50.0), 0.0, dl.PropagationParams(substeps_per_period=256), 215),
+        ],
+        ids=["kappa0.3-B41", "v0-50"],
+    )
+    def test_matches_eigendecomposition_factors(self, spec, kappa, params, B):
+        U = dl.monodromy_matrix(spec, kappa, params, basis_size=B)
+        assert np.abs(U - eigh_monodromy(spec, kappa, params, B)).max() < 1e-12
+
+    def test_driven_lattice_commutes_with_site_translation(self):
+        # in-phase drive keeps the one-site translation symmetry exactly
+        spec = dl.LatticeSpec(phases=(0.0, 0.0, 0.0))
+        kappa = 0.3 * spec.brillouin_edge
+        U = dl.monodromy_matrix(spec, kappa, FAST, basis_size=41)
+        k = dl.basis_wavenumbers(spec, 41, kappa)
+        translation = np.diag(np.exp(-1j * k * spec.spacing))
+        assert np.abs(U @ translation - translation @ U).max() < 1e-12
 
     def test_unitarity_at_reference_parameters(self):
         for kappa in (0.0, REF.brillouin_edge, -REF.brillouin_edge):
