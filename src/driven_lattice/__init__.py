@@ -8,7 +8,6 @@ from .errors import (
     DegenerateModeError,
     GridMismatchError,
     ToleranceError,
-    TrackingAmbiguityWarning,
     UnitarityError,
 )
 from .lattice import (
@@ -66,7 +65,6 @@ from .dynamics import (
     site_weights,
     stroboscopic_state,
     truncate_modes,
-    two_band_state,
 )
 from .analysis import (
     ExperimentConfig,

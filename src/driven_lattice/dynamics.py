@@ -6,14 +6,22 @@ number of driving periods is then a phase-weighted sum of the modes.  The
 ring makes the quasimomentum integral an exact finite sum, so this route and
 direct split-step integration compute the same object and can be compared
 strictly.
+
+The ring is handled as M cells of P points.  By the Bloch theorem a mode at
+kappa_j = 2 pi j / (M n_p L) picks up the phase exp(2 pi i j c / M) in cell
+c, so summing over kappa is a length-M discrete Fourier transform across
+cells: the decomposition projects row j of the cell-axis DFT of the state
+onto the supercell modes of kappa_j, and the reconstruction combines the M
+supercell states by one inverse DFT.  No mode is ever extended to the ring.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.fft as sfft
 
 from .errors import CompletenessError, DegenerateModeError, GridMismatchError
 from .floquet import (
@@ -84,9 +92,11 @@ class SpectralDecomposition:
     """Expansion of a ring state over Floquet-Bloch modes at time t0.
 
     ``coefficients[j, i]`` is the amplitude on mode ``i`` (in the spectrum's
-    label order) at ring quasimomentum ``kappas[j]``.  ``residual`` is the
-    squared norm left outside the retained basis, measured by reconstruction
-    at zero periods.
+    label order) at ring quasimomentum ``kappas[j]``.  ``modes[j]`` holds the
+    supercell samples of those modes (cell points x bands, Bloch phase
+    included) and ``quasienergies[j]`` their quasienergies.  ``residual`` is
+    the squared norm left outside the retained basis, measured by
+    reconstruction at zero periods.
     """
 
     spec: LatticeSpec
@@ -94,22 +104,13 @@ class SpectralDecomposition:
     spectra: tuple[FloquetSpectrum, ...]
     kappas: np.ndarray
     coefficients: np.ndarray
+    modes: np.ndarray = field(repr=False)
+    quasienergies: np.ndarray = field(repr=False)
     residual: float
     t0: float = 0.0
 
     def total_weight(self) -> float:
         return float(np.sum(np.abs(self.coefficients) ** 2))
-
-
-def _ring_mode_matrix(
-    spectrum: FloquetSpectrum, kappa: float, ring: RingDomain
-) -> np.ndarray:
-    """Modes extended from the supercell to the ring, ring-normalized."""
-    x_cell = ring.cell.positions()
-    periodic = spectrum.mode_matrix() * np.exp(-1j * kappa * x_cell)[:, None]
-    tiled = np.tile(periodic, (ring.supercells, 1))
-    bloch = np.exp(1j * kappa * ring.positions())[:, None]
-    return tiled * bloch / math.sqrt(ring.supercells)
 
 
 def decompose(
@@ -146,10 +147,9 @@ def decompose(
         if spectrum.grid != ring.cell:
             raise GridMismatchError("spectrum grid does not match the ring cell")
 
-    coeffs = np.empty((ring.supercells, basis), dtype=complex)
-    for j, (spectrum, kappa) in enumerate(zip(spectra, expected)):
-        modes = _ring_mode_matrix(spectrum, float(kappa), ring)
-        coeffs[j] = (modes.conj().T @ initial.psi) * ring.dx
+    modes = np.stack([spectrum.mode_matrix() for spectrum in spectra])
+    blocks = sfft.fft(initial.psi.reshape(ring.supercells, -1), axis=0, norm="ortho")
+    coeffs = np.stack([m.conj().T @ b for m, b in zip(modes, blocks)]) * ring.dx
 
     dec = SpectralDecomposition(
         spec=spec,
@@ -157,10 +157,12 @@ def decompose(
         spectra=spectra,
         kappas=expected,
         coefficients=coeffs,
+        modes=modes,
+        quasienergies=np.stack([spectrum.quasienergies() for spectrum in spectra]),
         residual=0.0,
         t0=t0,
     )
-    rebuilt = _reconstruct(dec, np.array([0]))[:, 0]
+    rebuilt = next(_reconstruct(dec, np.array([0]), 1))[:, 0]
     residual = float(np.sum(np.abs(initial.psi - rebuilt) ** 2) * ring.dx)
     if residual > residual_tol:
         raise CompletenessError(
@@ -170,24 +172,27 @@ def decompose(
     return replace(dec, residual=residual)
 
 
-def _reconstruct(dec: SpectralDecomposition, periods: np.ndarray) -> np.ndarray:
-    """States at the given period counts, stacked as columns (points x m)."""
+def _reconstruct(dec: SpectralDecomposition, periods: np.ndarray, chunk: int):
+    """States at the given period counts, yielded `chunk` counts at a time as
+    columns (points x m).  Bands without a coefficient at any kappa are
+    skipped."""
     spec = dec.spec
-    out = np.zeros((dec.ring.points, len(periods)), dtype=complex)
-    times = periods.astype(float) * spec.period
-    for j, (spectrum, kappa) in enumerate(zip(dec.spectra, dec.kappas)):
-        amp = dec.coefficients[j][:, None] * np.exp(
-            -1j * np.outer(spectrum.quasienergies(), times) / spec.hbar
-        )
-        out += _ring_mode_matrix(spectrum, float(kappa), dec.ring) @ amp
-    return out
+    active = np.flatnonzero(np.any(dec.coefficients != 0, axis=0))
+    modes = dec.modes[:, :, active]
+    coeffs = dec.coefficients[:, active, None]
+    eps = dec.quasienergies[:, active, None]
+    for start in range(0, len(periods), chunk):
+        times = periods[start:start + chunk].astype(float) * spec.period
+        amp = coeffs * np.exp(-1j * (eps * times) / spec.hbar)
+        cells = sfft.ifft(modes @ amp, axis=0, norm="ortho", overwrite_x=True)
+        yield cells.reshape(dec.ring.points, -1)
 
 
 def stroboscopic_state(dec: SpectralDecomposition, periods: int) -> ComplexState:
     """State after `periods` whole driving periods, assembled from the modes."""
     if periods < 0:
         raise ValueError("periods must be >= 0")
-    psi = _reconstruct(dec, np.array([periods]))[:, 0]
+    psi = next(_reconstruct(dec, np.array([periods]), 1))[:, 0]
     return ComplexState(psi, dec.ring)
 
 
@@ -213,15 +218,6 @@ def truncate_modes(dec: SpectralDecomposition, keep: int) -> SpectralDecompositi
         raise ValueError("keep must be >= 1")
     keep = min(keep, dec.coefficients.shape[1])
     return select_bands(dec, range(keep))
-
-
-def two_band_state(
-    dec: SpectralDecomposition, bands: tuple[int, int], periods: int
-) -> ComplexState:
-    """Stroboscopic state rebuilt from the ground band and one excited band
-    across all quasimomenta."""
-    ground, excited = bands
-    return stroboscopic_state(select_bands(dec, (ground, excited)), periods)
 
 
 def site_count(spec: LatticeSpec, domain) -> int:
@@ -332,10 +328,9 @@ def population_trace(
     periods = np.asarray(list(periods), dtype=int)
     site_indices, weights = site_weights(dec.spec, dec.ring, sites)
     values = np.empty((len(site_indices), len(periods)))
-    for start in range(0, len(periods), chunk):
-        stop = min(start + chunk, len(periods))
-        states = _reconstruct(dec, periods[start:stop])
-        values[:, start:stop] = weights @ (np.abs(states) ** 2)
+    for start, states in zip(range(0, len(periods), chunk),
+                             _reconstruct(dec, periods, chunk)):
+        values[:, start:start + chunk] = weights @ (np.abs(states) ** 2)
     return PopulationTrace(site_indices=site_indices, periods=periods, values=values)
 
 

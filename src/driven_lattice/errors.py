@@ -23,7 +23,3 @@ class CompletenessError(ToleranceError):
 
 class DegenerateModeError(ValueError):
     """Operation undefined for a degenerate quasienergy pair."""
-
-
-class TrackingAmbiguityWarning(UserWarning):
-    """Band or ground-mode identification was ambiguous at some parameter."""

@@ -70,16 +70,33 @@ def _split_step(
     hbar, mass = spec.hbar, spec.mass
     kin_half = np.exp(-1j * hbar * (k + kappa) ** 2 * dt / (4.0 * mass))
     kin_full = kin_half * kin_half
+    # the potential repeats every supercell: evaluate it on one cell and
+    # broadcast the phase over the (cells, cell points) view of the state
+    cell = grid.cell if isinstance(grid, RingDomain) else grid
+    x_cell = cell.positions()
+    cells = grid.points // cell.points
 
     u = psi if kappa == 0.0 else psi * np.exp(-1j * kappa * x)
     u = sfft.ifft(sfft.fft(u) * kin_half)
     for j in range(n):
         t_mid = t_start + (j + 0.5) * dt
-        u = u * np.exp(-1j * potential_on_grid(grid, t_mid, spec) * dt / hbar)
+        phase = np.exp(-1j * potential(x_cell, t_mid, spec) * dt / hbar)
+        u = (u.reshape(cells, -1) * phase).reshape(-1)
         u = sfft.ifft(sfft.fft(u) * (kin_full if j < n - 1 else kin_half))
     if kappa != 0.0:
         u = u * np.exp(1j * kappa * x)
     return u
+
+
+def _evolve(state, cell, kappa, spec, params, duration, t_start, length_error):
+    """Checks shared by both integrators, then the split step on `state`."""
+    if cell.length != spec.cell_length:
+        raise GridMismatchError(length_error)
+    if duration <= 0:
+        raise ValueError("duration must be positive")
+    t0 = params.start_time if t_start is None else t_start
+    psi = _split_step(state.psi, state.grid, kappa, spec, params, duration, t0)
+    return ComplexState(psi, state.grid)
 
 
 def evolve_twisted(
@@ -98,18 +115,13 @@ def evolve_twisted(
     """
     if not isinstance(state.grid, SupercellGrid):
         raise GridMismatchError("evolve_twisted expects a state on a supercell grid")
-    if state.grid.length != spec.cell_length:
-        raise GridMismatchError("grid length does not match the lattice supercell")
     if abs(kappa) > spec.brillouin_edge * (1 + 1e-12):
         raise ValueError(
             f"kappa={kappa:.6g} outside the first Brillouin zone "
             f"[-{spec.brillouin_edge:.6g}, {spec.brillouin_edge:.6g}]"
         )
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    t0 = params.start_time if t_start is None else t_start
-    psi = _split_step(state.psi, state.grid, kappa, spec, params, duration, t0)
-    return ComplexState(psi, state.grid)
+    return _evolve(state, state.grid, kappa, spec, params, duration, t_start,
+                   "grid length does not match the lattice supercell")
 
 
 def evolve_ring(
@@ -122,10 +134,5 @@ def evolve_ring(
     """Evolve a state on a periodic multi-supercell ring (zero net twist)."""
     if not isinstance(state.grid, RingDomain):
         raise GridMismatchError("evolve_ring expects a state on a ring domain")
-    if state.grid.cell.length != spec.cell_length:
-        raise GridMismatchError("ring cell length does not match the lattice supercell")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    t0 = params.start_time if t_start is None else t_start
-    psi = _split_step(state.psi, state.grid, 0.0, spec, params, duration, t0)
-    return ComplexState(psi, state.grid)
+    return _evolve(state, state.grid.cell, 0.0, spec, params, duration, t_start,
+                   "ring cell length does not match the lattice supercell")

@@ -32,6 +32,78 @@ def ring_mode_state(spectrum, ring):
     return dl.ComplexState(psi / math.sqrt(ring.supercells), ring)
 
 
+def tiled_ring_modes(spectrum, ring):
+    """Every mode of a spectrum extended to the ring by tiling its periodic
+    part over the cells (test-local oracle, ring-normalized)."""
+    kappa = spectrum.kappa
+    periodic = spectrum.mode_matrix() * np.exp(-1j * kappa * ring.cell.positions())[:, None]
+    tiled = np.tile(periodic, (ring.supercells, 1))
+    bloch = np.exp(1j * kappa * ring.positions())[:, None]
+    return tiled * bloch / math.sqrt(ring.supercells)
+
+
+def tiled_coefficients(state, spectra):
+    ring = state.grid
+    return np.stack([
+        (tiled_ring_modes(s, ring).conj().T @ state.psi) * ring.dx for s in spectra
+    ])
+
+
+def tiled_populations(coefficients, spectra, ring, periods):
+    """Dense reconstruction on the ring, every band column multiplied."""
+    times = np.asarray(periods, dtype=float) * REF.period
+    psi = np.zeros((ring.points, len(times)), dtype=complex)
+    for spectrum, coeffs in zip(spectra, coefficients):
+        amp = coeffs[:, None] * np.exp(
+            -1j * np.outer(spectrum.quasienergies(), times) / REF.hbar
+        )
+        psi += tiled_ring_modes(spectrum, ring) @ amp
+    _, weights = dl.site_weights(REF, ring)
+    return weights @ (np.abs(psi) ** 2)
+
+
+@pytest.fixture(scope="module", params=[1, 3, 4], ids=lambda m: f"M{m}")
+def packet_case(request):
+    """Gaussian packet on an M-cell ring with its decomposition; M = 4 puts
+    one kappa on the zone edge, where ring_kappas folds it."""
+    ring = dl.RingDomain(dl.SupercellGrid.for_spec(REF, 480), request.param)
+    state = dl.make_initial_state(
+        dl.GaussianState(ring.length / 2, ring.length / 9), ring
+    )
+    spectra, _ = dl.ring_spectra(REF, ring, params=FAST, basis_size=41)
+    return state, spectra, dl.decompose(state, spectra)
+
+
+class TestCellTransform:
+    """The cell x kappa DFT against the tiled ring-mode construction."""
+
+    def test_coefficients_match_tiled_modes(self, packet_case):
+        state, spectra, dec = packet_case
+        expected = tiled_coefficients(state, spectra)
+        assert np.abs(dec.coefficients - expected).max() < 1e-12
+
+    def test_populations_match_tiled_modes(self, packet_case):
+        state, spectra, dec = packet_case
+        periods = range(0, 60, 3)
+        trace = dl.population_trace(dec, periods)
+        expected = tiled_populations(dec.coefficients, spectra, state.grid, periods)
+        assert np.abs(trace.values - expected).max() < 1e-12
+
+    def test_chunking_does_not_change_populations(self, packet_case):
+        _, _, dec = packet_case
+        small = dl.population_trace(dec, range(50), chunk=7)
+        large = dl.population_trace(dec, range(50), chunk=128)
+        assert np.abs(small.values - large.values).max() < 1e-14
+
+    def test_selected_bands_match_zeroed_full_route(self, packet_case):
+        state, spectra, dec = packet_case
+        periods = range(0, 60, 3)
+        pair = dl.select_bands(dec, (0, 2))
+        expected = tiled_populations(pair.coefficients, spectra, state.grid, periods)
+        trace = dl.population_trace(pair, periods)
+        assert np.abs(trace.values - expected).max() < 1e-14
+
+
 class TestDecompose:
     def test_single_mode_gives_delta_coefficients(self, ring2, spectra2):
         state = ring_mode_state(spectra2[1], ring2)
@@ -264,8 +336,8 @@ class TestTwoBand:
     def test_zero_period_matches_truncated_initial(self, ring16_w274_dec):
         dec = ring16_w274_dec
         by_select = dl.stroboscopic_state(dl.select_bands(dec, (0, 1)), 0)
-        by_two_band = dl.two_band_state(dec, (0, 1), 0)
-        assert np.array_equal(by_select.psi, by_two_band.psi)
+        by_truncation = dl.stroboscopic_state(dl.truncate_modes(dec, 2), 0)
+        assert np.array_equal(by_select.psi, by_truncation.psi)
 
     def test_ground_band_alone_is_nearly_frozen(self, ring16_w274_dec):
         # derived bound: quasienergy spread and periodic-part drift of the

@@ -140,6 +140,24 @@ class TestRing:
         diff = b.psi[: cell.points] * math.sqrt(cells) - a.psi
         assert math.sqrt(np.sum(np.abs(diff) ** 2) * cell.dx) < 1e-9
 
+    def test_matches_tiled_potential_loop(self):
+        # test-local copy of the split step that tiles the potential over the
+        # ring at every substep; the cell-broadcast phase must not change a bit
+        ring = dl.RingDomain(dl.SupercellGrid.for_spec(REF, 480), 3)
+        state = dl.make_initial_state(dl.GaussianState(45.0, 5.0), ring)
+        n = FAST.substeps_per_period
+        dt = REF.period / n
+        k = 2 * math.pi * sfft.fftfreq(ring.points, ring.dx)
+        kin_half = np.exp(-1j * REF.hbar * k**2 * dt / (4.0 * REF.mass))
+        kin_full = kin_half * kin_half
+        u = sfft.ifft(sfft.fft(state.psi) * kin_half)
+        for j in range(n):
+            v = dl.potential_on_grid(ring, (j + 0.5) * dt, REF)
+            u = u * np.exp(-1j * v * dt / REF.hbar)
+            u = sfft.ifft(sfft.fft(u) * (kin_full if j < n - 1 else kin_half))
+        evolved = dl.evolve_ring(state, REF, FAST, REF.period)
+        assert np.array_equal(evolved.psi, u)
+
 
 class TestNumerics:
     def test_forward_backward_round_trip(self):
