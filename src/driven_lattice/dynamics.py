@@ -177,8 +177,9 @@ def _reconstruct(dec: SpectralDecomposition, periods: np.ndarray, chunk: int):
     columns (points x m).  Bands without a coefficient at any kappa are
     skipped."""
     spec = dec.spec
-    active = np.flatnonzero(np.any(dec.coefficients != 0, axis=0))
-    modes = dec.modes[:, :, active]
+    active = np.any(dec.coefficients != 0, axis=0)
+    # the gather copies the mode stack, so it is skipped when nothing is dropped
+    modes = dec.modes if active.all() else dec.modes[:, :, active]
     coeffs = dec.coefficients[:, active, None]
     eps = dec.quasienergies[:, active, None]
     for start in range(0, len(periods), chunk):
