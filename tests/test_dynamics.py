@@ -22,16 +22,6 @@ def spectra2(ring2):
     return spectra
 
 
-def ring_mode_state(spectrum, ring):
-    """Independent construction of a ring-extended mode (test-local oracle)."""
-    kappa = spectrum.kappa
-    x_cell = ring.cell.positions()
-    mode = spectrum.modes[4]
-    periodic = mode.state.psi * np.exp(-1j * kappa * x_cell)
-    psi = np.tile(periodic, ring.supercells) * np.exp(1j * kappa * ring.positions())
-    return dl.ComplexState(psi / math.sqrt(ring.supercells), ring)
-
-
 def tiled_ring_modes(spectrum, ring):
     """Every mode of a spectrum extended to the ring by tiling its periodic
     part over the cells (test-local oracle, ring-normalized)."""
@@ -40,6 +30,11 @@ def tiled_ring_modes(spectrum, ring):
     tiled = np.tile(periodic, (ring.supercells, 1))
     bloch = np.exp(1j * kappa * ring.positions())[:, None]
     return tiled * bloch / math.sqrt(ring.supercells)
+
+
+def ring_mode_state(spectrum, ring):
+    """Mode 4 of a spectrum, extended to the ring by the tiled oracle."""
+    return dl.ComplexState(tiled_ring_modes(spectrum, ring)[:, 4], ring)
 
 
 def tiled_coefficients(state, spectra):
