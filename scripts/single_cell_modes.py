@@ -28,11 +28,8 @@ def main() -> int:
         trace = dl.run_evolution(config, keep=keep)
         print(dl.write_evolution_csv(OUTDIR / f"trace_{name}.csv", config, trace))
 
-    spectrum = dl.labeled_spectrum(
-        config.lattice, 0.0,
-        grid=dl.SupercellGrid.for_spec(config.lattice, config.grid_points),
-    )
-    eps = spectrum.quasienergies()
+    spectrum = dl.spectrum_at(config, config.lattice.omega)
+    eps = spectrum.quasienergies
     print(
         "interference period of the (0, 2) pair:"
         f" {dl.interference_period(eps[2], eps[0], config.lattice):.2f} T"

@@ -30,25 +30,20 @@ from .propagate import (
     potential_on_grid,
 )
 from .floquet import (
-    FloquetMode,
     FloquetSpectrum,
     GapMinimum,
-    QuasienergyScan,
     ResonancePrediction,
-    ScanPoint,
     basis_wavenumbers,
     circle_gap,
     default_basis_size,
     diagonalize_monodromy,
     find_gap_minima,
     fold_quasienergy,
-    ground_uniform_overlap,
     label_by_overlap,
     labeled_spectrum,
     match_band_labels,
     monodromy_matrix,
     predict_resonances,
-    quasienergy_scan,
 )
 from .dynamics import (
     PopulationTrace,
@@ -80,6 +75,7 @@ from .analysis import (
     run_evolution,
     run_nmax_sweep,
     run_overlap_sweep,
+    spectrum_at,
     write_evolution_csv,
     write_modes_csv,
     write_resonances_csv,

@@ -17,6 +17,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from .version import __version__
 from .errors import ConfigError, ToleranceError
 from .dynamics import (
     decompose,
+    dynamics_basis_size,
     population_trace,
     ring_spectra,
     select_bands,
@@ -61,6 +63,7 @@ _CONFIG_KEYS = (
     "mass", "hbar", "v0", "delta", "spacing", "amplitude", "omega", "phases",
     "np", "sigma", "center", "domain", "supercells", "substeps", "horizon",
     "omega_start", "omega_stop", "omega_step", "outdir",
+    "grid_points", "basis_size", "workers", "refine_peaks",
 )
 
 
@@ -164,6 +167,13 @@ def _parse_phase(token: str) -> float:
     return float(token)
 
 
+def _parse_phases(value) -> tuple[float, ...]:
+    """Comma-separated phase tokens ('0.5pi', '-pi', '1.2'), or a sequence."""
+    if isinstance(value, str):
+        return tuple(_parse_phase(tok) for tok in value.split(","))
+    return tuple(float(p) for p in value)
+
+
 def parse_config_text(text: str) -> dict:
     """Parse the flat key-value configuration format (``key = value`` lines,
     '#' comments); returns raw string values keyed by the documented names."""
@@ -200,11 +210,7 @@ def config_from_values(values: dict, overrides: dict | None = None) -> Experimen
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {merged[key]!r}") from exc
 
-    phases_raw = merged.get("phases", (0.0, math.pi, 0.0))
-    if isinstance(phases_raw, str):
-        phases = tuple(_parse_phase(tok) for tok in phases_raw.split(","))
-    else:
-        phases = tuple(float(p) for p in phases_raw)
+    phases = get("phases", _parse_phases, (0.0, math.pi, 0.0))
     sites = get("np", int, len(phases))
     if sites != len(phases):
         raise ConfigError(
@@ -283,46 +289,67 @@ class SweepResult:
         return np.array([getattr(r, name) for r in self.records])
 
 
-def _sweep_point(args) -> SweepRecord:
-    config, omega, with_populations = args
+def spectrum_at(config: ExperimentConfig, omega: float, kappa: float = 0.0) -> FloquetSpectrum:
+    """The labeled spectrum at one driving frequency and quasimomentum, built
+    with the config's grid, substeps and basis size."""
     spec = replace(config.lattice, omega=float(omega))
+    return labeled_spectrum(
+        spec, kappa,
+        grid=SupercellGrid.for_spec(spec, config.grid_points),
+        params=config.params_for(spec),
+        basis_size=config.basis_size,
+    )
+
+
+def _sweep_point(config: ExperimentConfig, omega: float, with_populations: bool) -> SweepRecord:
+    spectrum = spectrum_at(config, omega)
+    weights = np.abs(spectrum.overlaps(spectrum.uniform_reference())) ** 2
+    eps = spectrum.quasienergies
+    gap = min(circle_gap(e, eps[0], spectrum.spec) for e in eps[1:])
+    n_max, arg_site, arg_m = math.nan, -1, -1
+    if with_populations:
+        state = make_initial_state(config.initial, RingDomain(spectrum.grid, 1))
+        trace = population_trace(decompose(state, [spectrum]), range(config.horizon + 1))
+        flat = int(np.argmax(trace.values))
+        arg_site, arg_m = np.unravel_index(flat, trace.values.shape)
+        n_max = float(trace.values[arg_site, arg_m])
+        arg_site = int(trace.site_indices[arg_site])
+        arg_m = int(trace.periods[arg_m])
+    return SweepRecord(
+        omega=omega, n_max=n_max, argmax_site=arg_site, argmax_m=arg_m,
+        overlap=float(weights[0]), eps_fgs=float(eps[0]), gap=float(gap),
+    )
+
+
+def _guarded(task):
+    point, config, omega = task
     try:
-        grid = SupercellGrid.for_spec(spec, config.grid_points)
-        spectrum = labeled_spectrum(
-            spec, 0.0, grid=grid, params=config.params_for(spec),
-            basis_size=config.basis_size,
-        )
-        weights = np.abs(spectrum.overlaps(spectrum.uniform_reference())) ** 2
-        eps = spectrum.quasienergies()
-        gap = min(circle_gap(e, eps[0], spec) for e in eps[1:])
-        n_max, arg_site, arg_m = math.nan, -1, -1
-        if with_populations:
-            ring = RingDomain(grid, 1)
-            state = make_initial_state(config.initial, ring)
-            dec = decompose(state, [spectrum])
-            trace = population_trace(dec, range(config.horizon + 1))
-            flat = int(np.argmax(trace.values))
-            arg_site, arg_m = np.unravel_index(flat, trace.values.shape)
-            n_max = float(trace.values[arg_site, arg_m])
-            arg_site = int(trace.site_indices[arg_site])
-            arg_m = int(trace.periods[arg_m])
-        return SweepRecord(
-            omega=float(omega), n_max=n_max, argmax_site=arg_site, argmax_m=arg_m,
-            overlap=float(weights[0]), eps_fgs=float(eps[0]), gap=float(gap),
-        )
+        return omega, point(config, omega), None
     except (ConfigError, ToleranceError, np.linalg.LinAlgError) as exc:
-        return SweepRecord(
-            omega=float(omega), n_max=math.nan, argmax_site=-1, argmax_m=-1,
-            overlap=math.nan, eps_fgs=math.nan, gap=math.nan, error=str(exc),
-        )
+        return omega, None, str(exc)
 
 
-def _run_points(config: ExperimentConfig, omegas, with_populations: bool):
-    tasks = [(config, float(w), with_populations) for w in omegas]
+def _run_points(config: ExperimentConfig, omegas, point) -> list[tuple]:
+    """``point(config, omega)`` at every frequency, on ``config.workers``
+    processes, as (omega, result, error) in the order given.  Invalid input
+    and numerical trouble at one frequency give result None and the error
+    message; any other exception propagates."""
+    tasks = [(point, config, float(w)) for w in omegas]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            return list(pool.map(_sweep_point, tasks))
-    return [_sweep_point(t) for t in tasks]
+            return list(pool.map(_guarded, tasks))
+    return [_guarded(task) for task in tasks]
+
+
+def _sweep_records(config: ExperimentConfig, omegas, with_populations: bool) -> list[SweepRecord]:
+    point = partial(_sweep_point, with_populations=with_populations)
+    return [
+        record if error is None else SweepRecord(
+            omega=omega, n_max=math.nan, argmax_site=-1, argmax_m=-1,
+            overlap=math.nan, eps_fgs=math.nan, gap=math.nan, error=error,
+        )
+        for omega, record, error in _run_points(config, omegas, point)
+    ]
 
 
 def _refine_peaks(config: ExperimentConfig, records: list[SweepRecord]) -> list[SweepRecord]:
@@ -341,7 +368,7 @@ def _refine_peaks(config: ExperimentConfig, records: list[SweepRecord]) -> list[
                     inserts.append(0.5 * (omegas[a] + omegas[b]))
         if not inserts:
             return records
-        records.extend(_run_points(config, inserts, True))
+        records.extend(_sweep_records(config, inserts, True))
 
 
 def run_nmax_sweep(config: ExperimentConfig) -> SweepResult:
@@ -354,7 +381,7 @@ def run_nmax_sweep(config: ExperimentConfig) -> SweepResult:
     """
     if config.domain != "supercell":
         raise ConfigError("population sweeps run on the supercell (kappa = 0) domain")
-    records = _run_points(config, config.omega_grid(), True)
+    records = _sweep_records(config, config.omega_grid(), True)
     if config.refine_peaks:
         records = _refine_peaks(config, records)
     records.sort(key=lambda r: r.omega)
@@ -366,7 +393,7 @@ def run_overlap_sweep(config: ExperimentConfig) -> SweepResult:
     """Ground-mode uniform overlap (and gap) per frequency; no populations."""
     if config.domain != "supercell":
         raise ConfigError("overlap sweeps run on the supercell (kappa = 0) domain")
-    records = _run_points(config, config.omega_grid(), False)
+    records = _sweep_records(config, config.omega_grid(), False)
     records.sort(key=lambda r: r.omega)
     failures = tuple((r.omega, r.error) for r in records if r.error)
     return SweepResult(records=tuple(records), failures=failures, config=config)
@@ -394,9 +421,12 @@ def run_evolution(
         )
     if method != "floquet":
         raise ConfigError(f"unknown evolution method {method!r}")
-    spectra, _ = ring_spectra(
-        spec, state.grid, params=config.params_for(spec), basis_size=config.basis_size
-    )
+    basis = config.basis_size if config.basis_size is not None else dynamics_basis_size(spec)
+    if keep is not None and keep < 1:
+        raise ConfigError("keep must be >= 1")
+    if bands is not None and not all(0 <= b < basis for b in bands):
+        raise ConfigError(f"band labels must lie in [0, {basis}) for basis size {basis}")
+    spectra, _ = ring_spectra(spec, state.grid, params=config.params_for(spec), basis_size=basis)
     dec = decompose(state, spectra)
     if keep is not None:
         dec = truncate_modes(dec, keep)
@@ -556,14 +586,14 @@ def write_modes_csv(path, config: ExperimentConfig, spectrum: FloquetSpectrum,
                     count: int = REPORTED_MODES) -> Path:
     """Sampled mode profiles; only the best-converged (lowest mean kinetic
     energy) `count` modes are reported."""
-    kinetic = spectrum.mean_kinetic()
-    keep = sorted(np.argsort(kinetic, kind="stable")[:count])
+    if count < 1:
+        raise ConfigError("mode count must be >= 1")
+    keep = sorted(np.argsort(spectrum.mean_kinetic(), kind="stable")[:count])
     x = spectrum.grid.positions()
     rows = (
-        (spectrum.kappa, int(i), spectrum.modes[i].quasienergy,
-         x[j], mode.state.psi[j].real, mode.state.psi[j].imag)
+        (spectrum.kappa, int(i), spectrum.quasienergies[i],
+         x[j], spectrum.samples[j, i].real, spectrum.samples[j, i].imag)
         for i in keep
-        for mode in (spectrum.modes[i],)
         for j in range(spectrum.grid.points)
     )
     return _write_csv(

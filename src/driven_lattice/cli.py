@@ -3,18 +3,20 @@
 Subcommands: evolve, spectrum, sweep, modes, resonances.  A config file
 (``--config``, flat key = value text) supplies defaults; flags override.
 Exit codes: 0 success, 2 invalid configuration, 3 numerical-tolerance
-violation, 4 sweep completed with per-frequency failures.
+violation, 4 ``sweep`` or ``spectrum`` completed with per-frequency failures
+(each failed frequency is listed in the sidecar's ``failures`` and on
+stderr; ``spectrum`` writes no rows for it).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .analysis import (
+    _CONFIG_KEYS,
     ExperimentConfig,
     config_from_values,
     load_config,
@@ -24,42 +26,30 @@ from .analysis import (
     run_evolution,
     run_nmax_sweep,
     run_overlap_sweep,
+    spectrum_at,
     write_evolution_csv,
     write_modes_csv,
     write_resonances_csv,
     write_sweep_csv,
+    _run_points,
     _write_csv,
 )
 from .errors import ConfigError, ToleranceError
-from .floquet import labeled_spectrum
-from .lattice import SupercellGrid
 from .version import __version__
-
-_CONFIG_FLAGS = (
-    "mass", "hbar", "v0", "delta", "spacing", "amplitude", "omega", "phases",
-    "np", "sigma", "center", "domain", "supercells", "substeps", "horizon",
-    "omega_start", "omega_stop", "omega_step", "outdir",
-)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value config file with defaults")
-    for key in _CONFIG_FLAGS:
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=key)
-    parser.add_argument("--grid-points", dest="grid_points")
-    parser.add_argument("--basis-size", dest="basis_size")
-    parser.add_argument("--workers", dest="workers")
-    parser.add_argument("--no-refine", action="store_true",
-                        help="skip grid refinement around population peaks")
+    for key in _CONFIG_KEYS:
+        if key == "refine_peaks":
+            parser.add_argument("--no-refine", dest=key, action="store_const", const="0",
+                                help="skip grid refinement around population peaks")
+        else:
+            parser.add_argument(f"--{key.replace('_', '-')}", dest=key)
 
 
 def _build_config(args) -> ExperimentConfig:
-    overrides = {k: getattr(args, k) for k in _CONFIG_FLAGS if getattr(args, k) is not None}
-    for key in ("grid_points", "basis_size", "workers"):
-        if getattr(args, key) is not None:
-            overrides[key] = getattr(args, key)
-    if args.no_refine:
-        overrides["refine_peaks"] = 0
+    overrides = {key: getattr(args, key) for key in _CONFIG_KEYS}
     if args.config:
         return load_config(args.config, overrides)
     return config_from_values({}, overrides)
@@ -112,59 +102,53 @@ def _cmd_evolve(args) -> int:
     config = _build_config(args)
     bands = None
     if args.bands:
-        parts = [int(tok) for tok in args.bands.split(",")]
-        if len(parts) != 2:
+        try:
+            bands = tuple(int(tok) for tok in args.bands.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"--bands expects integer labels, got {args.bands!r}") from exc
+        if len(bands) != 2:
             raise ConfigError("--bands expects two labels, e.g. 0,2")
-        bands = (parts[0], parts[1])
     trace = run_evolution(config, keep=args.keep, bands=bands, method=args.method)
     path = write_evolution_csv(output_path(config, args.output), config, trace)
     print(path)
     return 0
 
 
+def _spectrum_rows(config: ExperimentConfig, omega: float) -> list[tuple]:
+    spectrum = spectrum_at(config, omega)
+    weights = np.abs(spectrum.overlaps(spectrum.uniform_reference())) ** 2
+    return [(omega, alpha, eps, weights[alpha])
+            for alpha, eps in enumerate(spectrum.quasienergies)]
+
+
+def _finish(path, failures) -> int:
+    print(path)
+    for omega, error in failures:
+        print(f"failed omega={omega:g}: {error}", file=sys.stderr)
+    return 4 if failures else 0
+
+
 def _cmd_spectrum(args) -> int:
     config = _build_config(args)
-    rows = []
-    for omega in config.omega_grid():
-        spec = replace(config.lattice, omega=float(omega))
-        spectrum = labeled_spectrum(
-            spec, 0.0,
-            grid=SupercellGrid.for_spec(spec, config.grid_points),
-            params=config.params_for(spec),
-            basis_size=config.basis_size,
-        )
-        weights = np.abs(spectrum.overlaps(spectrum.uniform_reference())) ** 2
-        for mode in spectrum.modes:
-            rows.append((omega, mode.label, mode.quasienergy, weights[mode.label]))
+    points = _run_points(config, config.omega_grid(), _spectrum_rows)
+    rows = [row for _, point_rows, _ in points if point_rows for row in point_rows]
+    failures = [(omega, error) for omega, _, error in points if error is not None]
     path = _write_csv(
         output_path(config, args.output), config, "spectrum",
-        ["omega", "alpha", "eps", "overlap"], rows,
+        ["omega", "alpha", "eps", "overlap"], rows, failures=failures,
     )
-    print(path)
-    return 0
+    return _finish(path, failures)
 
 
 def _cmd_sweep(args) -> int:
     config = _build_config(args)
     sweep = run_overlap_sweep(config) if args.overlap_only else run_nmax_sweep(config)
-    path = write_sweep_csv(output_path(config, args.output), sweep)
-    print(path)
-    if sweep.failures:
-        for omega, error in sweep.failures:
-            print(f"failed omega={omega:g}: {error}", file=sys.stderr)
-        return 4
-    return 0
+    return _finish(write_sweep_csv(output_path(config, args.output), sweep), sweep.failures)
 
 
 def _cmd_modes(args) -> int:
     config = _build_config(args)
-    spec = config.lattice
-    spectrum = labeled_spectrum(
-        spec, args.kappa,
-        grid=SupercellGrid.for_spec(spec, config.grid_points),
-        params=config.params_for(spec),
-        basis_size=config.basis_size,
-    )
+    spectrum = spectrum_at(config, config.lattice.omega, args.kappa)
     path = write_modes_csv(output_path(config, args.output), config, spectrum,
                            count=args.count)
     print(path)

@@ -147,7 +147,7 @@ def decompose(
         if spectrum.grid != ring.cell:
             raise GridMismatchError("spectrum grid does not match the ring cell")
 
-    modes = np.stack([spectrum.mode_matrix() for spectrum in spectra])
+    modes = np.stack([spectrum.samples for spectrum in spectra])
     blocks = sfft.fft(initial.psi.reshape(ring.supercells, -1), axis=0, norm="ortho")
     coeffs = np.stack([m.conj().T @ b for m, b in zip(modes, blocks)]) * ring.dx
 
@@ -158,7 +158,7 @@ def decompose(
         kappas=expected,
         coefficients=coeffs,
         modes=modes,
-        quasienergies=np.stack([spectrum.quasienergies() for spectrum in spectra]),
+        quasienergies=np.stack([spectrum.quasienergies for spectrum in spectra]),
         residual=0.0,
         t0=t0,
     )

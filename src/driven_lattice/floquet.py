@@ -172,65 +172,63 @@ def monodromy_matrix(
 
 
 @dataclass(frozen=True)
-class FloquetMode:
-    """One eigenpair of the monodromy at fixed quasimomentum."""
-
-    quasimomentum: float
-    label: int
-    quasienergy: float
-    eigenphase: complex
-    state: ComplexState           # sampled on the supercell grid
-    coefficients: np.ndarray      # plane-wave ladder amplitudes
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=complex).copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coefficients", c)
-
-
-@dataclass(frozen=True)
 class FloquetSpectrum:
-    """All monodromy eigenpairs at one quasimomentum, in a fixed mode order."""
+    """All monodromy eigenpairs at one quasimomentum, in label order.
+
+    Column ``i`` of ``coefficients`` (plane-wave ladder amplitudes, B x B)
+    and of ``samples`` (the mode on the supercell grid, points x B) is the
+    mode with quasienergy ``quasienergies[i]``; ``near_degenerate`` holds
+    label pairs whose quasienergies nearly coincide.
+    """
 
     spec: LatticeSpec
     kappa: float
     grid: SupercellGrid
-    modes: tuple[FloquetMode, ...]
-    basis_size: int
+    quasienergies: np.ndarray
+    coefficients: np.ndarray
+    samples: np.ndarray
     near_degenerate: tuple[tuple[int, int], ...] = ()
 
-    def quasienergies(self) -> np.ndarray:
-        return np.array([m.quasienergy for m in self.modes])
+    def __post_init__(self):
+        # read-only, in C order: products over the columns then round the
+        # same way whatever permutation produced them
+        for name in ("quasienergies", "coefficients", "samples"):
+            array = np.ascontiguousarray(getattr(self, name))
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
-    def coefficient_matrix(self) -> np.ndarray:
-        return np.stack([m.coefficients for m in self.modes], axis=1)
-
-    def mode_matrix(self) -> np.ndarray:
-        return np.stack([m.state.psi for m in self.modes], axis=1)
+    @property
+    def basis_size(self) -> int:
+        return self.quasienergies.shape[0]
 
     def overlaps(self, reference: ComplexState) -> np.ndarray:
         """Complex overlaps <mode_i | reference> on the supercell grid."""
-        return (self.mode_matrix().conj().T @ reference.psi) * self.grid.dx
+        return (self.samples.conj().T @ reference.psi) * self.grid.dx
 
     def mean_kinetic(self) -> np.ndarray:
         k = basis_wavenumbers(self.spec, self.basis_size, self.kappa)
         energy = self.spec.hbar**2 * k**2 / (2.0 * self.spec.mass)
-        return np.abs(self.coefficient_matrix().T) ** 2 @ energy
+        return np.abs(self.coefficients.T) ** 2 @ energy
 
     def uniform_reference(self) -> ComplexState:
         return make_initial_state(UniformState(), self.grid)
 
     def relabeled(self, order) -> "FloquetSpectrum":
-        modes = tuple(
-            replace(self.modes[i], label=new) for new, i in enumerate(order)
-        )
+        """The spectrum with mode ``order[i]`` as label ``i``."""
+        order = np.asarray(order)
         remap = {int(i): new for new, i in enumerate(order)}
         flags = tuple(
             tuple(sorted((remap[a], remap[b])))
             for a, b in self.near_degenerate
             if a in remap and b in remap
         )
-        return replace(self, modes=modes, near_degenerate=flags)
+        return replace(
+            self,
+            quasienergies=self.quasienergies[order],
+            coefficients=self.coefficients[:, order],
+            samples=self.samples[:, order],
+            near_degenerate=flags,
+        )
 
 
 def diagonalize_monodromy(
@@ -259,13 +257,13 @@ def diagonalize_monodromy(
     grid = grid if grid is not None else SupercellGrid.for_spec(spec)
 
     T, Q = schur(U, output="complex")
-    eigenphases = np.diag(T).copy()
+    eigenphases = np.diag(T)
     if np.abs(np.abs(eigenphases) - 1.0).max() > _EIGENPHASE_TOL:
         raise UnitarityError("eigenphases deviate from the unit circle")
     quasi = -(spec.hbar / spec.period) * np.angle(eigenphases)
 
     order = np.argsort(quasi, kind="stable")
-    quasi, eigenphases, Q = quasi[order], eigenphases[order], Q[:, order]
+    quasi, Q = quasi[order], Q[:, order]
 
     k = basis_wavenumbers(spec, B, kappa)
     x = grid.positions()
@@ -287,24 +285,9 @@ def diagonalize_monodromy(
     if B > 1 and circle_gap(quasi[0], quasi[-1], spec) < _DEGENERACY_REL_TOL * zone:
         flags.append((0, B - 1))
 
-    modes = tuple(
-        FloquetMode(
-            quasimomentum=kappa,
-            label=i,
-            quasienergy=float(quasi[i]),
-            eigenphase=complex(eigenphases[i]),
-            state=ComplexState(samples[:, i], grid),
-            coefficients=Q[:, i],
-        )
-        for i in range(B)
-    )
     return FloquetSpectrum(
-        spec=spec,
-        kappa=kappa,
-        grid=grid,
-        modes=modes,
-        basis_size=B,
-        near_degenerate=tuple(flags),
+        spec=spec, kappa=kappa, grid=grid, quasienergies=quasi,
+        coefficients=Q, samples=samples, near_degenerate=tuple(flags),
     )
 
 
@@ -320,9 +303,7 @@ def label_by_overlap(
     reference = reference if reference is not None else spectrum.uniform_reference()
     weights = np.abs(spectrum.overlaps(reference)) ** 2
     quantized = np.round(weights / _OVERLAP_TIE_TOL)
-    order = np.lexsort(
-        (spectrum.mean_kinetic(), spectrum.quasienergies(), -quantized)
-    )
+    order = np.lexsort((spectrum.mean_kinetic(), spectrum.quasienergies, -quantized))
     return spectrum.relabeled(order)
 
 
@@ -356,7 +337,6 @@ def match_band_labels(
     ref_idx = int(np.argmin([abs(s.kappa) for s in spectra]))
     ref = spectra[ref_idx]
     basis = ref.basis_size
-    ref_coeffs = ref.coefficient_matrix()
     out: list[FloquetSpectrum] = []
     flags: list[tuple[int, int]] = []
     for j, spectrum in enumerate(spectra):
@@ -365,7 +345,7 @@ def match_band_labels(
         if j == ref_idx:
             out.append(spectrum)
             continue
-        overlap = np.abs(ref_coeffs.conj().T @ spectrum.coefficient_matrix()) ** 2
+        overlap = np.abs(ref.coefficients.conj().T @ spectrum.coefficients) ** 2
         row, col = linear_sum_assignment(-overlap)
         order = np.empty(basis, dtype=int)
         order[row] = col
@@ -401,105 +381,6 @@ def predict_resonances(
     ]
     predictions.sort(key=lambda p: (p.omega, p.band_index))
     return tuple(predictions)
-
-
-@dataclass(frozen=True)
-class ScanPoint:
-    """Ground-mode summary of a labeled spectrum at one driving frequency."""
-
-    omega: float
-    ground_overlap: float
-    ground_energy: float
-    gap: float
-    ambiguous: bool
-    spectrum: FloquetSpectrum
-
-
-@dataclass(frozen=True)
-class QuasienergyScan:
-    kappa: float
-    points: tuple[ScanPoint, ...]
-
-    def omegas(self) -> np.ndarray:
-        return np.array([p.omega for p in self.points])
-
-    def ground_overlaps(self) -> np.ndarray:
-        return np.array([p.ground_overlap for p in self.points])
-
-    def gaps(self) -> np.ndarray:
-        return np.array([p.gap for p in self.points])
-
-
-def _scan_point(
-    spec: LatticeSpec,
-    omega: float,
-    kappa: float,
-    grid_points: int,
-    basis_size: int | None,
-    params: PropagationParams | None = None,
-) -> ScanPoint:
-    spec_w = replace(spec, omega=float(omega))
-    grid = SupercellGrid.for_spec(spec_w, grid_points)
-    spectrum = labeled_spectrum(spec_w, kappa, grid=grid, params=params,
-                                basis_size=basis_size)
-    weights = np.abs(spectrum.overlaps(spectrum.uniform_reference())) ** 2
-    eps = spectrum.quasienergies()
-    gaps = np.array(
-        [circle_gap(eps[i], eps[0], spec_w) for i in range(1, len(eps))]
-    )
-    return ScanPoint(
-        omega=float(omega),
-        ground_overlap=float(weights[0]),
-        ground_energy=float(eps[0]),
-        gap=float(gaps.min()),
-        ambiguous=bool(weights[0] - weights[1] < _MATCH_AMBIGUITY_TOL),
-        spectrum=spectrum,
-    )
-
-
-def quasienergy_scan(
-    spec: LatticeSpec,
-    omegas,
-    kappa: float = 0.0,
-    *,
-    grid_points: int = 480,
-    basis_size: int | None = None,
-    params: PropagationParams | None = None,
-    refine_overlap_jump: float = 0.5,
-    min_step: float = 1e-3,
-) -> QuasienergyScan:
-    """Labeled spectra over a frequency grid with local refinement.
-
-    Midpoints are inserted wherever the ground-mode overlap jumps by more
-    than `refine_overlap_jump` between neighbours (down to `min_step`), so
-    the ground band is tracked through narrow resonances.
-    """
-    points = sorted(
-        (_scan_point(spec, w, kappa, grid_points, basis_size, params) for w in omegas),
-        key=lambda p: p.omega,
-    )
-    while True:
-        inserts = [
-            0.5 * (a.omega + b.omega)
-            for a, b in zip(points, points[1:])
-            if abs(a.ground_overlap - b.ground_overlap) > refine_overlap_jump
-            and (b.omega - a.omega) > min_step
-        ]
-        if not inserts:
-            break
-        points.extend(
-            _scan_point(spec, w, kappa, grid_points, basis_size, params)
-            for w in inserts
-        )
-        points.sort(key=lambda p: p.omega)
-    return QuasienergyScan(kappa=kappa, points=tuple(points))
-
-
-def ground_uniform_overlap(spec: LatticeSpec, omegas, **kwargs) -> np.ndarray:
-    """Squared overlap of the Floquet ground state with the uniform state,
-    one value per driving frequency (kappa = 0)."""
-    scan = quasienergy_scan(spec, omegas, kappa=0.0, refine_overlap_jump=np.inf, **kwargs)
-    return scan.ground_overlaps()
 
 
 @dataclass(frozen=True)

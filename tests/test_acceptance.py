@@ -44,7 +44,7 @@ def test_criterion_01_monodromy_unitarity(ref_spec):
 def test_criterion_02_free_particle_spectrum(ref_spec, grid480):
     spec = replace(ref_spec, v0=0.0)
     U = dl.monodromy_matrix(spec, 0.0, basis_size=41)
-    computed = dl.diagonalize_monodromy(U, spec, 0.0, grid480).quasienergies()
+    computed = dl.diagonalize_monodromy(U, spec, 0.0, grid480).quasienergies
     alphas = sorted(range(-10, 11), key=abs)[:20]
     worst = 0.0
     for alpha in alphas:
@@ -57,7 +57,7 @@ def test_criterion_02_free_particle_spectrum(ref_spec, grid480):
 
 
 def test_criterion_03_interference_period(ref_spec, spectrum_w1, dec_w1_supercell):
-    eps = spectrum_w1.quasienergies()
+    eps = spectrum_w1.quasienergies
     predicted = dl.interference_period(eps[2], eps[0], ref_spec)
     in_bracket = 73.0 <= predicted <= 81.0
 
@@ -138,7 +138,7 @@ def _mixing_band(spectrum) -> int:
     """
     spec = spectrum.spec
     k = dl.basis_wavenumbers(spec, spectrum.basis_size)
-    weight = np.abs(spectrum.modes[0].coefficients) ** 2
+    weight = np.abs(spectrum.coefficients[:, 0]) ** 2
     weight[spec.hbar**2 * k**2 / (2 * spec.mass) <= spec.hbar * spec.omega / 2] = 0.0
     band = np.abs(np.rint(k * spec.cell_length / (2 * math.pi))).astype(int)
     return int(np.argmax(np.bincount(band, weights=weight)))
@@ -179,13 +179,7 @@ def test_criterion_09_resonance_formula_alignment(ref_spec, sweep_window):
     matches = []
     for dip in dips:
         omega = float(omegas[np.argmin(np.abs(omegas - dip.omega))])
-        spec = replace(config.lattice, omega=omega)
-        spectrum = dl.labeled_spectrum(
-            spec, 0.0,
-            grid=dl.SupercellGrid.for_spec(spec, config.grid_points),
-            params=config.params_for(spec),
-            basis_size=config.basis_size,
-        )
+        spectrum = dl.spectrum_at(config, omega)
         alpha = _mixing_band(spectrum)
         # the unfolded (n = 1) prediction of band alpha is the highest one
         unfolded = dl.predict_resonances(ref_spec, alpha_max=alpha, max_folds=1)[-1]

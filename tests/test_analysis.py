@@ -30,6 +30,10 @@ omega_start = 2.4
 omega_stop = 3.2
 omega_step = 0.01
 outdir = out
+grid_points = 600
+basis_size = 63
+workers = 2
+refine_peaks = 0
 """
 
 
@@ -58,6 +62,10 @@ class TestConfigParsing:
         assert config.supercells == 16
         assert len(config.omega_grid()) == 81
         assert config.omega_grid()[-1] == pytest.approx(3.2)
+        assert config.grid_points == 600
+        assert config.basis_size == 63
+        assert config.workers == 2
+        assert config.refine_peaks is False
 
     def test_unknown_key_rejected(self):
         with pytest.raises(dl.ConfigError, match="unknown key"):
@@ -125,14 +133,14 @@ class TestSweeps:
 
     def test_failures_recorded_not_dropped(self, monkeypatch):
         config = tiny_config(omega_start=1.0, omega_stop=1.2, omega_step=0.1)
-        real = analysis.labeled_spectrum
+        real = analysis.spectrum_at
 
-        def flaky(spec, *args, **kwargs):
-            if abs(spec.omega - 1.1) < 1e-9:
+        def flaky(config, omega, *args, **kwargs):
+            if abs(omega - 1.1) < 1e-9:
                 raise dl.UnitarityError("synthetic failure")
-            return real(spec, *args, **kwargs)
+            return real(config, omega, *args, **kwargs)
 
-        monkeypatch.setattr(analysis, "labeled_spectrum", flaky)
+        monkeypatch.setattr(analysis, "spectrum_at", flaky)
         sweep = dl.run_nmax_sweep(config)
         assert len(sweep.records) == 3
         assert len(sweep.failures) == 1
@@ -148,7 +156,7 @@ class TestSweeps:
         def broken(*args, **kwargs):
             raise error("synthetic bug")
 
-        monkeypatch.setattr(analysis, "labeled_spectrum", broken)
+        monkeypatch.setattr(analysis, "spectrum_at", broken)
         with pytest.raises(error, match="synthetic bug"):
             dl.run_nmax_sweep(config)
 
@@ -173,14 +181,22 @@ class TestSweeps:
 
 
 class TestDeterminism:
-    def test_identical_config_identical_bytes(self, tmp_path):
+    @pytest.mark.parametrize("command", ["sweep", "spectrum"])
+    def test_identical_config_identical_bytes(self, tmp_path, command):
         def run(workers, name):
-            config = tiny_config(
-                omega_start=1.0, omega_stop=1.1, omega_step=0.1,
-                workers=workers, outdir=str(tmp_path),
-            )
-            sweep = dl.run_nmax_sweep(config)
-            return dl.write_sweep_csv(tmp_path / name, sweep).read_bytes()
+            if command == "sweep":
+                config = tiny_config(
+                    omega_start=1.0, omega_stop=1.1, omega_step=0.1,
+                    workers=workers, outdir=str(tmp_path),
+                )
+                sweep = dl.run_nmax_sweep(config)
+                return dl.write_sweep_csv(tmp_path / name, sweep).read_bytes()
+            assert cli.main([
+                "spectrum", "--substeps", "512", "--workers", str(workers),
+                "--omega-start", "1.0", "--omega-stop", "1.1", "--omega-step", "0.1",
+                "--outdir", str(tmp_path), "--output", name,
+            ]) == 0
+            return (tmp_path / name).read_bytes()
 
         first = run(1, "a.csv")
         second = run(1, "b.csv")
@@ -296,10 +312,26 @@ class TestResonanceReport:
 
 
 class TestCli:
-    def test_invalid_config_exit_code(self, tmp_path):
+    def test_invalid_config_exit_code(self, tmp_path, monkeypatch, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("bogus_key = 1\n")
         assert cli.main(["sweep", "--config", str(bad)]) == 2
+
+        def no_spectra(*args, **kwargs):
+            raise AssertionError("input must be rejected before the ring spectra")
+
+        monkeypatch.setattr(analysis, "ring_spectra", no_spectra)
+        capsys.readouterr()
+        for argv in (
+            ["evolve", "--phases", "0,pi/2,0"],
+            ["evolve", "--bands", "a,b"],
+            ["evolve", "--bands", "0,999"],
+            ["evolve", "--keep", "0"],
+            ["modes", "--count", "-1"],
+        ):
+            code = cli.main([*argv, "--substeps", "512", "--outdir", str(tmp_path)])
+            assert code == 2, argv
+            assert "invalid configuration:" in capsys.readouterr().err, argv
 
     def test_missing_omega_grid_exit_code(self):
         assert cli.main(["sweep", "--substeps", "512"]) == 2
@@ -335,21 +367,21 @@ class TestCli:
         def boom(*args, **kwargs):
             raise dl.UnitarityError("synthetic")
 
-        monkeypatch.setattr(cli, "labeled_spectrum", boom)
+        monkeypatch.setattr(cli, "spectrum_at", boom)
         code = cli.main([
             "modes", "--substeps", "512", "--outdir", str(tmp_path),
         ])
         assert code == 3
 
     def test_sweep_failures_exit_code(self, tmp_path, monkeypatch):
-        real = analysis.labeled_spectrum
+        real = analysis.spectrum_at
 
-        def flaky(spec, *args, **kwargs):
-            if abs(spec.omega - 1.1) < 1e-9:
+        def flaky(config, omega, *args, **kwargs):
+            if abs(omega - 1.1) < 1e-9:
                 raise dl.UnitarityError("synthetic failure")
-            return real(spec, *args, **kwargs)
+            return real(config, omega, *args, **kwargs)
 
-        monkeypatch.setattr(analysis, "labeled_spectrum", flaky)
+        monkeypatch.setattr(analysis, "spectrum_at", flaky)
         code = cli.main([
             "sweep", "--substeps", "512", "--horizon", "3",
             "--omega-start", "1.0", "--omega-stop", "1.2", "--omega-step", "0.1",
@@ -357,17 +389,23 @@ class TestCli:
         ])
         assert code == 4
 
-    def test_basis_below_cutoff_is_a_recorded_failure(self, tmp_path):
+    @pytest.mark.parametrize("command", ["sweep", "spectrum"])
+    def test_basis_below_cutoff_is_a_recorded_failure(self, tmp_path, command):
         # B = 41 clears 5 hbar omega at 1.70 but not at 1.80
         code = cli.main([
-            "sweep", "--basis-size", "41", "--substeps", "512", "--horizon", "3",
+            command, "--basis-size", "41", "--substeps", "512", "--horizon", "3",
             "--omega-start", "1.70", "--omega-stop", "1.80", "--omega-step", "0.1",
             "--outdir", str(tmp_path),
         ])
         assert code == 4
-        meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+        meta = json.loads((tmp_path / f"{command}.csv.meta.json").read_text())
         assert [f["omega"] for f in meta["failures"]] == [pytest.approx(1.80)]
         assert "cutoff" in meta["failures"][0]["error"]
+        if command == "spectrum":
+            # the failed frequency writes no rows
+            rows = (tmp_path / "spectrum.csv").read_text().splitlines()
+            data = [r for r in rows if not r.startswith("#")][1:]
+            assert data and {r.split(",")[0] for r in data} == {"1.7"}
 
     def test_basis_below_cutoff_exit_code(self, tmp_path):
         code = cli.main([

@@ -26,7 +26,7 @@ def tiled_ring_modes(spectrum, ring):
     """Every mode of a spectrum extended to the ring by tiling its periodic
     part over the cells (test-local oracle, ring-normalized)."""
     kappa = spectrum.kappa
-    periodic = spectrum.mode_matrix() * np.exp(-1j * kappa * ring.cell.positions())[:, None]
+    periodic = spectrum.samples * np.exp(-1j * kappa * ring.cell.positions())[:, None]
     tiled = np.tile(periodic, (ring.supercells, 1))
     bloch = np.exp(1j * kappa * ring.positions())[:, None]
     return tiled * bloch / math.sqrt(ring.supercells)
@@ -50,7 +50,7 @@ def tiled_populations(coefficients, spectra, ring, periods):
     psi = np.zeros((ring.points, len(times)), dtype=complex)
     for spectrum, coeffs in zip(spectra, coefficients):
         amp = coeffs[:, None] * np.exp(
-            -1j * np.outer(spectrum.quasienergies(), times) / REF.hbar
+            -1j * np.outer(spectrum.quasienergies, times) / REF.hbar
         )
         psi += tiled_ring_modes(spectrum, ring) @ amp
     _, weights = dl.site_weights(REF, ring)
@@ -175,7 +175,7 @@ class TestReconstruction:
         signal = trace.values[1] - trace.values[1].mean()
         amplitude = np.abs(np.fft.rfft(signal))
         peak_bin = int(np.argmax(amplitude[1:])) + 1
-        eps = spectrum_w1.quasienergies()
+        eps = spectrum_w1.quasienergies
         predicted_cycles = dl.circle_gap(eps[2], eps[0], REF) / (REF.hbar * REF.omega)
         assert abs(peak_bin / horizon - predicted_cycles) <= 1.0 / horizon
 
@@ -185,16 +185,12 @@ class TestReconstruction:
         rng = np.random.default_rng(12)
         twisted = []
         for spectrum in spectra2:
-            modes = tuple(
-                replace(
-                    mode,
-                    state=dl.ComplexState(phase * mode.state.psi, spectrum.grid),
-                    coefficients=phase * mode.coefficients,
-                )
-                for mode in spectrum.modes
-                for phase in (np.exp(1j * rng.uniform(0, 2 * math.pi)),)
-            )
-            twisted.append(replace(spectrum, modes=modes))
+            phases = np.exp(1j * rng.uniform(0, 2 * math.pi, spectrum.basis_size))
+            twisted.append(replace(
+                spectrum,
+                samples=spectrum.samples * phases,
+                coefficients=spectrum.coefficients * phases,
+            ))
         trace2 = dl.population_trace(dl.decompose(state, twisted), range(0, 30, 3))
         assert np.abs(trace.values - trace2.values).max() < 1e-12
 
@@ -347,11 +343,11 @@ class TestTwoBand:
         )
 
         weights = np.abs(dec.coefficients[:, 0])
-        eps = np.array([s.quasienergies()[0] for s in dec.spectra])
-        ref_coeff = dec.spectra[0].modes[0].coefficients
+        eps = np.array([s.quasienergies[0] for s in dec.spectra])
+        ref_coeff = dec.spectra[0].coefficients[:, 0]
         drift = np.empty(len(dec.spectra))
         for j, spectrum in enumerate(dec.spectra):
-            coeff = spectrum.modes[0].coefficients
+            coeff = spectrum.coefficients[:, 0]
             phase = np.vdot(ref_coeff, coeff)
             phase = phase / abs(phase) if abs(phase) > 0 else 1.0
             drift[j] = np.linalg.norm(coeff - phase * ref_coeff)

@@ -116,8 +116,9 @@ class TestMonodromy:
 class TestDiagonalize:
     def test_identity_gives_zero_quasienergies(self):
         spectrum = dl.diagonalize_monodromy(np.eye(11), REF, 0.0)
-        assert np.abs(spectrum.quasienergies()).max() == 0.0
-        assert all(abs(m.state.norm() - 1.0) < 1e-12 for m in spectrum.modes)
+        assert np.abs(spectrum.quasienergies).max() == 0.0
+        norms = np.sum(np.abs(spectrum.samples) ** 2, axis=0) * spectrum.grid.dx
+        assert np.abs(norms - 1.0).max() < 1e-12
 
     def test_rejects_non_unitary(self):
         with pytest.raises(dl.UnitarityError):
@@ -126,19 +127,19 @@ class TestDiagonalize:
     def test_free_particle_quasienergies(self, grid480):
         spec = dl.LatticeSpec(v0=0.0)
         U = dl.monodromy_matrix(spec, 0.0, basis_size=41)
-        computed = np.sort(dl.diagonalize_monodromy(U, spec, 0.0, grid480).quasienergies())
+        computed = np.sort(dl.diagonalize_monodromy(U, spec, 0.0, grid480).quasienergies)
         for alpha in range(-10, 11):
             target = free_quasienergies(spec, alpha)
             assert min(dl.circle_gap(target, value, spec) for value in computed) < 1e-8
 
     def test_modes_orthonormal(self, spectrum_w1):
-        modes = spectrum_w1.mode_matrix()
+        modes = spectrum_w1.samples
         gram = modes.conj().T @ modes * spectrum_w1.grid.dx
         assert np.abs(gram - np.eye(spectrum_w1.basis_size)).max() < 1e-8
 
     def test_quasienergies_inside_zone(self, spectrum_w1):
         zone = REF.hbar * REF.omega
-        eps = spectrum_w1.quasienergies()
+        eps = spectrum_w1.quasienergies
         assert eps.min() >= -zone / 2 and eps.max() <= zone / 2
 
     def test_exact_degeneracies_flagged(self, grid480):
@@ -150,7 +151,7 @@ class TestDiagonalize:
     def test_gauge_is_deterministic(self, grid480):
         a = dl.labeled_spectrum(REF, 0.0, grid=grid480, params=FAST)
         b = dl.labeled_spectrum(REF, 0.0, grid=grid480, params=FAST)
-        assert np.array_equal(a.mode_matrix(), b.mode_matrix())
+        assert np.array_equal(a.samples, b.samples)
 
     def test_modes_reproduce_their_eigenphase_under_grid_evolution(self, grid480):
         # cross-validates the basis-space monodromy against the grid integrator;
@@ -161,9 +162,10 @@ class TestDiagonalize:
         order = np.argsort(spectrum.mean_kinetic(), kind="stable")[:20]
         worst = 0.0
         for i in order:
-            mode = spectrum.modes[int(i)]
-            evolved = dl.evolve_twisted(mode.state, kappa, REF, params, REF.period)
-            expected = np.exp(-1j * mode.quasienergy * REF.period / REF.hbar) * mode.state.psi
+            mode = dl.ComplexState(spectrum.samples[:, i], grid480)
+            evolved = dl.evolve_twisted(mode, kappa, REF, params, REF.period)
+            phase = np.exp(-1j * spectrum.quasienergies[i] * REF.period / REF.hbar)
+            expected = phase * mode.psi
             diff = math.sqrt(np.sum(np.abs(evolved.psi - expected) ** 2) * grid480.dx)
             worst = max(worst, diff)
         assert worst < 1e-6
@@ -204,12 +206,14 @@ class TestLabeling:
         # the slow population oscillation is carried by a strongly localized
         # mode that outweighs the second one in any single site
         localization = [
-            site_populations(spectrum_w1.modes[i].state, REF).max() for i in (1, 2)
+            site_populations(dl.ComplexState(spectrum_w1.samples[:, i], spectrum_w1.grid),
+                             REF).max()
+            for i in (1, 2)
         ]
         assert localization[1] > localization[0]
 
     def test_interference_period_near_seventy_seven(self, spectrum_w1):
-        eps = spectrum_w1.quasienergies()
+        eps = spectrum_w1.quasienergies
         period = dl.interference_period(eps[2], eps[0], REF)
         assert 73.0 <= period <= 81.0
 
@@ -251,66 +255,68 @@ class TestResonances:
             dl.predict_resonances(REF, 0, 1)
 
 
+def overlap_sweep(spec, start, stop=None, step=1.0, **config):
+    """Overlap-only sweep of `spec` over start..stop (one frequency by default)."""
+    config = dl.ExperimentConfig(
+        lattice=spec, initial=dl.UniformState(), omega_start=start,
+        omega_stop=start if stop is None else stop, omega_step=step, **config,
+    )
+    sweep = dl.run_overlap_sweep(config)
+    assert not sweep.failures
+    return sweep
+
+
+def ground_overlap(spec, omega, **config):
+    return overlap_sweep(spec, omega, **config).records[0].overlap
+
+
 class TestScans:
     def test_static_overlap_independent_of_omega(self):
         # fixed basis across the grid: the truncation must not vary with omega
         spec = dl.LatticeSpec(amplitude=0.0)
-        overlaps = dl.ground_uniform_overlap(spec, [1.0, 2.2, 3.7], basis_size=61)
+        overlaps = [ground_overlap(spec, w, basis_size=61) for w in (1.0, 2.2, 3.7)]
         assert np.ptp(overlaps) < 1e-8
 
     def test_off_resonant_overlap_matches_static_baseline(self):
-        driven = dl.ground_uniform_overlap(dl.LatticeSpec(omega=4.6), [4.6])[0]
-        static = dl.ground_uniform_overlap(
-            dl.LatticeSpec(omega=4.6, amplitude=0.0), [4.6]
-        )[0]
+        driven = ground_overlap(dl.LatticeSpec(omega=4.6), 4.6)
+        static = ground_overlap(dl.LatticeSpec(omega=4.6, amplitude=0.0), 4.6)
         assert abs(driven - static) < 0.05
 
     def test_resonant_overlap_dips_below_neighbours(self):
         values = {
-            omega: dl.ground_uniform_overlap(dl.LatticeSpec(omega=omega), [omega])[0]
+            omega: ground_overlap(dl.LatticeSpec(omega=omega), omega)
             for omega in (2.60, 2.74, 2.90)
         }
         assert values[2.74] < values[2.60] - 0.05
         assert values[2.74] < values[2.90] - 0.05
 
-    def test_scan_refines_through_sharp_overlap_steps(self):
-        scan = dl.quasienergy_scan(
-            REF, [2.69, 2.72, 2.75], params=FAST,
-            refine_overlap_jump=0.1, min_step=0.01,
-        )
-        assert len(scan.points) > 3
-        omegas = scan.omegas()
-        assert np.all(np.diff(omegas) > 0)
-
     def test_free_particle_crossings_sit_at_predictions(self):
         # free quasienergy gaps close exactly at the predicted frequencies;
-        # oracle: analytic folded free energies, independent of the scan
+        # oracle: analytic folded free energies, independent of the sweep
         spec = dl.LatticeSpec(v0=0.0)
         target = dl.predict_resonances(spec, 11, 1)[-1].omega  # alpha = 11
-        omegas = np.arange(target - 0.015, target + 0.0151, 0.005)
-        scan = dl.quasienergy_scan(
-            spec, omegas, basis_size=41, refine_overlap_jump=np.inf
-        )
+        sweep = overlap_sweep(spec, target - 0.015, target + 0.015, 0.005, basis_size=41)
+        assert len(sweep.records) == 7
         alphas = np.array([a for a in range(-20, 21) if a != 0])
-        for point in scan.points:
-            spec_w = replace(spec, omega=point.omega)
+        for record in sweep.records:
+            spec_w = replace(spec, omega=record.omega)
             analytic = min(
                 dl.circle_gap(e, 0.0, spec_w)
                 for e in np.atleast_1d(free_quasienergies(spec_w, alphas))
             )
-            assert point.gap == pytest.approx(analytic, abs=1e-8)
-        minima = dl.find_gap_minima(scan.omegas(), scan.gaps())
+            assert record.gap == pytest.approx(analytic, abs=1e-8)
+        minima = dl.find_gap_minima(sweep.column("omega"), sweep.column("gap"))
         assert minima and min(abs(m.omega - target) for m in minima) <= 0.005
 
-    def test_static_lattice_crossings_are_exact(self):
+    def test_static_lattice_crossings_are_exact(self, grid480):
         # no drive, no band coupling: folded static bands cross with zero gap.
         # Oracle: the band energies themselves, read off at a driving
         # frequency too large for any folding.
         spec = dl.LatticeSpec(amplitude=0.0)
-        unfolded = dl.quasienergy_scan(
-            spec, [100.0], basis_size=41, refine_overlap_jump=np.inf
-        ).points[0].spectrum
-        energies = np.sort(unfolded.quasienergies())
+        unfolded = dl.labeled_spectrum(
+            replace(spec, omega=100.0), 0.0, grid=grid480, basis_size=41
+        )
+        energies = np.sort(unfolded.quasienergies)
         ground = energies[0]
         crossings = [
             (e - ground) / n
@@ -320,10 +326,7 @@ class TestScans:
         ]
         assert crossings
         for omega in crossings[:3]:
-            point = dl.quasienergy_scan(
-                spec, [omega], basis_size=41, refine_overlap_jump=np.inf
-            ).points[0]
-            assert point.gap < 1e-8
+            assert overlap_sweep(spec, omega, basis_size=41).records[0].gap < 1e-8
 
 
 class TestBandMatching:
@@ -334,10 +337,7 @@ class TestBandMatching:
         shuffled = other.relabeled(np.random.default_rng(5).permutation(41))
         matched, _flags = dl.match_band_labels([base, other])
         matched_shuffled, _flags2 = dl.match_band_labels([base, shuffled])
-        assert np.allclose(
-            [m.quasienergy for m in matched[1].modes],
-            [m.quasienergy for m in matched_shuffled[1].modes],
-        )
+        assert np.allclose(matched[1].quasienergies, matched_shuffled[1].quasienergies)
 
     def test_requires_common_basis(self, grid480):
         a = dl.labeled_spectrum(REF, 0.0, grid=grid480, params=FAST, basis_size=41)
