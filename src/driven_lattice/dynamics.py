@@ -28,8 +28,10 @@ from .floquet import (
     FloquetSpectrum,
     circle_gap,
     default_basis_size,
-    labeled_spectrum,
+    diagonalize_monodromy,
+    label_by_overlap,
     match_band_labels,
+    monodromy_matrix,
 )
 from .lattice import ComplexState, LatticeSpec, RingDomain
 from .propagate import PropagationParams, evolve_ring
@@ -68,19 +70,22 @@ def ring_spectra(
 ) -> tuple[tuple[FloquetSpectrum, ...], tuple[tuple[int, int], ...]]:
     """Labeled spectra at every ring quasimomentum.
 
-    The kappa = 0 spectrum is ordered by overlap with the reference state
-    (uniform by default); the others continue those labels by maximal
-    overlap of periodic parts.  Returns (spectra, ambiguity flags).
+    The monodromies of all M kappas are built in one pass over the shared
+    potential factors.  The kappa = 0 spectrum is ordered by overlap with
+    the reference state (uniform by default); the others continue those
+    labels by maximal overlap of periodic parts.  Returns (spectra,
+    ambiguity flags).
     """
     if ring.cell.length != spec.cell_length:
         raise GridMismatchError("ring cell length does not match the lattice supercell")
     basis_size = basis_size if basis_size is not None else dynamics_basis_size(spec)
+    kappas = ring_kappas(spec, ring.supercells)
+    monodromies = monodromy_matrix(spec, kappas, params=params, basis_size=basis_size)
     spectra = [
-        labeled_spectrum(
-            spec, float(kappa), grid=ring.cell, params=params,
-            basis_size=basis_size, reference=reference,
+        label_by_overlap(
+            diagonalize_monodromy(U, spec, float(kappa), grid=ring.cell), reference
         )
-        for kappa in ring_kappas(spec, ring.supercells)
+        for U, kappa in zip(monodromies, kappas)
     ]
     if len(spectra) == 1:
         return tuple(spectra), ()

@@ -11,6 +11,12 @@ roundoff, so every factor is unitary on the truncated space to roundoff and
 the product is unitary regardless of basis size; basis adequacy is checked
 separately through the kinetic-energy cutoff and the grid-propagator
 consistency tests.
+
+The potential matrix ``W_ba = c_{b-a}(t)`` does not depend on kappa; only
+the kinetic diagonal does.  A whole kappa ladder therefore shares one stack
+of potential factors: ``monodromy_matrix`` given M kappas evaluates each
+chunk of Taylor factors once and advances every kappa's propagator with its
+own ``(B, B)`` product, so each slice is bitwise the one-kappa result.
 """
 
 from __future__ import annotations
@@ -99,7 +105,7 @@ def _taylor_degree(theta: float) -> int:
 
 def monodromy_matrix(
     spec: LatticeSpec,
-    kappa: float,
+    kappa,
     params: PropagationParams | None = None,
     basis_size: int | None = None,
 ) -> np.ndarray:
@@ -107,12 +113,18 @@ def monodromy_matrix(
 
     Entry ``U[b, a]`` is the coefficient of basis state b in the propagated
     basis state a, so ``U @ c`` advances a coefficient vector by one period.
+    A scalar ``kappa`` gives one ``(B, B)`` matrix; a 1-D array of M kappas
+    gives the ``(M, B, B)`` stack, built in one pass over the potential
+    factors they share.
     """
     params = params if params is not None else default_params(spec)
     B = basis_size if basis_size is not None else default_basis_size(spec)
     if B % 2 == 0 or B < 1:
         raise ConfigError("basis_size must be odd and positive")
-    if abs(kappa) > spec.brillouin_edge * (1 + 1e-12):
+    kappas = np.asarray(kappa, dtype=float)
+    if kappas.ndim > 1 or kappas.size == 0:
+        raise ConfigError("kappa must be a number or a non-empty 1-D array")
+    if np.abs(kappas).max() > spec.brillouin_edge * (1 + 1e-12):
         raise ConfigError("kappa outside the first Brillouin zone")
     edge_kinetic = spec.hbar**2 * (2.0 * math.pi * ((B - 1) // 2) / spec.cell_length) ** 2
     edge_kinetic /= 2.0 * spec.mass
@@ -127,32 +139,39 @@ def monodromy_matrix(
     n = params.substeps_per_period
     dt = spec.period / n
     t0 = params.start_time
-    k = basis_wavenumbers(spec, B, kappa)
-    kinetic = spec.hbar**2 * k**2 / (2.0 * spec.mass)
+    # one kinetic ladder per kappa, each built exactly as for a lone kappa
+    kinetic = np.stack([
+        spec.hbar**2 * basis_wavenumbers(spec, B, float(kap)) ** 2 / (2.0 * spec.mass)
+        for kap in kappas.reshape(-1)
+    ])  # (M, B)
     q, envelope = _fourier_ladder(spec, B)
     idx = (B - 1) + np.arange(B)[:, None] - np.arange(B)[None, :]  # Toeplitz gather
 
     if spec.v0 == 0.0:
         # free particle: the kinetic ladder is the exact propagator
-        return np.diag(np.exp(-1j * kinetic * spec.period / spec.hbar))
+        U = np.stack([np.diag(np.exp(-1j * kin * spec.period / spec.hbar)) for kin in kinetic])
+        return U if kappas.ndim else U[0]
     if spec.amplitude == 0.0:
         # static lattice: exponentiate the full Hamiltonian matrix exactly
-        h = np.diag(kinetic).astype(complex)
-        h += _potential_coefficients(spec, q, envelope, [t0])[0][idx]
-        vals, vecs = np.linalg.eigh(h)
-        return (vecs * np.exp(-1j * vals * spec.period / spec.hbar)) @ vecs.conj().T
+        w = _potential_coefficients(spec, q, envelope, [t0])[0][idx]
+        U = np.empty((len(kinetic), B, B), dtype=complex)
+        for m, kin in enumerate(kinetic):
+            vals, vecs = np.linalg.eigh(np.diag(kin).astype(complex) + w)
+            U[m] = (vecs * np.exp(-1j * vals * spec.period / spec.hbar)) @ vecs.conj().T
+        return U if kappas.ndim else U[0]
 
     # ||W|| <= sum_n |c_n| <= n_p * sum(envelope) for the Toeplitz matrix W
     degree = _taylor_degree(spec.sites_per_cell * envelope.sum() * dt / spec.hbar)
     kin_half = np.exp(-1j * kinetic * dt / (2.0 * spec.hbar))
+    U = np.stack([np.diag(kh) for kh in kin_half])  # (M, B, B)
+    kin_half = kin_half[:, :, None]  # row scalings
     kin_full = kin_half * kin_half
-    U = np.diag(kin_half.astype(complex))
     for start in range(0, n, _SUBSTEP_CHUNK):
         stop = min(start + _SUBSTEP_CHUNK, n)
         times = t0 + (np.arange(start, stop) + 0.5) * dt
         coeffs = _potential_coefficients(spec, q, envelope, times)
         x = (coeffs * (-1j * dt / spec.hbar))[:, idx]  # (chunk, B, B) -i W dt / hbar
-        # Horner: exp(x) ~ I + x (I + x/2 (I + ... (I + x/m)))
+        # Horner: exp(x) ~ I + x (I + x/2 (I + ... (I + x/m))), shared by every kappa
         exp_w = x * (1.0 / degree)
         exp_w.reshape(stop - start, B * B)[:, :: B + 1] += 1.0
         for j in range(degree - 1, 0, -1):
@@ -160,15 +179,16 @@ def monodromy_matrix(
             exp_w *= 1.0 / j
             exp_w.reshape(stop - start, B * B)[:, :: B + 1] += 1.0
         for j in range(stop - start):
-            U = exp_w[j] @ U
-            U = (kin_full if start + j < n - 1 else kin_half)[:, None] * U
+            # one (B, B) product per kappa, then that kappa's kinetic row scaling
+            U = np.matmul(exp_w[j], U)
+            U = (kin_full if start + j < n - 1 else kin_half) * U
 
-    deviation = np.abs(U.conj().T @ U - np.eye(B)).max()
+    deviation = np.abs(np.matmul(U.conj().transpose(0, 2, 1), U) - np.eye(B)).max()
     if deviation > _UNITARITY_TOL:
         raise UnitarityError(
             f"monodromy unitarity deviation {deviation:.3e} exceeds {_UNITARITY_TOL:.0e}"
         )
-    return U
+    return U if kappas.ndim else U[0]
 
 
 @dataclass(frozen=True)

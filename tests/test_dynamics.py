@@ -69,6 +69,25 @@ def packet_case(request):
     return state, spectra, dl.decompose(state, spectra)
 
 
+class TestRingSpectra:
+    def test_shared_monodromies_equal_per_kappa_spectra(self):
+        # oracle: one labeled spectrum per kappa, each with its own monodromy
+        ring = dl.RingDomain(dl.SupercellGrid.for_spec(REF, 480), 3)
+        spectra, flags = dl.ring_spectra(REF, ring, params=FAST, basis_size=41)
+        expected, expected_flags = dl.match_band_labels([
+            dl.labeled_spectrum(REF, float(kappa), grid=ring.cell, params=FAST, basis_size=41)
+            for kappa in dl.ring_kappas(REF, 3)
+        ])
+        assert flags == expected_flags
+        assert len(spectra) == len(expected) == 3
+        for got, want in zip(spectra, expected):
+            assert got.kappa == want.kappa
+            assert np.array_equal(got.quasienergies, want.quasienergies)
+            assert np.array_equal(got.coefficients, want.coefficients)
+            assert np.array_equal(got.samples, want.samples)
+            assert got.near_degenerate == want.near_degenerate
+
+
 class TestCellTransform:
     """The cell x kappa DFT against the tiled ring-mode construction."""
 

@@ -78,6 +78,28 @@ class TestMonodromy:
     def test_matches_eigendecomposition_factors(self, spec, kappa, params, B):
         U = dl.monodromy_matrix(spec, kappa, params, basis_size=B)
         assert np.abs(U - eigh_monodromy(spec, kappa, params, B)).max() < 1e-12
+        # the stacked call shares the potential factors between its kappas
+        kappas = np.array([kappa, -0.5 * spec.brillouin_edge])
+        stacked = dl.monodromy_matrix(spec, kappas, params, basis_size=B)
+        assert np.array_equal(stacked[0], U)
+        assert np.abs(stacked[1] - eigh_monodromy(spec, kappas[1], params, B)).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "spec, fractions",
+        [
+            (REF, (-1.0, 0.37, 1.0)),
+            (REF, (0.2,)),  # the sweep's one-kappa path, bit for bit
+            (dl.LatticeSpec(v0=0.0), (0.0, 0.5)),
+            (dl.LatticeSpec(amplitude=0.0), (0.0, 0.5)),
+        ],
+        ids=["zone-edges", "one-kappa", "free", "static"],
+    )
+    def test_stacked_call_equals_scalar_calls(self, spec, fractions):
+        kappas = np.array(fractions) * spec.brillouin_edge
+        stacked = dl.monodromy_matrix(spec, kappas, FAST, basis_size=41)
+        separate = [dl.monodromy_matrix(spec, k, FAST, basis_size=41) for k in kappas]
+        assert stacked.shape == (len(kappas), 41, 41)
+        assert np.array_equal(stacked, np.stack(separate))
 
     def test_driven_lattice_commutes_with_site_translation(self):
         # in-phase drive keeps the one-site translation symmetry exactly
@@ -106,6 +128,14 @@ class TestMonodromy:
             dl.monodromy_matrix(REF, 0.0, FAST, basis_size=21)
         with pytest.raises(ValueError, match="Brillouin"):
             dl.monodromy_matrix(REF, 1.5 * REF.brillouin_edge, FAST)
+
+    def test_kappa_array_preconditions(self):
+        edge = REF.brillouin_edge
+        with pytest.raises(dl.ConfigError, match="Brillouin"):
+            dl.monodromy_matrix(REF, np.array([0.0, 1.5 * edge]), FAST, basis_size=41)
+        for bad in (np.array([]), np.zeros((2, 2))):
+            with pytest.raises(dl.ConfigError, match="1-D"):
+                dl.monodromy_matrix(REF, bad, FAST, basis_size=41)
 
     def test_default_basis_size_scales_with_omega(self):
         assert dl.default_basis_size(REF) == 41
