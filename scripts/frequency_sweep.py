@@ -30,7 +30,8 @@ def main() -> int:
     sweep = dl.run_nmax_sweep(config)
     sweep_path = dl.write_sweep_csv(OUTDIR / "sweep.csv", sweep)
     print(sweep_path)
-    rows = dl.report_resonances(sweep, alpha_max=20, max_folds=2)
+    rows = dl.pair_resonances(config.lattice, sweep.column("omega"),
+                              sweep.column("overlap"), alpha_max=20, max_folds=2)
     print(dl.write_resonances_csv(OUTDIR / "resonances.csv", config, rows))
 
     # quasienergy spectrum vs omega on a coarser grid (plot backdrop)

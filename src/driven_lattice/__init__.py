@@ -27,7 +27,6 @@ from .propagate import (
     default_params,
     evolve_ring,
     evolve_twisted,
-    potential_on_grid,
 )
 from .floquet import (
     FloquetSpectrum,
@@ -71,7 +70,6 @@ from .analysis import (
     detect_overlap_dips,
     load_config,
     pair_resonances,
-    report_resonances,
     run_evolution,
     run_nmax_sweep,
     run_overlap_sweep,

@@ -5,7 +5,7 @@ Output files are plain CSV (UTF-8, '.' decimal, 17 significant digits) with
 a '#'-prefixed header block carrying the package version, a hash of the
 resolved configuration and the configuration echo; a JSON sidecar stores the
 full resolved configuration.  Identical configurations produce byte-identical
-files regardless of worker count.
+files regardless of worker count, at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .dynamics import (
 from .floquet import (
     FloquetSpectrum,
     ResonancePrediction,
-    circle_gap,
+    fold_quasienergy,
     labeled_spectrum,
     parabolic_vertex,
     predict_resonances,
@@ -58,13 +58,6 @@ DIP_PROMINENCE = 0.01       # smallest overlap dip counted as detected
 PEAK_PROMINENCE = 0.02      # smallest n_max peak considered for refinement
 REFINE_ABOVE = 0.4          # only refine n_max peaks above this level
 REFINE_MIN_STEP = 1e-3
-
-_CONFIG_KEYS = (
-    "mass", "hbar", "v0", "delta", "spacing", "amplitude", "omega", "phases",
-    "np", "sigma", "center", "domain", "supercells", "substeps", "horizon",
-    "omega_start", "omega_stop", "omega_step", "outdir",
-    "grid_points", "basis_size", "workers", "refine_peaks",
-)
 
 
 @dataclass(frozen=True)
@@ -174,6 +167,24 @@ def _parse_phases(value) -> tuple[float, ...]:
     return tuple(float(p) for p in value)
 
 
+def _parse_flag(value) -> bool:
+    return bool(int(value))
+
+
+# Every config-file key (and CLI flag) with the cast of its raw value.  The
+# LatticeSpec fields build the lattice; np checks the phase count; sigma > 0
+# selects a Gaussian of that width centred at `center`; the remaining keys
+# are ExperimentConfig fields.  A key left unset takes the dataclass default.
+_CONFIG_KEYS = {
+    "mass": float, "hbar": float, "v0": float, "delta": float, "spacing": float,
+    "amplitude": float, "omega": float, "phases": _parse_phases,
+    "np": int, "sigma": float, "center": float,
+    "domain": str, "supercells": int, "substeps": int, "horizon": int,
+    "omega_start": float, "omega_stop": float, "omega_step": float, "outdir": str,
+    "grid_points": int, "basis_size": int, "workers": int, "refine_peaks": _parse_flag,
+}
+
+
 def parse_config_text(text: str) -> dict:
     """Parse the flat key-value configuration format (``key = value`` lines,
     '#' comments); returns raw string values keyed by the documented names."""
@@ -202,60 +213,35 @@ def config_from_values(values: dict, overrides: dict | None = None) -> Experimen
         if val is not None:
             merged[key] = val
 
-    def get(key, cast, default=None):
-        if key not in merged or merged[key] in ("", None):
-            return default
+    typed = {}
+    for key, cast in _CONFIG_KEYS.items():
+        if merged.get(key) in ("", None):
+            continue
         try:
-            return cast(merged[key])
+            typed[key] = cast(merged[key])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {merged[key]!r}") from exc
+    sites = typed.pop("np", None)
+    sigma = typed.pop("sigma", 0.0)
+    center = typed.pop("center", None)
 
-    phases = get("phases", _parse_phases, (0.0, math.pi, 0.0))
-    sites = get("np", int, len(phases))
-    if sites != len(phases):
-        raise ConfigError(
-            f"np={sites} does not match the {len(phases)} supplied phases"
-        )
+    lattice_keys = {f.name for f in dataclasses.fields(LatticeSpec)} & typed.keys()
     try:
-        lattice = LatticeSpec(
-            mass=get("mass", float, 1.0),
-            hbar=get("hbar", float, 1.0),
-            v0=get("v0", float, 1.0),
-            delta=get("delta", float, 0.5),
-            spacing=get("spacing", float, 10.0),
-            amplitude=get("amplitude", float, 1.0),
-            omega=get("omega", float, 1.0),
-            phases=phases,
-        )
+        lattice = LatticeSpec(**{key: typed.pop(key) for key in lattice_keys})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if sites is not None and sites != lattice.sites_per_cell:
+        raise ConfigError(
+            f"np={sites} does not match the {lattice.sites_per_cell} supplied phases"
+        )
 
-    domain = get("domain", str, "supercell")
-    supercells = get("supercells", int, 16)
-    sigma = get("sigma", float, 0.0)
-    if sigma and sigma > 0:
-        length = lattice.cell_length * (supercells if domain == "ring" else 1)
-        default_center = math.floor(length / (2 * lattice.spacing)) * lattice.spacing
-        initial = GaussianState(center=get("center", float, default_center), width=sigma)
-    else:
-        initial = UniformState()
-
-    return ExperimentConfig(
-        lattice=lattice,
-        initial=initial,
-        domain=domain,
-        supercells=supercells,
-        grid_points=get("grid_points", int, 480),
-        substeps=get("substeps", int, None),
-        horizon=get("horizon", int, 400),
-        omega_start=get("omega_start", float, None),
-        omega_stop=get("omega_stop", float, None),
-        omega_step=get("omega_step", float, None),
-        outdir=get("outdir", str, "out"),
-        basis_size=get("basis_size", int, None),
-        refine_peaks=bool(get("refine_peaks", int, 1)),
-        workers=get("workers", int, 1),
-    )
+    config = ExperimentConfig(lattice=lattice, initial=UniformState(), **typed)
+    if sigma > 0:
+        if center is None:
+            half = config.make_domain().length / (2 * lattice.spacing)
+            center = math.floor(half) * lattice.spacing
+        config = replace(config, initial=GaussianState(center=center, width=sigma))
+    return config
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -305,7 +291,7 @@ def _sweep_point(config: ExperimentConfig, omega: float, with_populations: bool)
     spectrum = spectrum_at(config, omega)
     weights = np.abs(spectrum.overlaps(spectrum.uniform_reference())) ** 2
     eps = spectrum.quasienergies
-    gap = min(circle_gap(e, eps[0], spectrum.spec) for e in eps[1:])
+    gap = np.abs(fold_quasienergy(eps[1:] - eps[0], spectrum.spec)).min()
     n_max, arg_site, arg_m = math.nan, -1, -1
     if with_populations:
         state = make_initial_state(config.initial, RingDomain(spectrum.grid, 1))
@@ -480,16 +466,15 @@ def pair_resonances(
     overlaps,
     alpha_max: int = 20,
     max_folds: int = 2,
-    prominence: float = DIP_PROMINENCE,
 ) -> tuple[ResonanceRow, ...]:
     """Pair each predicted resonance inside the sampled window with the
-    nearest detected overlap dip."""
+    nearest overlap dip of at least DIP_PROMINENCE."""
     omegas = np.asarray(omegas, dtype=float)
     overlaps = np.asarray(overlaps, dtype=float)
     if omegas.size == 0:
         raise ConfigError("no sweep data to report on")
     good = ~np.isnan(overlaps)
-    dips = detect_overlap_dips(omegas[good], overlaps[good], prominence)
+    dips = detect_overlap_dips(omegas[good], overlaps[good])
     rows = []
     for pred in predict_resonances(lattice, alpha_max, max_folds):
         if not (omegas.min() <= pred.omega <= omegas.max()):
@@ -502,20 +487,6 @@ def pair_resonances(
         else:
             rows.append(ResonanceRow(pred, math.nan, math.nan))
     return tuple(rows)
-
-
-def report_resonances(
-    sweep: SweepResult,
-    alpha_max: int = 20,
-    max_folds: int = 2,
-    prominence: float = DIP_PROMINENCE,
-) -> tuple[ResonanceRow, ...]:
-    if not sweep.records:
-        raise ConfigError("no sweep data to report on")
-    return pair_resonances(
-        sweep.config.lattice, sweep.column("omega"), sweep.column("overlap"),
-        alpha_max, max_folds, prominence,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .analysis import (
     _write_csv,
 )
 from .errors import ConfigError, ToleranceError
+from .floquet import REPORTED_MODES
 from .version import __version__
 
 
@@ -84,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("modes", help="sampled mode profiles at one frequency")
     _add_config_flags(p)
     p.add_argument("--kappa", type=float, default=0.0)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=int, default=REPORTED_MODES)
     p.add_argument("--output", default="modes.csv")
 
     p = sub.add_parser("resonances", help="predicted resonances vs detected dips")
@@ -178,10 +179,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     except ToleranceError as exc:

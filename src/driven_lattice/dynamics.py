@@ -66,14 +66,13 @@ def ring_spectra(
     *,
     params: PropagationParams | None = None,
     basis_size: int | None = None,
-    reference: ComplexState | None = None,
 ) -> tuple[tuple[FloquetSpectrum, ...], tuple[tuple[int, int], ...]]:
     """Labeled spectra at every ring quasimomentum.
 
     The monodromies of all M kappas are built in one pass over the shared
     potential factors.  The kappa = 0 spectrum is ordered by overlap with
-    the reference state (uniform by default); the others continue those
-    labels by maximal overlap of periodic parts.  Returns (spectra,
+    the uniform state; the others continue those labels by maximal overlap
+    of periodic parts.  Returns (spectra,
     ambiguity flags).
     """
     if ring.cell.length != spec.cell_length:
@@ -82,9 +81,7 @@ def ring_spectra(
     kappas = ring_kappas(spec, ring.supercells)
     monodromies = monodromy_matrix(spec, kappas, params=params, basis_size=basis_size)
     spectra = [
-        label_by_overlap(
-            diagonalize_monodromy(U, spec, float(kappa), grid=ring.cell), reference
-        )
+        label_by_overlap(diagonalize_monodromy(U, spec, float(kappa), grid=ring.cell))
         for U, kappa in zip(monodromies, kappas)
     ]
     if len(spectra) == 1:
@@ -94,7 +91,7 @@ def ring_spectra(
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Expansion of a ring state over Floquet-Bloch modes at time t0.
+    """Expansion of a ring state over Floquet-Bloch modes at time 0.
 
     ``coefficients[j, i]`` is the amplitude on mode ``i`` (in the spectrum's
     label order) at ring quasimomentum ``kappas[j]``.  ``modes[j]`` holds the
@@ -112,22 +109,16 @@ class SpectralDecomposition:
     modes: np.ndarray = field(repr=False)
     quasienergies: np.ndarray = field(repr=False)
     residual: float
-    t0: float = 0.0
 
     def total_weight(self) -> float:
         return float(np.sum(np.abs(self.coefficients) ** 2))
 
 
-def decompose(
-    initial: ComplexState,
-    spectra,
-    residual_tol: float = _RESIDUAL_TOL,
-    t0: float = 0.0,
-) -> SpectralDecomposition:
+def decompose(initial: ComplexState, spectra) -> SpectralDecomposition:
     """Project a ring state onto the Floquet-Bloch modes of every ring kappa.
 
-    Raises CompletenessError when more than `residual_tol` of the squared
-    norm falls outside the retained basis (basis too small).
+    Raises CompletenessError when more than 1e-4 of the squared norm falls
+    outside the retained basis (basis too small).
     """
     ring = initial.grid
     if not isinstance(ring, RingDomain):
@@ -165,13 +156,12 @@ def decompose(
         modes=modes,
         quasienergies=np.stack([spectrum.quasienergies for spectrum in spectra]),
         residual=0.0,
-        t0=t0,
     )
     rebuilt = next(_reconstruct(dec, np.array([0]), 1))[:, 0]
     residual = float(np.sum(np.abs(initial.psi - rebuilt) ** 2) * ring.dx)
-    if residual > residual_tol:
+    if residual > _RESIDUAL_TOL:
         raise CompletenessError(
-            f"decomposition residual {residual:.3e} exceeds {residual_tol:.1e}; "
+            f"decomposition residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}; "
             "basis too small for this state"
         )
     return replace(dec, residual=residual)
@@ -234,9 +224,7 @@ def site_count(spec: LatticeSpec, domain) -> int:
     return int(count)
 
 
-def site_weights(
-    spec: LatticeSpec, domain, sites=None, require_aligned: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def site_weights(spec: LatticeSpec, domain, sites=None) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature weights turning a sampled density into site populations.
 
     Site ``s`` occupies ``[(s-1) L, s L)``, wrapped into the periodic
@@ -262,10 +250,6 @@ def site_weights(
             w[1:cell] += dx
             w[cell % n] += dx / 2
         if frac > 0.0:
-            if require_aligned:
-                raise ValueError(
-                    f"site boundary {b:.6g} not aligned with the grid"
-                )
             h = frac * dx
             w[cell % n] += (h / 2.0) * (2.0 - frac)
             w[(cell + 1) % n] += (h / 2.0) * frac
@@ -285,14 +269,9 @@ def site_weights(
     return sites, weights
 
 
-def site_populations(
-    state: ComplexState,
-    spec: LatticeSpec,
-    sites=None,
-    require_aligned: bool = False,
-) -> np.ndarray:
+def site_populations(state: ComplexState, spec: LatticeSpec, sites=None) -> np.ndarray:
     """Probability integrated over each site interval of the state's domain."""
-    _, weights = site_weights(spec, state.grid, sites, require_aligned)
+    _, weights = site_weights(spec, state.grid, sites)
     return weights @ (np.abs(state.psi) ** 2)
 
 
@@ -306,10 +285,6 @@ class PopulationTrace:
 
     def totals(self) -> np.ndarray:
         return self.values.sum(axis=0)
-
-    def site_row(self, site: int) -> np.ndarray:
-        (row,) = np.nonzero(self.site_indices == site)
-        return self.values[int(row[0])]
 
     def peak_to_peak(self, sites=None, window=None) -> float:
         """Largest max-min excursion of any selected site over a period window."""

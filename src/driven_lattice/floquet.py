@@ -38,6 +38,10 @@ _DEGENERACY_REL_TOL = 1e-10
 _OVERLAP_TIE_TOL = 1e-12
 _MATCH_AMBIGUITY_TOL = 1e-3
 _SUBSTEP_CHUNK = 256
+_MIN_BASIS_SIZE = 41
+# a basis is adequate when its edge kinetic energy reaches this multiple of
+# the lattice's energy scale max(v0, hbar*omega)
+_CUTOFF_FACTOR = 5.0
 
 # The eigenvalue accuracy of a truncated-basis monodromy degrades near the
 # basis edge; reports keep only this many best-converged modes.
@@ -62,12 +66,13 @@ def basis_wavenumbers(spec: LatticeSpec, basis_size: int, kappa: float = 0.0) ->
     return 2.0 * math.pi * np.arange(-half, half + 1) / spec.cell_length + kappa
 
 
-def default_basis_size(spec: LatticeSpec, minimum: int = 41) -> int:
-    """Smallest odd basis whose edge kinetic energy is >= 5 max(v0, hbar*omega)."""
-    cutoff = 5.0 * max(spec.v0, spec.hbar * spec.omega)
+def default_basis_size(spec: LatticeSpec) -> int:
+    """Smallest odd basis, at least 41, whose edge kinetic energy is
+    >= _CUTOFF_FACTOR max(v0, hbar*omega)."""
+    cutoff = _CUTOFF_FACTOR * max(spec.v0, spec.hbar * spec.omega)
     k_needed = math.sqrt(2.0 * spec.mass * cutoff) / spec.hbar
     half = int(math.ceil(k_needed * spec.cell_length / (2.0 * math.pi)))
-    return max(2 * half + 1, minimum if minimum % 2 else minimum + 1)
+    return max(2 * half + 1, _MIN_BASIS_SIZE)
 
 
 def _fourier_ladder(spec: LatticeSpec, basis_size: int):
@@ -109,7 +114,7 @@ def monodromy_matrix(
     params: PropagationParams | None = None,
     basis_size: int | None = None,
 ) -> np.ndarray:
-    """One-period propagator over [t0, t0 + T] in the twisted plane-wave basis.
+    """One-period propagator over [0, T] in the twisted plane-wave basis.
 
     Entry ``U[b, a]`` is the coefficient of basis state b in the propagated
     basis state a, so ``U @ c`` advances a coefficient vector by one period.
@@ -129,16 +134,16 @@ def monodromy_matrix(
     edge_kinetic = spec.hbar**2 * (2.0 * math.pi * ((B - 1) // 2) / spec.cell_length) ** 2
     edge_kinetic /= 2.0 * spec.mass
     # an undriven lattice absorbs no drive quanta, so only v0 sets the scale
-    demand = 5.0 * max(spec.v0, spec.hbar * spec.omega if spec.amplitude > 0 else 0.0)
+    demand = _CUTOFF_FACTOR * max(
+        spec.v0, spec.hbar * spec.omega if spec.amplitude > 0 else 0.0)
     if spec.v0 > 0 and edge_kinetic < demand:
         raise ConfigError(
             f"basis_size={B} puts the kinetic cutoff {edge_kinetic:.3g} below "
-            f"5*max(v0, hbar*omega); enlarge the basis"
+            f"{_CUTOFF_FACTOR:g}*max(v0, hbar*omega); enlarge the basis"
         )
 
     n = params.substeps_per_period
     dt = spec.period / n
-    t0 = params.start_time
     # one kinetic ladder per kappa, each built exactly as for a lone kappa
     kinetic = np.stack([
         spec.hbar**2 * basis_wavenumbers(spec, B, float(kap)) ** 2 / (2.0 * spec.mass)
@@ -153,7 +158,7 @@ def monodromy_matrix(
         return U if kappas.ndim else U[0]
     if spec.amplitude == 0.0:
         # static lattice: exponentiate the full Hamiltonian matrix exactly
-        w = _potential_coefficients(spec, q, envelope, [t0])[0][idx]
+        w = _potential_coefficients(spec, q, envelope, [0.0])[0][idx]
         U = np.empty((len(kinetic), B, B), dtype=complex)
         for m, kin in enumerate(kinetic):
             vals, vecs = np.linalg.eigh(np.diag(kin).astype(complex) + w)
@@ -168,7 +173,7 @@ def monodromy_matrix(
     kin_full = kin_half * kin_half
     for start in range(0, n, _SUBSTEP_CHUNK):
         stop = min(start + _SUBSTEP_CHUNK, n)
-        times = t0 + (np.arange(start, stop) + 0.5) * dt
+        times = (np.arange(start, stop) + 0.5) * dt
         coeffs = _potential_coefficients(spec, q, envelope, times)
         x = (coeffs * (-1j * dt / spec.hbar))[:, idx]  # (chunk, B, B) -i W dt / hbar
         # Horner: exp(x) ~ I + x (I + x/2 (I + ... (I + x/m))), shared by every kappa
@@ -297,12 +302,11 @@ def diagonalize_monodromy(
     samples = samples / (gauge * norms)[None, :]
     Q = Q / (gauge * norms)[None, :]
 
-    zone = spec.hbar * spec.omega
-    flags = []
-    for i in range(B - 1):
-        if circle_gap(quasi[i], quasi[i + 1], spec) < _DEGENERACY_REL_TOL * zone:
-            flags.append((i, i + 1))
-    if B > 1 and circle_gap(quasi[0], quasi[-1], spec) < _DEGENERACY_REL_TOL * zone:
+    tol = _DEGENERACY_REL_TOL * (spec.hbar * spec.omega)
+    # adjacent labels, then the pair that wraps around the zone
+    close = np.abs(fold_quasienergy(quasi[:-1] - quasi[1:], spec)) < tol
+    flags = [(int(i), int(i) + 1) for i in np.flatnonzero(close)]
+    if B > 1 and circle_gap(quasi[0], quasi[-1], spec) < tol:
         flags.append((0, B - 1))
 
     return FloquetSpectrum(
@@ -311,17 +315,14 @@ def diagonalize_monodromy(
     )
 
 
-def label_by_overlap(
-    spectrum: FloquetSpectrum, reference: ComplexState | None = None
-) -> FloquetSpectrum:
-    """Reorder modes by descending squared overlap with a reference state.
+def label_by_overlap(spectrum: FloquetSpectrum) -> FloquetSpectrum:
+    """Reorder modes by descending squared overlap with the uniform state.
 
     Index 0 becomes the Floquet ground state.  Overlaps equal within 1e-12
     are tie-broken by ascending quasienergy, then ascending mean kinetic
     energy, so the ordering is deterministic.
     """
-    reference = reference if reference is not None else spectrum.uniform_reference()
-    weights = np.abs(spectrum.overlaps(reference)) ** 2
+    weights = np.abs(spectrum.overlaps(spectrum.uniform_reference())) ** 2
     quantized = np.round(weights / _OVERLAP_TIE_TOL)
     order = np.lexsort((spectrum.mean_kinetic(), spectrum.quasienergies, -quantized))
     return spectrum.relabeled(order)
@@ -334,12 +335,10 @@ def labeled_spectrum(
     grid: SupercellGrid | None = None,
     params: PropagationParams | None = None,
     basis_size: int | None = None,
-    reference: ComplexState | None = None,
 ) -> FloquetSpectrum:
     """Build, diagonalize and overlap-label the spectrum at one (spec, kappa)."""
     U = monodromy_matrix(spec, kappa, params=params, basis_size=basis_size)
-    spectrum = diagonalize_monodromy(U, spec, kappa, grid=grid)
-    return label_by_overlap(spectrum, reference)
+    return label_by_overlap(diagonalize_monodromy(U, spec, kappa, grid=grid))
 
 
 def match_band_labels(
@@ -369,10 +368,9 @@ def match_band_labels(
         row, col = linear_sum_assignment(-overlap)
         order = np.empty(basis, dtype=int)
         order[row] = col
-        for label in range(basis):
-            sorted_row = np.sort(overlap[label])[::-1]
-            if sorted_row[0] - sorted_row[1] < _MATCH_AMBIGUITY_TOL:
-                flags.append((j, label))
+        ranked = np.sort(overlap, axis=1)
+        ambiguous = ranked[:, -1] - ranked[:, -2] < _MATCH_AMBIGUITY_TOL
+        flags.extend((j, int(label)) for label in np.flatnonzero(ambiguous))
         out.append(spectrum.relabeled(order))
     return tuple(out), tuple(flags)
 

@@ -19,6 +19,8 @@ from .errors import GridMismatchError
 # Barriers further than this many widths from the evaluation window are
 # dropped from the sum (tail below exp(-64)).
 _BARRIER_WINDOW_WIDTHS = 8.0
+# Largest Gaussian amplitude at the domain seam, relative to its peak.
+_SEAM_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -215,16 +217,12 @@ class UniformState:
 InitialStateSpec = GaussianState | UniformState
 
 
-def make_initial_state(
-    state_spec: InitialStateSpec,
-    domain: Domain,
-    boundary_tol: float = 1e-3,
-) -> ComplexState:
+def make_initial_state(state_spec: InitialStateSpec, domain: Domain) -> ComplexState:
     """Sample and normalize an initial state on `domain`.
 
     A Gaussian is rejected when its amplitude at the domain seam (the point
-    identified with 0 on the ring) exceeds ``boundary_tol`` of the peak,
-    since the sampled state would carry a visible wrap-around kink.
+    identified with 0 on the ring) exceeds 1e-3 of the peak, since the
+    sampled state would carry a visible wrap-around kink.
     """
     x = domain.positions()
     if isinstance(state_spec, UniformState):
@@ -238,10 +236,10 @@ def make_initial_state(
         math.exp(-(state_spec.center**2) / (2 * sigma**2)),
         math.exp(-((domain.length - state_spec.center) ** 2) / (2 * sigma**2)),
     )
-    if edge > boundary_tol:
+    if edge > _SEAM_TOL:
         raise ValueError(
             f"gaussian (sigma={sigma:.4g}, center={state_spec.center:.4g}) has "
-            f"relative boundary amplitude {edge:.2e} > {boundary_tol:.1e}; "
+            f"relative boundary amplitude {edge:.2e} > {_SEAM_TOL:.1e}; "
             "domain too small"
         )
     state = ComplexState(psi.astype(complex), domain)

@@ -24,10 +24,9 @@ from .lattice import ComplexState, Domain, LatticeSpec, RingDomain, SupercellGri
 
 @dataclass(frozen=True)
 class PropagationParams:
-    """Time-stepping resolution: substeps per driving period and start time."""
+    """Time-stepping resolution: substeps per driving period."""
 
     substeps_per_period: int = 2048
-    start_time: float = 0.0
 
     def __post_init__(self):
         if self.substeps_per_period < 256:
@@ -42,14 +41,6 @@ def default_params(spec: LatticeSpec) -> PropagationParams:
     )
 
 
-def potential_on_grid(grid: Domain, t: float, spec: LatticeSpec) -> np.ndarray:
-    """Potential sampled on a grid; ring grids reuse one supercell by tiling."""
-    if isinstance(grid, RingDomain):
-        cell_values = potential(grid.cell.positions(), t, spec)
-        return np.tile(cell_values, grid.supercells)
-    return potential(grid.positions(), t, spec)
-
-
 def _substep_count(params: PropagationParams, period: float, duration: float) -> int:
     return max(1, int(round(params.substeps_per_period * duration / period)))
 
@@ -61,7 +52,6 @@ def _split_step(
     spec: LatticeSpec,
     params: PropagationParams,
     duration: float,
-    t_start: float,
 ) -> np.ndarray:
     n = _substep_count(params, spec.period, duration)
     dt = duration / n
@@ -79,7 +69,7 @@ def _split_step(
     u = psi if kappa == 0.0 else psi * np.exp(-1j * kappa * x)
     u = sfft.ifft(sfft.fft(u) * kin_half)
     for j in range(n):
-        t_mid = t_start + (j + 0.5) * dt
+        t_mid = (j + 0.5) * dt
         phase = np.exp(-1j * potential(x_cell, t_mid, spec) * dt / hbar)
         u = (u.reshape(cells, -1) * phase).reshape(-1)
         u = sfft.ifft(sfft.fft(u) * (kin_full if j < n - 1 else kin_half))
@@ -88,14 +78,14 @@ def _split_step(
     return u
 
 
-def _evolve(state, cell, kappa, spec, params, duration, t_start, length_error):
-    """Checks shared by both integrators, then the split step on `state`."""
+def _evolve(state, cell, kappa, spec, params, duration, length_error):
+    """Checks shared by both integrators, then the split step on `state`
+    over [0, duration]."""
     if cell.length != spec.cell_length:
         raise GridMismatchError(length_error)
     if duration <= 0:
         raise ValueError("duration must be positive")
-    t0 = params.start_time if t_start is None else t_start
-    psi = _split_step(state.psi, state.grid, kappa, spec, params, duration, t0)
+    psi = _split_step(state.psi, state.grid, kappa, spec, params, duration)
     return ComplexState(psi, state.grid)
 
 
@@ -105,7 +95,6 @@ def evolve_twisted(
     spec: LatticeSpec,
     params: PropagationParams,
     duration: float,
-    t_start: float | None = None,
 ) -> ComplexState:
     """Evolve a supercell state under the driven Hamiltonian at twist kappa.
 
@@ -120,7 +109,7 @@ def evolve_twisted(
             f"kappa={kappa:.6g} outside the first Brillouin zone "
             f"[-{spec.brillouin_edge:.6g}, {spec.brillouin_edge:.6g}]"
         )
-    return _evolve(state, state.grid, kappa, spec, params, duration, t_start,
+    return _evolve(state, state.grid, kappa, spec, params, duration,
                    "grid length does not match the lattice supercell")
 
 
@@ -129,10 +118,9 @@ def evolve_ring(
     spec: LatticeSpec,
     params: PropagationParams,
     duration: float,
-    t_start: float | None = None,
 ) -> ComplexState:
     """Evolve a state on a periodic multi-supercell ring (zero net twist)."""
     if not isinstance(state.grid, RingDomain):
         raise GridMismatchError("evolve_ring expects a state on a ring domain")
-    return _evolve(state, state.grid.cell, 0.0, spec, params, duration, t_start,
+    return _evolve(state, state.grid.cell, 0.0, spec, params, duration,
                    "ring cell length does not match the lattice supercell")

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import driven_lattice as dl
 from driven_lattice import analysis, cli
 
 REF = dl.LatticeSpec()
+REFERENCE_CFG = Path(__file__).resolve().parents[1] / "scripts" / "reference.cfg"
 
 CONFIG_TEXT = """
 # reference run
@@ -50,6 +52,12 @@ def tiny_config(**kwargs):
     return dl.ExperimentConfig(**defaults)
 
 
+def resonance_rows(sweep):
+    return dl.pair_resonances(
+        sweep.config.lattice, sweep.column("omega"), sweep.column("overlap")
+    )
+
+
 class TestConfigParsing:
     def test_full_file_round_trip(self):
         values = analysis.parse_config_text(CONFIG_TEXT)
@@ -66,6 +74,16 @@ class TestConfigParsing:
         assert config.basis_size == 63
         assert config.workers == 2
         assert config.refine_peaks is False
+
+    def test_unset_keys_take_the_dataclass_defaults(self):
+        assert analysis.config_from_values({}) == dl.ExperimentConfig(
+            lattice=dl.LatticeSpec(), initial=dl.UniformState()
+        )
+
+    def test_reference_file_hash_is_pinned(self):
+        # the hash every reference CSV header carries; any change in how a
+        # key is read or defaulted moves it
+        assert dl.load_config(REFERENCE_CFG).config_hash() == "fda3affe9695d4b9"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(dl.ConfigError, match="unknown key"):
@@ -265,7 +283,7 @@ class TestResonanceReport:
         config = tiny_config(omega_start=1.0, omega_stop=1.1, omega_step=0.1)
         empty = dl.SweepResult(records=(), failures=(), config=config)
         with pytest.raises(dl.ConfigError):
-            dl.report_resonances(empty)
+            resonance_rows(empty)
 
     def test_free_lattice_has_flat_overlap_and_no_dips(self):
         config = tiny_config(
@@ -274,11 +292,11 @@ class TestResonanceReport:
         )
         sweep = dl.run_overlap_sweep(config)
         assert np.abs(sweep.column("overlap") - 1.0).max() < 1e-10
-        rows = dl.report_resonances(sweep)
+        rows = resonance_rows(sweep)
         assert rows and all(math.isnan(r.residual) for r in rows)
 
     def test_rows_cover_predictions_in_window(self, sweep_window):
-        rows = dl.report_resonances(sweep_window)
+        rows = resonance_rows(sweep_window)
         keys = {(r.prediction.band_index, r.prediction.fold_count) for r in rows}
         assert (11, 1) in keys and (16, 2) in keys
         assert all(not math.isnan(r.residual) for r in rows)

@@ -217,7 +217,7 @@ class TestReconstruction:
 class TestSitePopulations:
     def test_uniform_thirds(self, grid480):
         state = dl.make_initial_state(dl.UniformState(), grid480)
-        pops = dl.site_populations(state, REF, require_aligned=True)
+        pops = dl.site_populations(state, REF)
         assert np.abs(pops - 1.0 / 3.0).max() < 1e-12
 
     def test_site_interval_convention(self, grid480):
@@ -235,8 +235,6 @@ class TestSitePopulations:
         ).normalized()
         pops = dl.site_populations(state, REF)
         assert pops.sum() == pytest.approx(1.0, abs=1e-8)
-        with pytest.raises(ValueError, match="aligned"):
-            dl.site_populations(state, REF, require_aligned=True)
 
     def test_ring_site_wrapping(self):
         ring = dl.RingDomain(dl.SupercellGrid.for_spec(REF, 480), 2)

@@ -22,7 +22,7 @@ def eigh_monodromy(spec, kappa, params, basis_size):
     kin_half = np.exp(-1j * spec.hbar * k**2 * dt / (4 * spec.mass))
     q, envelope = floquet._fourier_ladder(spec, B)
     idx = (B - 1) + np.arange(B)[:, None] - np.arange(B)[None, :]
-    times = params.start_time + (np.arange(n) + 0.5) * dt
+    times = (np.arange(n) + 0.5) * dt
     U = np.diag(kin_half)
     for j, t in enumerate(times):
         w = floquet._potential_coefficients(spec, q, envelope, [t])[0][idx]

@@ -63,7 +63,7 @@ class TestTwisted:
             kinetic = np.sum(
                 spec.hbar**2 * k**2 / (2 * spec.mass) * np.abs(ft) ** 2
             ) * grid.dx / grid.points
-            v = dl.potential_on_grid(grid, 0.0, spec)
+            v = dl.potential(grid.positions(), 0.0, spec)
             return kinetic + np.sum(v * np.abs(st.psi) ** 2) * grid.dx
 
         initial = energy(state)
@@ -119,7 +119,7 @@ class TestRing:
         ring = dl.RingDomain(dl.SupercellGrid.for_spec(spec, 480), 4)
         state = dl.make_initial_state(dl.UniformState(), ring)
         evolved = dl.evolve_ring(state, spec, dl.default_params(spec), 3 * spec.period)
-        pops = dl.site_populations(evolved, spec, require_aligned=True)
+        pops = dl.site_populations(evolved, spec)
         assert np.abs(pops - pops[0]).max() < 1e-10
 
     def test_twist_consistency_with_ring(self):
@@ -152,7 +152,8 @@ class TestRing:
         kin_full = kin_half * kin_half
         u = sfft.ifft(sfft.fft(state.psi) * kin_half)
         for j in range(n):
-            v = dl.potential_on_grid(ring, (j + 0.5) * dt, REF)
+            v = np.tile(dl.potential(ring.cell.positions(), (j + 0.5) * dt, REF),
+                        ring.supercells)
             u = u * np.exp(-1j * v * dt / REF.hbar)
             u = sfft.ifft(sfft.fft(u) * (kin_full if j < n - 1 else kin_half))
         evolved = dl.evolve_ring(state, REF, FAST, REF.period)
@@ -193,6 +194,6 @@ class TestNumerics:
     def test_potential_tiling_matches_direct_evaluation(self):
         ring = dl.RingDomain(dl.SupercellGrid.for_spec(REF, 480), 4)
         t = 1.234
-        tiled = dl.potential_on_grid(ring, t, REF)
+        tiled = np.tile(dl.potential(ring.cell.positions(), t, REF), ring.supercells)
         direct = dl.potential(ring.positions(), t, REF)
         assert np.abs(tiled - direct).max() < 1e-13
