@@ -42,6 +42,7 @@ from .floquet import (
     parabolic_vertex,
     predict_resonances,
     REPORTED_MODES,
+    _monodromy_resolution,
 )
 from .lattice import (
     ComplexState,
@@ -69,7 +70,7 @@ class ExperimentConfig:
     domain: str = "supercell"            # "supercell" (kappa = 0) or "ring"
     supercells: int = 16
     grid_points: int = 480               # per supercell; divisible by n_p
-    substeps: int | None = None          # None: scale with omega
+    substeps: int | None = None          # None: each integrator's default
     horizon: int = 400
     omega_start: float | None = None
     omega_stop: float | None = None
@@ -104,10 +105,13 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def params_for(self, spec: LatticeSpec) -> PropagationParams:
-        if self.substeps is not None:
-            return PropagationParams(substeps_per_period=self.substeps)
-        return default_params(spec)
+    @property
+    def params(self) -> PropagationParams | None:
+        """The configured resolution, or None: the grid integrator then uses
+        `default_params` and the monodromy its own basis-aware rule."""
+        if self.substeps is None:
+            return None
+        return PropagationParams(substeps_per_period=self.substeps)
 
     def make_domain(self) -> RingDomain:
         cell = SupercellGrid.for_spec(self.lattice, self.grid_points)
@@ -282,9 +286,21 @@ def spectrum_at(config: ExperimentConfig, omega: float, kappa: float = 0.0) -> F
     return labeled_spectrum(
         spec, kappa,
         grid=SupercellGrid.for_spec(spec, config.grid_points),
-        params=config.params_for(spec),
+        params=config.params,
         basis_size=config.basis_size,
     )
+
+
+def _monodromy_numerics(config: ExperimentConfig, omegas, basis_size: int | None = None):
+    """The substeps and basis size each frequency's monodromy runs with
+    (``basis_size`` overrides the config's), for the sidecar."""
+    basis_size = basis_size if basis_size is not None else config.basis_size
+    numerics = []
+    for omega in omegas:
+        spec = replace(config.lattice, omega=float(omega))
+        substeps, basis = _monodromy_resolution(spec, config.params, basis_size)
+        numerics.append({"omega": float(omega), "substeps": substeps, "basis_size": basis})
+    return numerics
 
 
 def _sweep_point(config: ExperimentConfig, omega: float, with_populations: bool) -> SweepRecord:
@@ -385,6 +401,18 @@ def run_overlap_sweep(config: ExperimentConfig) -> SweepResult:
     return SweepResult(records=tuple(records), failures=failures, config=config)
 
 
+def _grid_params(config: ExperimentConfig) -> PropagationParams:
+    """Resolution of the direct route of `run_evolution`."""
+    return config.params or default_params(config.lattice)
+
+
+def _evolution_basis(config: ExperimentConfig) -> int:
+    """Basis of the floquet route of `run_evolution`."""
+    if config.basis_size is not None:
+        return config.basis_size
+    return dynamics_basis_size(config.lattice)
+
+
 def run_evolution(
     config: ExperimentConfig,
     keep: int | None = None,
@@ -403,16 +431,16 @@ def run_evolution(
         if keep is not None or bands is not None:
             raise ConfigError("band truncations require the floquet method")
         return direct_population_trace(
-            state, spec, config.params_for(spec), config.horizon
+            state, spec, _grid_params(config), config.horizon
         )
     if method != "floquet":
         raise ConfigError(f"unknown evolution method {method!r}")
-    basis = config.basis_size if config.basis_size is not None else dynamics_basis_size(spec)
+    basis = _evolution_basis(config)
     if keep is not None and keep < 1:
         raise ConfigError("keep must be >= 1")
     if bands is not None and not all(0 <= b < basis for b in bands):
         raise ConfigError(f"band labels must lie in [0, {basis}) for basis size {basis}")
-    spectra, _ = ring_spectra(spec, state.grid, params=config.params_for(spec), basis_size=basis)
+    spectra, _ = ring_spectra(spec, state.grid, params=config.params, basis_size=basis)
     dec = decompose(state, spectra)
     if keep is not None:
         dec = truncate_modes(dec, keep)
@@ -509,7 +537,9 @@ def _header_lines(config: ExperimentConfig, kind: str) -> list[str]:
 
 
 def _write_csv(path: Path, config: ExperimentConfig, kind: str,
-               columns: list[str], rows, failures=()) -> Path:
+               columns: list[str], rows, failures=(), numerics=()) -> Path:
+    """The CSV and its sidecar; ``numerics`` lists the resolution each
+    computed frequency ran with (see `_monodromy_numerics`)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = _header_lines(config, kind)
@@ -523,6 +553,7 @@ def _write_csv(path: Path, config: ExperimentConfig, kind: str,
         "config_hash": config.config_hash(),
         "config": config.as_dict(),
         "failures": [{"omega": w, "error": e} for w, e in failures],
+        "numerics": list(numerics),
     }
     path.with_suffix(path.suffix + ".meta.json").write_text(
         json.dumps(sidecar, indent=2, sort_keys=True, default=str) + "\n",
@@ -531,14 +562,21 @@ def _write_csv(path: Path, config: ExperimentConfig, kind: str,
     return path
 
 
-def write_evolution_csv(path, config: ExperimentConfig, trace) -> Path:
+def write_evolution_csv(path, config: ExperimentConfig, trace, method: str = "floquet") -> Path:
+    omega = config.lattice.omega
+    if method == "direct":
+        numerics = [{"omega": omega, "substeps": _grid_params(config).substeps_per_period,
+                     "basis_size": None}]
+    else:
+        numerics = _monodromy_numerics(config, [omega], _evolution_basis(config))
     period = config.lattice.period
     rows = (
         (int(m), m * period, int(s), trace.values[i, j])
         for j, m in enumerate(trace.periods)
         for i, s in enumerate(trace.site_indices)
     )
-    return _write_csv(path, config, "evolve", ["m", "t", "s", "n_s"], rows)
+    return _write_csv(path, config, "evolve", ["m", "t", "s", "n_s"], rows,
+                      numerics=numerics)
 
 
 def write_sweep_csv(path, sweep: SweepResult) -> Path:
@@ -550,6 +588,7 @@ def write_sweep_csv(path, sweep: SweepResult) -> Path:
         path, sweep.config, "sweep",
         ["omega", "n_max", "argmax_site", "argmax_m", "overlap", "eps_fgs", "gap"],
         rows, failures=sweep.failures,
+        numerics=_monodromy_numerics(sweep.config, sweep.column("omega")),
     )
 
 
@@ -570,6 +609,7 @@ def write_modes_csv(path, config: ExperimentConfig, spectrum: FloquetSpectrum,
     return _write_csv(
         path, config, "modes",
         ["kappa", "alpha", "eps", "x", "re_phi", "im_phi"], rows,
+        numerics=_monodromy_numerics(config, [spectrum.spec.omega]),
     )
 
 

@@ -31,6 +31,7 @@ from .analysis import (
     write_modes_csv,
     write_resonances_csv,
     write_sweep_csv,
+    _monodromy_numerics,
     _run_points,
     _write_csv,
 )
@@ -45,6 +46,12 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         if key == "refine_peaks":
             parser.add_argument("--no-refine", dest=key, action="store_const", const="0",
                                 help="skip grid refinement around population peaks")
+        elif key == "substeps":
+            parser.add_argument(
+                "--substeps", dest=key,
+                help="substeps per driving period (>= 256); the monodromy groups them "
+                     "into ceil(n/3) 4th-order triple jumps, the direct integrator runs "
+                     "n 2nd-order steps; default: each integrator's own rule")
         else:
             parser.add_argument(f"--{key.replace('_', '-')}", dest=key)
 
@@ -110,7 +117,7 @@ def _cmd_evolve(args) -> int:
         if len(bands) != 2:
             raise ConfigError("--bands expects two labels, e.g. 0,2")
     trace = run_evolution(config, keep=args.keep, bands=bands, method=args.method)
-    path = write_evolution_csv(output_path(config, args.output), config, trace)
+    path = write_evolution_csv(output_path(config, args.output), config, trace, args.method)
     print(path)
     return 0
 
@@ -137,6 +144,7 @@ def _cmd_spectrum(args) -> int:
     path = _write_csv(
         output_path(config, args.output), config, "spectrum",
         ["omega", "alpha", "eps", "overlap"], rows, failures=failures,
+        numerics=_monodromy_numerics(config, [omega for omega, _, _ in points]),
     )
     return _finish(path, failures)
 

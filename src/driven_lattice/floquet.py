@@ -1,16 +1,23 @@
 """One-period propagator (monodromy) construction and Floquet-Bloch spectra.
 
 The monodromy is integrated directly in a truncated plane-wave basis
-``exp(i (2 pi a / (n_p L) + kappa) x)``, |a| <= (B-1)/2, with the same
-symmetric kinetic-potential-kinetic splitting as the grid propagators but
-with the potential represented by its exact Fourier-coefficient (Toeplitz)
-matrix.  Each substep's potential factor ``exp(-i W dt / hbar)`` is its
-Taylor polynomial, of the smallest degree whose remainder bound
-``theta^(m+1) / (m+1)!`` (theta bounds ``||W|| dt / hbar``) is below
-roundoff, so every factor is unitary on the truncated space to roundoff and
-the product is unitary regardless of basis size; basis adequacy is checked
-separately through the kinetic-energy cutoff and the grid-propagator
-consistency tests.
+``exp(i (2 pi a / (n_p L) + kappa) x)``, |a| <= (B-1)/2, with the potential
+represented by its exact Fourier-coefficient (Toeplitz) matrix.  It is 4th
+order in time: Yoshida's triple jump ``S(w1 h) S(w0 h) S(w1 h)`` of the
+time-symmetric midpoint Strang substep S that the grid propagators use
+(2nd order), with the kinetic halves of adjacent substeps merged.  An
+explicit ``substeps_per_period = n`` means n potential factors, grouped
+into ceil(n/3) jumps; unset, the jump count follows omega and the basis's
+kinetic edge (`_monodromy_resolution`).
+
+Each potential factor ``exp(-i W tau / hbar)`` is its Taylor polynomial, of
+the smallest degree whose remainder bound ``theta^(m+1) / (m+1)!`` (theta
+bounds ``||W|| |tau| / hbar``) is below roundoff, evaluated in
+Paterson-Stockmeyer form; when theta reaches 1 the polynomial of
+``x / 2^k`` is squared k times instead.  Every factor is thus unitary on
+the truncated space to roundoff and the product is unitary regardless of
+basis size; basis adequacy is checked separately through the kinetic-energy
+cutoff and the grid-propagator consistency tests.
 
 The potential matrix ``W_ba = c_{b-a}(t)`` does not depend on kappa; only
 the kinetic diagonal does.  A whole kappa ladder therefore shares one stack
@@ -26,22 +33,33 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import schur
+from scipy.linalg.blas import zaxpy
 from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigError, UnitarityError
 from .lattice import ComplexState, LatticeSpec, SupercellGrid, UniformState, make_initial_state
-from .propagate import PropagationParams, default_params
+from .propagate import PropagationParams
 
 _UNITARITY_TOL = 1e-8
 _EIGENPHASE_TOL = 1e-8
 _DEGENERACY_REL_TOL = 1e-10
 _OVERLAP_TIE_TOL = 1e-12
 _MATCH_AMBIGUITY_TOL = 1e-3
-_SUBSTEP_CHUNK = 256
+# bytes of one (chunk, B, B) stack of potential factors
+_CHUNK_BYTES = 4 << 20
 _MIN_BASIS_SIZE = 41
 # a basis is adequate when its edge kinetic energy reaches this multiple of
 # the lattice's energy scale max(v0, hbar*omega)
 _CUTOFF_FACTOR = 5.0
+
+# Yoshida's triple jump S(w1 h) S(w0 h) S(w1 h) of a time-symmetric 2nd-order
+# step S is 4th order (Phys. Lett. A 150, 262, 1990)
+_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_W0 = 1.0 - 2.0 * _W1
+# default triple jumps per period (`_default_jumps`)
+_MIN_JUMPS = 200
+_JUMPS_PER_OMEGA = 100.0
+_JUMPS_PER_EDGE_PHASE = 0.6
 
 # The eigenvalue accuracy of a truncated-basis monodromy degrades near the
 # basis edge; reports keep only this many best-converged modes.
@@ -97,15 +115,100 @@ def _potential_coefficients(spec: LatticeSpec, q, envelope, times) -> np.ndarray
 def _taylor_degree(theta: float) -> int:
     """Smallest degree m >= 1 with theta^(m+1) / (m+1)! below 2^-53.
 
-    For Hermitian W and theta >= ||W|| dt / hbar this bounds the 2-norm of
-    the Taylor remainder of exp(-i W dt / hbar), because the integral form
-    of the remainder carries the unitary factor exp(-i s W dt / hbar).
+    For Hermitian W and theta >= ||W|| |tau| / hbar this bounds the 2-norm
+    of the Taylor remainder of exp(-i W tau / hbar), because the integral
+    form of the remainder carries the unitary factor exp(-i s W tau / hbar).
     """
     m, remainder = 1, theta * theta / 2.0
     while remainder >= 2.0**-53:
         m += 1
         remainder *= theta / (m + 1)
     return m
+
+
+def _block_size(degree: int) -> int:
+    """Paterson-Stockmeyer block size s for a Taylor polynomial of `degree`:
+    the one with the fewest stacked products, s - 1 + degree // s (one fewer
+    when s divides the degree), and of those the smallest, which has the
+    fewest block sums.  Degree 8 takes 4 products instead of Horner's 7."""
+    return min(range(1, degree + 1),
+               key=lambda s: (s - 1 + degree // s - (degree % s == 0), s))
+
+
+def _taylor_exp(x: np.ndarray, degree: int, squarings: int, work: np.ndarray) -> np.ndarray:
+    """exp of every matrix in a stack: its Taylor polynomial of `degree` in
+    Paterson-Stockmeyer form, squared `squarings` times.
+
+    With the powers x^2 .. x^s the polynomial is Horner's rule in x^s over
+    blocks of s terms.  ``work`` holds s + 1 stacks at least as long as x
+    for the powers and the result, which is a view into it, so a loop over
+    chunks allocates nothing per chunk.
+    """
+    s, n = _block_size(degree), len(x)
+    powers = [None, x] + [work[i, :n] for i in range(s - 1)]
+    for i in range(2, s + 1):
+        np.matmul(powers[i - 1], x, out=powers[i])
+    acc, spare = work[s - 1, :n], work[s, :n]
+    coef = [1.0 / math.factorial(k) for k in range(degree + 1)]
+
+    def add_block(j):
+        # acc += sum over i < s of coef[j s + i] x^i, up to the degree
+        for i in range(1, min(s, degree - j * s + 1)):
+            zaxpy(powers[i].reshape(-1), acc.reshape(-1), a=coef[j * s + i])
+        acc.reshape(n, -1)[:, :: acc.shape[-1] + 1] += coef[j * s]
+
+    top, rest = divmod(degree, s)
+    if rest:
+        acc[...] = 0.0
+    else:  # the top block is a multiple of I: its product with x^s is a scaling
+        top -= 1
+        np.multiply(powers[s], coef[degree], out=acc)
+    add_block(top)
+    for j in range(top - 1, -1, -1):
+        np.matmul(powers[s], acc, out=spare)
+        acc, spare = spare, acc
+        add_block(j)
+    for _ in range(squarings):
+        np.matmul(acc, acc, out=spare)
+        acc, spare = spare, acc
+    return acc
+
+
+def _edge_kinetic(spec: LatticeSpec, basis_size: int) -> float:
+    """Kinetic energy of the outermost plane wave of a basis at kappa = 0."""
+    k_edge = 2.0 * math.pi * ((basis_size - 1) // 2) / spec.cell_length
+    return spec.hbar**2 * k_edge**2 / (2.0 * spec.mass)
+
+
+def _default_jumps(spec: LatticeSpec, basis_size: int) -> int:
+    """Triple jumps per period when no resolution is given.
+
+    A floor, plus a share for the drive (omega) and one for the kinetic
+    phase the basis's edge plane wave gathers in a period, whose commutator
+    with the potential dominates the splitting error on large bases.  The
+    constants make max |U - U_ref| no larger than that of the 2nd-order
+    Strang default (2048 max(1, omega) substeps) at omega = 1, 2.4, 2.74,
+    2.8 and 3.2 on default bases and at omega = 1 on B = 131.
+    """
+    edge_phase = _edge_kinetic(spec, basis_size) * spec.period / spec.hbar
+    return max(_MIN_JUMPS,
+               math.ceil(_JUMPS_PER_OMEGA * spec.omega + _JUMPS_PER_EDGE_PHASE * edge_phase))
+
+
+def _monodromy_resolution(
+    spec: LatticeSpec,
+    params: PropagationParams | None = None,
+    basis_size: int | None = None,
+) -> tuple[int, int]:
+    """(potential substeps per period, basis size) that `monodromy_matrix`
+    uses: three substeps per triple jump, ceil(n / 3) jumps for an explicit
+    n and the basis-aware default rule otherwise."""
+    B = basis_size if basis_size is not None else default_basis_size(spec)
+    if params is not None:
+        jumps = math.ceil(params.substeps_per_period / 3)
+    else:
+        jumps = _default_jumps(spec, B)
+    return 3 * jumps, B
 
 
 def monodromy_matrix(
@@ -120,10 +223,11 @@ def monodromy_matrix(
     basis state a, so ``U @ c`` advances a coefficient vector by one period.
     A scalar ``kappa`` gives one ``(B, B)`` matrix; a 1-D array of M kappas
     gives the ``(M, B, B)`` stack, built in one pass over the potential
-    factors they share.
+    factors they share.  ``params`` gives the potential substeps per period
+    (rounded up to whole triple jumps); None picks them from omega and the
+    basis's kinetic edge (`_monodromy_resolution`).
     """
-    params = params if params is not None else default_params(spec)
-    B = basis_size if basis_size is not None else default_basis_size(spec)
+    substeps, B = _monodromy_resolution(spec, params, basis_size)
     if B % 2 == 0 or B < 1:
         raise ConfigError("basis_size must be odd and positive")
     kappas = np.asarray(kappa, dtype=float)
@@ -131,19 +235,16 @@ def monodromy_matrix(
         raise ConfigError("kappa must be a number or a non-empty 1-D array")
     if np.abs(kappas).max() > spec.brillouin_edge * (1 + 1e-12):
         raise ConfigError("kappa outside the first Brillouin zone")
-    edge_kinetic = spec.hbar**2 * (2.0 * math.pi * ((B - 1) // 2) / spec.cell_length) ** 2
-    edge_kinetic /= 2.0 * spec.mass
     # an undriven lattice absorbs no drive quanta, so only v0 sets the scale
     demand = _CUTOFF_FACTOR * max(
         spec.v0, spec.hbar * spec.omega if spec.amplitude > 0 else 0.0)
+    edge_kinetic = _edge_kinetic(spec, B)
     if spec.v0 > 0 and edge_kinetic < demand:
         raise ConfigError(
             f"basis_size={B} puts the kinetic cutoff {edge_kinetic:.3g} below "
             f"{_CUTOFF_FACTOR:g}*max(v0, hbar*omega); enlarge the basis"
         )
 
-    n = params.substeps_per_period
-    dt = spec.period / n
     # one kinetic ladder per kappa, each built exactly as for a lone kappa
     kinetic = np.stack([
         spec.hbar**2 * basis_wavenumbers(spec, B, float(kap)) ** 2 / (2.0 * spec.mass)
@@ -165,28 +266,38 @@ def monodromy_matrix(
             U[m] = (vecs * np.exp(-1j * vals * spec.period / spec.hbar)) @ vecs.conj().T
         return U if kappas.ndim else U[0]
 
-    # ||W|| <= sum_n |c_n| <= n_p * sum(envelope) for the Toeplitz matrix W
-    degree = _taylor_degree(spec.sites_per_cell * envelope.sum() * dt / spec.hbar)
-    kin_half = np.exp(-1j * kinetic * dt / (2.0 * spec.hbar))
-    U = np.stack([np.diag(kh) for kh in kin_half])  # (M, B, B)
-    kin_half = kin_half[:, :, None]  # row scalings
-    kin_full = kin_half * kin_half
-    for start in range(0, n, _SUBSTEP_CHUNK):
-        stop = min(start + _SUBSTEP_CHUNK, n)
-        times = (np.arange(start, stop) + 0.5) * dt
-        coeffs = _potential_coefficients(spec, q, envelope, times)
-        x = (coeffs * (-1j * dt / spec.hbar))[:, idx]  # (chunk, B, B) -i W dt / hbar
-        # Horner: exp(x) ~ I + x (I + x/2 (I + ... (I + x/m))), shared by every kappa
-        exp_w = x * (1.0 / degree)
-        exp_w.reshape(stop - start, B * B)[:, :: B + 1] += 1.0
-        for j in range(degree - 1, 0, -1):
-            exp_w = np.matmul(x, exp_w)
-            exp_w *= 1.0 / j
-            exp_w.reshape(stop - start, B * B)[:, :: B + 1] += 1.0
+    # Triple jump of step h: substeps of w1 h, w0 h, w1 h, each potential
+    # factor at its own midpoint time, with the kinetic halves between two
+    # substeps merged into one row scaling.
+    jumps = substeps // 3
+    h = spec.period / jumps
+    taus = np.tile(np.array([_W1, _W0, _W1]) * h, jumps)
+    times = ((np.arange(jumps)[:, None] + np.array([_W1 / 2, 0.5, 1 - _W1 / 2])) * h).reshape(-1)
+    kin_edge = np.exp(-1j * kinetic * (_W1 * h / 2) / spec.hbar)[:, :, None]  # row scalings
+    kin_inner = np.exp(-1j * kinetic * ((_W1 + _W0) * h / 2) / spec.hbar)[:, :, None]
+    kin_after = (kin_inner, kin_inner, kin_edge * kin_edge)  # by position in the jump
+
+    # ||W|| <= sum_n |c_n| <= n_p * sum(envelope) for the Toeplitz matrix W;
+    # scaling by 2^squarings keeps theta below 1 and so the degree small
+    theta = spec.sites_per_cell * envelope.sum() * abs(_W0) * h / spec.hbar
+    squarings = max(0, math.frexp(theta)[1])
+    degree = _taylor_degree(theta / 2**squarings)
+    chunk = max(1, _CHUNK_BYTES // (16 * B * B))
+    # x and the Taylor work space, reused by every chunk
+    work = np.empty((_block_size(degree) + 2, min(chunk, substeps), B, B), dtype=complex)
+    U = np.stack([np.diag(kh) for kh in kin_edge[:, :, 0]])  # (M, B, B)
+    for start in range(0, substeps, chunk):
+        stop = min(start + chunk, substeps)
+        coeffs = _potential_coefficients(spec, q, envelope, times[start:stop])
+        scale = (-1j / (spec.hbar * 2**squarings)) * taus[start:stop, None]
+        # x = -i W tau / (hbar 2^squarings), shared by every kappa; "clip"
+        # (the indices are in range) lets take write straight into `work`
+        x = np.take(coeffs * scale, idx, axis=1, out=work[0, : stop - start], mode="clip")
+        exp_w = _taylor_exp(x, degree, squarings, work[1:])
         for j in range(stop - start):
             # one (B, B) product per kappa, then that kappa's kinetic row scaling
             U = np.matmul(exp_w[j], U)
-            U = (kin_full if start + j < n - 1 else kin_half) * U
+            U = (kin_after[(start + j) % 3] if start + j < substeps - 1 else kin_edge) * U
 
     deviation = np.abs(np.matmul(U.conj().transpose(0, 2, 1), U) - np.eye(B)).max()
     if deviation > _UNITARITY_TOL:

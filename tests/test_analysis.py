@@ -425,6 +425,25 @@ class TestCli:
             data = [r for r in rows if not r.startswith("#")][1:]
             assert data and {r.split(",")[0] for r in data} == {"1.7"}
 
+    def test_sidecar_records_the_resolution_each_integrator_ran_with(self, tmp_path):
+        # substeps unset: the monodromy's own rule (300 triple jumps at
+        # omega = 2.8 on its 53-mode basis, 200 at omega = 1 on 61 modes)
+        # and the grid integrator's default_params, while the config echo
+        # keeps null
+        grid = ["--omega-start", "2.8", "--omega-stop", "2.8", "--omega-step", "0.1"]
+        ring = ["--domain", "ring", "--supercells", "1", "--horizon", "1"]
+        expected = {
+            ("sweep", "--overlap-only", *grid): {"omega": 2.8, "substeps": 900, "basis_size": 53},
+            ("evolve", *ring): {"omega": 1.0, "substeps": 600, "basis_size": 61},
+            ("evolve", "--method", "direct", *ring):
+                {"omega": 1.0, "substeps": 2048, "basis_size": None},
+        }
+        for argv, numerics in expected.items():
+            assert cli.main([*argv, "--outdir", str(tmp_path)]) == 0
+            meta = json.loads((tmp_path / f"{argv[0]}.csv.meta.json").read_text())
+            assert meta["config"]["substeps"] is None
+            assert meta["numerics"] == [numerics]
+
     def test_basis_below_cutoff_exit_code(self, tmp_path):
         code = cli.main([
             "modes", "--basis-size", "21", "--substeps", "512", "--outdir", str(tmp_path),

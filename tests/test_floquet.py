@@ -13,22 +13,50 @@ REF = dl.LatticeSpec()
 FAST = dl.PropagationParams(substeps_per_period=512)
 
 
+W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))  # Yoshida's triple-jump weights
+W0 = 1.0 - 2.0 * W1
+
+
+def _eigh_factor(spec, q, envelope, idx, t, tau):
+    """exp(-i W(t) tau / hbar) by Hermitian eigendecomposition."""
+    w = floquet._potential_coefficients(spec, q, envelope, [t])[0][idx]
+    vals, vecs = np.linalg.eigh(w)
+    return (vecs * np.exp(-1j * vals * tau / spec.hbar)) @ vecs.conj().T
+
+
 def eigh_monodromy(spec, kappa, params, basis_size):
-    """Reference monodromy: the same splitting with every potential factor
-    exponentiated by Hermitian eigendecomposition."""
+    """Reference monodromy: ceil(n/3) triple jumps S(w1 h) S(w0 h) S(w1 h)
+    of the midpoint Strang substep, unmerged kinetic halves and every
+    potential factor exponentiated by Hermitian eigendecomposition."""
+    B = basis_size
+    jumps = math.ceil(params.substeps_per_period / 3)
+    h = spec.period / jumps
+    k = dl.basis_wavenumbers(spec, B, kappa)
+    kinetic = spec.hbar * k**2 / (2 * spec.mass)  # kinetic energy / hbar
+    q, envelope = floquet._fourier_ladder(spec, B)
+    idx = (B - 1) + np.arange(B)[:, None] - np.arange(B)[None, :]
+    U = np.eye(B, dtype=complex)
+    for j in range(jumps):
+        t = j * h
+        for tau in (W1 * h, W0 * h, W1 * h):
+            half = np.exp(-1j * kinetic * tau / 2)[:, None]
+            U = half * (_eigh_factor(spec, q, envelope, idx, t + tau / 2, tau) @ (half * U))
+            t += tau
+    return U
+
+
+def strang_monodromy(spec, kappa, params, basis_size):
+    """The 2nd-order scheme the triple jump replaced: n midpoint Strang
+    substeps with eigendecomposed potential factors."""
     B, n = basis_size, params.substeps_per_period
     dt = spec.period / n
     k = dl.basis_wavenumbers(spec, B, kappa)
-    kin_half = np.exp(-1j * spec.hbar * k**2 * dt / (4 * spec.mass))
+    kin_half = np.exp(-1j * spec.hbar * k**2 * dt / (4 * spec.mass))[:, None]
     q, envelope = floquet._fourier_ladder(spec, B)
     idx = (B - 1) + np.arange(B)[:, None] - np.arange(B)[None, :]
-    times = (np.arange(n) + 0.5) * dt
-    U = np.diag(kin_half)
-    for j, t in enumerate(times):
-        w = floquet._potential_coefficients(spec, q, envelope, [t])[0][idx]
-        vals, vecs = np.linalg.eigh(w)
-        U = (vecs * np.exp(-1j * vals * dt / spec.hbar)) @ vecs.conj().T @ U
-        U = (kin_half**2 if j < n - 1 else kin_half)[:, None] * U
+    U = np.eye(B, dtype=complex)
+    for j in range(n):
+        U = kin_half * (_eigh_factor(spec, q, envelope, idx, (j + 0.5) * dt, dt) @ (kin_half * U))
     return U
 
 
@@ -69,8 +97,8 @@ class TestMonodromy:
         "spec, kappa, params, B",
         [
             (REF, 0.3 * REF.brillouin_edge, FAST, 41),
-            # theta = n_p sum|c_n| dt / hbar ~ 3.7: a high Taylor degree;
-            # 215 is the smallest basis that clears the 5 v0 cutoff
+            # theta = n_p sum|c_n| |w0| h / hbar ~ 18.7: scaled and squared
+            # 5 times; 215 is the smallest basis that clears the 5 v0 cutoff
             (dl.LatticeSpec(v0=50.0), 0.0, dl.PropagationParams(substeps_per_period=256), 215),
         ],
         ids=["kappa0.3-B41", "v0-50"],
@@ -83,6 +111,35 @@ class TestMonodromy:
         stacked = dl.monodromy_matrix(spec, kappas, params, basis_size=B)
         assert np.array_equal(stacked[0], U)
         assert np.abs(stacked[1] - eigh_monodromy(spec, kappas[1], params, B)).max() < 1e-12
+
+    def test_fourth_order_in_the_step(self):
+        # halving the triple-jump step divides the error by about 2^4
+        spec, kappa = REF, 0.3 * REF.brillouin_edge
+        exact = dl.monodromy_matrix(spec, kappa, dl.PropagationParams(3 * 1600), 41)
+        errors = [
+            np.abs(dl.monodromy_matrix(spec, kappa, dl.PropagationParams(3 * jumps), 41)
+                   - exact).max()
+            for jumps in (100, 200)
+        ]
+        assert 12.0 <= errors[0] / errors[1] <= 20.0
+
+    @pytest.mark.parametrize("omega, B", [(1.0, 41), (2.8, 53)])
+    def test_default_resolution_no_worse_than_strang_default(self, omega, B):
+        # the default triple jumps must match the accuracy of the 2nd-order
+        # default they replaced (2048 max(1, omega) substeps); the exact
+        # monodromy is a converged 2048-jump one
+        spec = replace(REF, omega=omega)
+        exact = dl.monodromy_matrix(spec, 0.0, dl.PropagationParams(3 * 2048), B)
+        strang = strang_monodromy(spec, 0.0, dl.default_params(spec), B)
+        default = dl.monodromy_matrix(spec, 0.0, basis_size=B)
+        assert np.abs(default - exact).max() <= np.abs(strang - exact).max()
+
+    def test_explicit_substeps_make_whole_triple_jumps(self):
+        params = dl.PropagationParams(substeps_per_period=256)
+        assert floquet._monodromy_resolution(REF, params) == (258, 41)
+        substeps, B = floquet._monodromy_resolution(REF, None, 131)
+        assert (substeps, B) == (3 * floquet._default_jumps(REF, 131), 131)
+        assert substeps > floquet._monodromy_resolution(REF)[0]
 
     @pytest.mark.parametrize(
         "spec, fractions",
@@ -185,10 +242,12 @@ class TestDiagonalize:
 
     def test_modes_reproduce_their_eigenphase_under_grid_evolution(self, grid480):
         # cross-validates the basis-space monodromy against the grid integrator;
-        # needs a basis large enough that the barrier form factor has decayed
+        # needs a basis large enough that the barrier form factor has decayed.
+        # The grid side runs at 8192 substeps, where its own 2nd-order time
+        # error is well below the bound, so the monodromy's error shows.
         kappa = 0.25 * REF.brillouin_edge
         spectrum = dl.labeled_spectrum(REF, kappa, grid=grid480, basis_size=131)
-        params = dl.default_params(REF)
+        params = dl.PropagationParams(substeps_per_period=8192)
         order = np.argsort(spectrum.mean_kinetic(), kind="stable")[:20]
         worst = 0.0
         for i in order:

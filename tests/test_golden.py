@@ -46,37 +46,37 @@ CASES = {
 DIGESTS = {
     "evolve": {
         "evolve.csv":
-            "c545f7f2e97b5bb61b6d7d831e0a062f9d2c32d7ec1c796c1052caf721953cf8",
+            "eecf2276b6fc78da80216fa6eeb35fc3590430d30d6bba259bb4d7450eee32e9",
         "evolve.csv.meta.json":
-            "8120068f380e97563fa4714f84abb21a6b49f5f1a7f7d339e95d1faaf59fe5ce",
+            "940741a0eb20fc7a35282346f6cd987ea7758281ab474eb4c630d17efca7f7ef",
     },
     "spectrum": {
         "spectrum.csv":
-            "62e8e7d74cd8e12d8b1978d1f98301c8ba73313e30bae9e59441abe3aa750481",
+            "929452747991370202addb17e3279cae8b9836a7f2dc3ab949daac136a060467",
         "spectrum.csv.meta.json":
-            "7aab98d60efe3612613d743adedc60f3a0ef3c6f1745dd4bb989edd137e7132c",
+            "d17480f44ad91f0a5f7bda03b954b6f0cf17e18adc779c03ac1524c9ca496f76",
     },
     "sweep": {
         "sweep.csv":
-            "d068fc4ae6ed12c4149e0596a59cb94e8ddb817a8ae39b739609268272caaf95",
+            "c5885ffebc3db49b08dda1cc75f821e478b8f9bd1efaf7ea2563082f7d8b29dd",
         "sweep.csv.meta.json":
-            "aa32f1f9cfaee9c1762d1ce1fab3a3142df2ca0396225e0f18e4bdfd1e838f88",
+            "a9af1a78e4ec7548661d4ad2c84df9de605883111e34cdb6e7c1eef6bc8d8f00",
     },
     "modes": {
         "modes.csv":
-            "6ae02346e1d6ded61e746e47176d8baf84c15684a61830a318506afa0bf15a12",
+            "268386fbe01d200e579209c94a2b9be6df7d40e1ff78fde0d354b5f549fb1096",
         "modes.csv.meta.json":
-            "52e59bb47616a67cd5479cbcb9020292716bcb811fde6bb4af4862888d3ab3d9",
+            "0fdfeec3ddbd1a3c5dff30975c0c165d4c147328d2de73631cd55dcb738fdf32",
     },
     "resonances": {
         "resonances.csv":
             "61f48e02e886dadf8cc542814699e81a89150f6a0c3128c2192bdca31b76065b",
         "resonances.csv.meta.json":
-            "8f1cc395a639e551db07391b7af9830b01dd76440fc4da7a238795cbf3560e21",
+            "32b789b4c535439324bd20292720bb5d627b908cfc5c7831206d53b4180e95d9",
         "sweep.csv":
-            "4e5c72d628624387e398b454bd5d9ea707abe2bd58a2e9eafe25538c543ace64",
+            "e91b75d99272c378373fe3ece760ce7e8fcc2f726291be5455e92aaf400e84dd",
         "sweep.csv.meta.json":
-            "aa32f1f9cfaee9c1762d1ce1fab3a3142df2ca0396225e0f18e4bdfd1e838f88",
+            "a9af1a78e4ec7548661d4ad2c84df9de605883111e34cdb6e7c1eef6bc8d8f00",
     },
 }
 
