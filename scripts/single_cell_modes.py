@@ -34,7 +34,7 @@ def main() -> int:
         "interference period of the (0, 2) pair:"
         f" {dl.interference_period(eps[2], eps[0], config.lattice):.2f} T"
     )
-    weights = np.abs(spectrum.overlaps(spectrum.uniform_reference())) ** 2
+    weights = spectrum.uniform_weights()
     print("mode occupations (top 5):", np.round(weights[:5], 4))
     print(dl.write_modes_csv(OUTDIR / "modes.csv", config, spectrum))
     return 0

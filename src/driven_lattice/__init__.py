@@ -30,13 +30,11 @@ from .propagate import (
 )
 from .floquet import (
     FloquetSpectrum,
-    GapMinimum,
     ResonancePrediction,
     basis_wavenumbers,
     circle_gap,
     default_basis_size,
     diagonalize_monodromy,
-    find_gap_minima,
     fold_quasienergy,
     label_by_overlap,
     labeled_spectrum,
@@ -61,13 +59,13 @@ from .dynamics import (
     truncate_modes,
 )
 from .analysis import (
+    Dip,
     ExperimentConfig,
-    OverlapDip,
     ResonanceRow,
     SweepRecord,
     SweepResult,
     config_from_values,
-    detect_overlap_dips,
+    detect_dips,
     load_config,
     pair_resonances,
     run_evolution,

@@ -1,5 +1,6 @@
 """Batch experiment driver: configs, frequency sweeps, population traces,
-resonance reports and CSV emission.
+resonance reports and CSV emission.  `detect_dips` finds the local minima of
+any sweep column: the overlap dips of the resonance report and the gap minima.
 
 Output files are plain CSV (UTF-8, '.' decimal, 17 significant digits) with
 a '#'-prefixed header block carrying the package version, a hash of the
@@ -39,7 +40,6 @@ from .floquet import (
     ResonancePrediction,
     fold_quasienergy,
     labeled_spectrum,
-    parabolic_vertex,
     predict_resonances,
     REPORTED_MODES,
     _monodromy_resolution,
@@ -93,8 +93,9 @@ class ExperimentConfig:
         if any(v is not None for v in grid):
             if any(v is None for v in grid):
                 raise ConfigError("omega grid needs start, stop and step together")
-            if self.omega_step <= 0 or self.omega_stop < self.omega_start:
-                raise ConfigError("omega grid must be monotone increasing")
+            if not (all(map(math.isfinite, grid)) and self.omega_step > 0
+                    and self.omega_start <= self.omega_stop):
+                raise ConfigError("omega grid must be finite and monotone increasing")
         # constructing the domain objects validates every module invariant
         try:
             if self.substeps is not None:
@@ -128,25 +129,13 @@ class ExperimentConfig:
         return self.omega_start + self.omega_step * np.arange(count + 1)
 
     def as_dict(self) -> dict:
-        spec = self.lattice
+        """The echo behind `config_hash`: every field but `workers`, which changes no result."""
         initial: dict = {"kind": type(self.initial).__name__}
         if isinstance(self.initial, GaussianState):
             initial.update(sigma=self.initial.width, center=self.initial.center)
-        return {
-            "lattice": dataclasses.asdict(spec),
-            "initial": initial,
-            "domain": self.domain,
-            "supercells": self.supercells,
-            "grid_points": self.grid_points,
-            "substeps": self.substeps,
-            "horizon": self.horizon,
-            "omega_start": self.omega_start,
-            "omega_stop": self.omega_stop,
-            "omega_step": self.omega_step,
-            "outdir": self.outdir,
-            "basis_size": self.basis_size,
-            "refine_peaks": self.refine_peaks,
-        }
+        echo = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+                if f.name not in ("lattice", "initial", "workers")}
+        return {"lattice": dataclasses.asdict(self.lattice), "initial": initial, **echo}
 
     def config_hash(self) -> str:
         payload = json.dumps(self.as_dict(), sort_keys=True, default=str)
@@ -175,16 +164,24 @@ def _parse_flag(value) -> bool:
     return bool(int(value))
 
 
-# Every config-file key (and CLI flag) with the cast of its raw value.  The
-# LatticeSpec fields build the lattice; np checks the phase count; sigma > 0
-# selects a Gaussian of that width centred at `center`; the remaining keys
-# are ExperimentConfig fields.  A key left unset takes the dataclass default.
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not finite")
+    return number
+
+
+# Every config-file key (and CLI flag) with the cast of its raw value; every
+# number must be finite.  The LatticeSpec fields build the lattice; np checks
+# the phase count; sigma > 0 selects a Gaussian of that width centred at
+# `center`; the remaining keys are ExperimentConfig fields.  A key left unset
+# takes the dataclass default.
 _CONFIG_KEYS = {
-    "mass": float, "hbar": float, "v0": float, "delta": float, "spacing": float,
-    "amplitude": float, "omega": float, "phases": _parse_phases,
-    "np": int, "sigma": float, "center": float,
+    "mass": _finite, "hbar": _finite, "v0": _finite, "delta": _finite, "spacing": _finite,
+    "amplitude": _finite, "omega": _finite, "phases": _parse_phases,
+    "np": int, "sigma": _finite, "center": _finite,
     "domain": str, "supercells": int, "substeps": int, "horizon": int,
-    "omega_start": float, "omega_stop": float, "omega_step": float, "outdir": str,
+    "omega_start": _finite, "omega_stop": _finite, "omega_step": _finite, "outdir": str,
     "grid_points": int, "basis_size": int, "workers": int, "refine_peaks": _parse_flag,
 }
 
@@ -272,8 +269,12 @@ class SweepRecord:
 @dataclass(frozen=True)
 class SweepResult:
     records: tuple[SweepRecord, ...]
-    failures: tuple[tuple[float, str], ...]
     config: ExperimentConfig
+
+    @property
+    def failures(self) -> tuple[tuple[float, str], ...]:
+        """(omega, error) of every failed frequency, in omega order."""
+        return tuple((r.omega, r.error) for r in self.records if r.error)
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.records])
@@ -305,7 +306,7 @@ def _monodromy_numerics(config: ExperimentConfig, omegas, basis_size: int | None
 
 def _sweep_point(config: ExperimentConfig, omega: float, with_populations: bool) -> SweepRecord:
     spectrum = spectrum_at(config, omega)
-    weights = np.abs(spectrum.overlaps(spectrum.uniform_reference())) ** 2
+    weights = spectrum.uniform_weights()
     eps = spectrum.quasienergies
     gap = np.abs(fold_quasienergy(eps[1:] - eps[0], spectrum.spec)).min()
     n_max, arg_site, arg_m = math.nan, -1, -1
@@ -373,6 +374,16 @@ def _refine_peaks(config: ExperimentConfig, records: list[SweepRecord]) -> list[
         records.extend(_sweep_records(config, inserts, True))
 
 
+def _sweep(config: ExperimentConfig, with_populations: bool) -> SweepResult:
+    if config.domain != "supercell":
+        raise ConfigError("sweeps run on the supercell (kappa = 0) domain")
+    records = _sweep_records(config, config.omega_grid(), with_populations)
+    if with_populations and config.refine_peaks:
+        records = _refine_peaks(config, records)
+    records.sort(key=lambda r: r.omega)
+    return SweepResult(records=tuple(records), config=config)
+
+
 def run_nmax_sweep(config: ExperimentConfig) -> SweepResult:
     """Maximal site population within the horizon, per driving frequency.
 
@@ -381,24 +392,12 @@ def run_nmax_sweep(config: ExperimentConfig) -> SweepResult:
     band gap from the same spectra.  Failed frequencies are recorded and
     skipped, never dropped.
     """
-    if config.domain != "supercell":
-        raise ConfigError("population sweeps run on the supercell (kappa = 0) domain")
-    records = _sweep_records(config, config.omega_grid(), True)
-    if config.refine_peaks:
-        records = _refine_peaks(config, records)
-    records.sort(key=lambda r: r.omega)
-    failures = tuple((r.omega, r.error) for r in records if r.error)
-    return SweepResult(records=tuple(records), failures=failures, config=config)
+    return _sweep(config, True)
 
 
 def run_overlap_sweep(config: ExperimentConfig) -> SweepResult:
     """Ground-mode uniform overlap (and gap) per frequency; no populations."""
-    if config.domain != "supercell":
-        raise ConfigError("overlap sweeps run on the supercell (kappa = 0) domain")
-    records = _sweep_records(config, config.omega_grid(), False)
-    records.sort(key=lambda r: r.omega)
-    failures = tuple((r.omega, r.error) for r in records if r.error)
-    return SweepResult(records=tuple(records), failures=failures, config=config)
+    return _sweep(config, False)
 
 
 def _grid_params(config: ExperimentConfig) -> PropagationParams:
@@ -453,32 +452,37 @@ def run_evolution(
 # dips and resonance reports
 
 @dataclass(frozen=True)
-class OverlapDip:
+class Dip:
+    """Local minimum of a sweep curve: refined frequency, sampled value."""
+
     omega: float
     depth: float
     prominence: float
 
 
-def detect_overlap_dips(omegas, overlaps, prominence: float = DIP_PROMINENCE):
-    """Local minima of the overlap curve with at least `prominence`,
-    parabolic-refined on the sampling grid."""
+def _parabolic_vertex(x, y) -> float:
+    """Vertex abscissa of the parabola through three equispaced points (x, y),
+    clipped to [x[0], x[2]]."""
+    denom = y[0] - 2.0 * y[1] + y[2]
+    if denom == 0:
+        return x[1]
+    return float(min(max(x[1] + 0.5 * (x[2] - x[1]) * (y[0] - y[2]) / denom, x[0]), x[2]))
+
+
+def detect_dips(omegas, values, prominence: float = DIP_PROMINENCE) -> tuple[Dip, ...]:
+    """Local minima of a sweep curve (the ground overlap, the gap) with at
+    least `prominence`, parabolic-refined on the sampling grid."""
     omegas = np.asarray(omegas, dtype=float)
-    overlaps = np.asarray(overlaps, dtype=float)
-    idx, props = scipy.signal.find_peaks(-overlaps, prominence=prominence)
-    dips = []
-    for rank, i in enumerate(idx):
-        omega = parabolic_vertex(
-            omegas[i - 1], omegas[i], omegas[i + 1],
-            overlaps[i - 1], overlaps[i], overlaps[i + 1],
+    values = np.asarray(values, dtype=float)
+    idx, props = scipy.signal.find_peaks(-values, prominence=prominence)
+    return tuple(
+        Dip(
+            omega=_parabolic_vertex(omegas[i - 1:i + 2], values[i - 1:i + 2]),
+            depth=float(values[i]),
+            prominence=float(props["prominences"][rank]),
         )
-        dips.append(
-            OverlapDip(
-                omega=omega,
-                depth=float(overlaps[i]),
-                prominence=float(props["prominences"][rank]),
-            )
-        )
-    return tuple(dips)
+        for rank, i in enumerate(idx)
+    )
 
 
 @dataclass(frozen=True)
@@ -502,7 +506,7 @@ def pair_resonances(
     if omegas.size == 0:
         raise ConfigError("no sweep data to report on")
     good = ~np.isnan(overlaps)
-    dips = detect_overlap_dips(omegas[good], overlaps[good])
+    dips = detect_dips(omegas[good], overlaps[good])
     rows = []
     for pred in predict_resonances(lattice, alpha_max, max_folds):
         if not (omegas.min() <= pred.omega <= omegas.max()):
@@ -626,23 +630,21 @@ def write_resonances_csv(path, config: ExperimentConfig, rows) -> Path:
 
 
 def read_sweep_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """(omega, overlap) columns back from a sweep CSV."""
-    omegas, overlaps = [], []
+    """(omega, overlap) columns back from a sweep CSV; any other file,
+    another kind of output included, is a ConfigError."""
     with open(path, encoding="utf-8") as handle:
-        header = None
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            row = dict(zip(header, line.split(",")))
-            omegas.append(float(row["omega"]))
-            overlaps.append(float(row["overlap"]))
-    if not omegas:
+        lines = [line.strip() for line in handle]
+    # the first line names the kind: "# driven-lattice <version> <kind>"
+    first = lines[0].split() if lines else []
+    if first[:2] != ["#", "driven-lattice"] or first[-1:] != ["sweep"]:
+        raise ConfigError(f"{path} is not a driven-lattice sweep CSV")
+    table = [line.split(",") for line in lines if line and not line.startswith("#")]
+    if len(table) < 2:
         raise ConfigError(f"no sweep records found in {path}")
-    return np.array(omegas), np.array(overlaps)
+    header, *rows = table
+    omega, overlap = header.index("omega"), header.index("overlap")
+    return (np.array([float(row[omega]) for row in rows]),
+            np.array([float(row[overlap]) for row in rows]))
 
 
 def output_path(config: ExperimentConfig, name: str) -> Path:

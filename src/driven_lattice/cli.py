@@ -13,8 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .analysis import (
     _CONFIG_KEYS,
     ExperimentConfig,
@@ -124,7 +122,7 @@ def _cmd_evolve(args) -> int:
 
 def _spectrum_rows(config: ExperimentConfig, omega: float) -> list[tuple]:
     spectrum = spectrum_at(config, omega)
-    weights = np.abs(spectrum.overlaps(spectrum.uniform_reference())) ** 2
+    weights = spectrum.uniform_weights()
     return [(omega, alpha, eps, weights[alpha])
             for alpha, eps in enumerate(spectrum.quasienergies)]
 

@@ -39,6 +39,8 @@ from .propagate import PropagationParams, evolve_ring
 _RESIDUAL_TOL = 1e-4
 _NORM_TOL = 1e-6
 _ALIGNMENT_TOL = 1e-9
+# stroboscopic frames reconstructed per batch by `population_trace`
+_TRACE_CHUNK = 128
 
 
 def dynamics_basis_size(spec: LatticeSpec) -> int:
@@ -72,8 +74,7 @@ def ring_spectra(
     The monodromies of all M kappas are built in one pass over the shared
     potential factors.  The kappa = 0 spectrum is ordered by overlap with
     the uniform state; the others continue those labels by maximal overlap
-    of periodic parts.  Returns (spectra,
-    ambiguity flags).
+    of periodic parts.  Returns (spectra, ambiguity flags).
     """
     if ring.cell.length != spec.cell_length:
         raise GridMismatchError("ring cell length does not match the lattice supercell")
@@ -84,8 +85,6 @@ def ring_spectra(
         label_by_overlap(diagonalize_monodromy(U, spec, float(kappa), grid=ring.cell))
         for U, kappa in zip(monodromies, kappas)
     ]
-    if len(spectra) == 1:
-        return tuple(spectra), ()
     return match_band_labels(spectra)
 
 
@@ -303,15 +302,14 @@ def population_trace(
     dec: SpectralDecomposition,
     periods,
     sites=None,
-    chunk: int = 128,
 ) -> PopulationTrace:
     """Stroboscopic site populations from the mode expansion."""
     periods = np.asarray(list(periods), dtype=int)
     site_indices, weights = site_weights(dec.spec, dec.ring, sites)
     values = np.empty((len(site_indices), len(periods)))
-    for start, states in zip(range(0, len(periods), chunk),
-                             _reconstruct(dec, periods, chunk)):
-        values[:, start:start + chunk] = weights @ (np.abs(states) ** 2)
+    for start, states in zip(range(0, len(periods), _TRACE_CHUNK),
+                             _reconstruct(dec, periods, _TRACE_CHUNK)):
+        values[:, start:start + _TRACE_CHUNK] = weights @ (np.abs(states) ** 2)
     return PopulationTrace(site_indices=site_indices, periods=periods, values=values)
 
 

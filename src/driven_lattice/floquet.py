@@ -17,13 +17,16 @@ Paterson-Stockmeyer form; when theta reaches 1 the polynomial of
 ``x / 2^k`` is squared k times instead.  Every factor is thus unitary on
 the truncated space to roundoff and the product is unitary regardless of
 basis size; basis adequacy is checked separately through the kinetic-energy
-cutoff and the grid-propagator consistency tests.
+cutoff and the grid-propagator consistency tests.  The time-independent
+Hamiltonian of an undriven lattice or a free particle (v0 = 0) is
+exponentiated exactly instead.
 
 The potential matrix ``W_ba = c_{b-a}(t)`` does not depend on kappa; only
 the kinetic diagonal does.  A whole kappa ladder therefore shares one stack
 of potential factors: ``monodromy_matrix`` given M kappas evaluates each
 chunk of Taylor factors once and advances every kappa's propagator with its
 own ``(B, B)`` product, so each slice is bitwise the one-kappa result.
+Modes are labeled by their weight on the uniform state (`uniform_weights`).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from scipy.linalg.blas import zaxpy
 from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigError, UnitarityError
-from .lattice import ComplexState, LatticeSpec, SupercellGrid, UniformState, make_initial_state
+from .lattice import LatticeSpec, SupercellGrid, UniformState, make_initial_state
 from .propagate import PropagationParams
 
 _UNITARITY_TOL = 1e-8
@@ -233,7 +236,7 @@ def monodromy_matrix(
     kappas = np.asarray(kappa, dtype=float)
     if kappas.ndim > 1 or kappas.size == 0:
         raise ConfigError("kappa must be a number or a non-empty 1-D array")
-    if np.abs(kappas).max() > spec.brillouin_edge * (1 + 1e-12):
+    if not np.abs(kappas).max() <= spec.brillouin_edge * (1 + 1e-12):
         raise ConfigError("kappa outside the first Brillouin zone")
     # an undriven lattice absorbs no drive quanta, so only v0 sets the scale
     demand = _CUTOFF_FACTOR * max(
@@ -253,12 +256,9 @@ def monodromy_matrix(
     q, envelope = _fourier_ladder(spec, B)
     idx = (B - 1) + np.arange(B)[:, None] - np.arange(B)[None, :]  # Toeplitz gather
 
-    if spec.v0 == 0.0:
-        # free particle: the kinetic ladder is the exact propagator
-        U = np.stack([np.diag(np.exp(-1j * kin * spec.period / spec.hbar)) for kin in kinetic])
-        return U if kappas.ndim else U[0]
-    if spec.amplitude == 0.0:
-        # static lattice: exponentiate the full Hamiltonian matrix exactly
+    if spec.v0 == 0.0 or spec.amplitude == 0.0:
+        # static lattice (a free particle when v0 = 0 and W vanishes):
+        # exponentiate the full Hamiltonian matrix exactly
         w = _potential_coefficients(spec, q, envelope, [0.0])[0][idx]
         U = np.empty((len(kinetic), B, B), dtype=complex)
         for m, kin in enumerate(kinetic):
@@ -300,7 +300,7 @@ def monodromy_matrix(
             U = (kin_after[(start + j) % 3] if start + j < substeps - 1 else kin_edge) * U
 
     deviation = np.abs(np.matmul(U.conj().transpose(0, 2, 1), U) - np.eye(B)).max()
-    if deviation > _UNITARITY_TOL:
+    if not deviation <= _UNITARITY_TOL:
         raise UnitarityError(
             f"monodromy unitarity deviation {deviation:.3e} exceeds {_UNITARITY_TOL:.0e}"
         )
@@ -337,17 +337,15 @@ class FloquetSpectrum:
     def basis_size(self) -> int:
         return self.quasienergies.shape[0]
 
-    def overlaps(self, reference: ComplexState) -> np.ndarray:
-        """Complex overlaps <mode_i | reference> on the supercell grid."""
-        return (self.samples.conj().T @ reference.psi) * self.grid.dx
+    def uniform_weights(self) -> np.ndarray:
+        """Squared overlaps |<mode_i | uniform>|^2 with the uniform state."""
+        uniform = make_initial_state(UniformState(), self.grid)
+        return np.abs((self.samples.conj().T @ uniform.psi) * self.grid.dx) ** 2
 
     def mean_kinetic(self) -> np.ndarray:
         k = basis_wavenumbers(self.spec, self.basis_size, self.kappa)
         energy = self.spec.hbar**2 * k**2 / (2.0 * self.spec.mass)
         return np.abs(self.coefficients.T) ** 2 @ energy
-
-    def uniform_reference(self) -> ComplexState:
-        return make_initial_state(UniformState(), self.grid)
 
     def relabeled(self, order) -> "FloquetSpectrum":
         """The spectrum with mode ``order[i]`` as label ``i``."""
@@ -386,7 +384,7 @@ def diagonalize_monodromy(
     if U.shape != (B, B):
         raise ValueError("monodromy must be square")
     deviation = np.abs(U.conj().T @ U - np.eye(B)).max()
-    if deviation > _UNITARITY_TOL:
+    if not deviation <= _UNITARITY_TOL:  # not `>`: a NaN deviation must fail too
         raise UnitarityError(
             f"matrix is not unitary within {_UNITARITY_TOL:.0e} (got {deviation:.3e})"
         )
@@ -394,7 +392,7 @@ def diagonalize_monodromy(
 
     T, Q = schur(U, output="complex")
     eigenphases = np.diag(T)
-    if np.abs(np.abs(eigenphases) - 1.0).max() > _EIGENPHASE_TOL:
+    if not np.abs(np.abs(eigenphases) - 1.0).max() <= _EIGENPHASE_TOL:
         raise UnitarityError("eigenphases deviate from the unit circle")
     quasi = -(spec.hbar / spec.period) * np.angle(eigenphases)
 
@@ -433,7 +431,7 @@ def label_by_overlap(spectrum: FloquetSpectrum) -> FloquetSpectrum:
     are tie-broken by ascending quasienergy, then ascending mean kinetic
     energy, so the ordering is deterministic.
     """
-    weights = np.abs(spectrum.overlaps(spectrum.uniform_reference())) ** 2
+    weights = spectrum.uniform_weights()
     quantized = np.round(weights / _OVERLAP_TIE_TOL)
     order = np.lexsort((spectrum.mean_kinetic(), spectrum.quasienergies, -quantized))
     return spectrum.relabeled(order)
@@ -510,38 +508,3 @@ def predict_resonances(
     ]
     predictions.sort(key=lambda p: (p.omega, p.band_index))
     return tuple(predictions)
-
-
-@dataclass(frozen=True)
-class GapMinimum:
-    """Refined local minimum of the ground-band gap over frequency."""
-
-    omega: float
-    gap: float
-
-
-def parabolic_vertex(x0: float, x1: float, x2: float, y0: float, y1: float, y2: float) -> float:
-    """Vertex abscissa of the parabola through three points, clipped to [x0, x2]."""
-    denom = (y0 - 2.0 * y1 + y2)
-    if denom == 0:
-        return x1
-    # uniform-spacing formula is exact for our equispaced scans
-    vertex = x1 + 0.5 * (x2 - x1) * (y0 - y2) / denom
-    return float(min(max(vertex, x0), x2))
-
-
-def find_gap_minima(omegas, gaps) -> tuple[GapMinimum, ...]:
-    """Three-point local minima of the gap curve with parabolic refinement."""
-    omegas = np.asarray(omegas, dtype=float)
-    gaps = np.asarray(gaps, dtype=float)
-    found = []
-    for i in range(1, len(gaps) - 1):
-        if gaps[i] <= gaps[i - 1] and gaps[i] <= gaps[i + 1] and (
-            gaps[i] < gaps[i - 1] or gaps[i] < gaps[i + 1]
-        ):
-            omega = parabolic_vertex(
-                omegas[i - 1], omegas[i], omegas[i + 1],
-                gaps[i - 1], gaps[i], gaps[i + 1],
-            )
-            found.append(GapMinimum(omega=omega, gap=float(gaps[i])))
-    return tuple(found)

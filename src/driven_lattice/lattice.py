@@ -41,6 +41,11 @@ class LatticeSpec:
     hbar: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
+        scalars = (self.v0, self.delta, self.spacing, self.amplitude, self.omega,
+                   self.mass, self.hbar)
+        if not all(map(math.isfinite, scalars + self.phases)):
+            raise ValueError("lattice parameters and drive phases must be finite")
         for name in ("delta", "spacing", "omega", "mass", "hbar"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
@@ -49,7 +54,6 @@ class LatticeSpec:
             raise ValueError("v0 and amplitude must be >= 0")
         if len(self.phases) < 1:
             raise ValueError("need at least one drive phase per cell")
-        object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
 
     @property
     def sites_per_cell(self) -> int:
@@ -205,8 +209,8 @@ class GaussianState:
     width: float
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("gaussian width must be positive")
+        if not (math.isfinite(self.center) and 0 < self.width < math.inf):
+            raise ValueError("gaussian center must be finite, its width positive and finite")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .lattice import ComplexState, Domain, LatticeSpec, RingDomain, SupercellGri
 class PropagationParams:
     """Time-stepping resolution: substeps per driving period."""
 
-    substeps_per_period: int = 2048
+    substeps_per_period: int
 
     def __post_init__(self):
         if self.substeps_per_period < 256:
@@ -104,7 +104,7 @@ def evolve_twisted(
     """
     if not isinstance(state.grid, SupercellGrid):
         raise GridMismatchError("evolve_twisted expects a state on a supercell grid")
-    if abs(kappa) > spec.brillouin_edge * (1 + 1e-12):
+    if not abs(kappa) <= spec.brillouin_edge * (1 + 1e-12):
         raise ValueError(
             f"kappa={kappa:.6g} outside the first Brillouin zone "
             f"[-{spec.brillouin_edge:.6g}, {spec.brillouin_edge:.6g}]"

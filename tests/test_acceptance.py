@@ -118,7 +118,7 @@ def test_criterion_08_resonant_imbalance(sweep_window):
     at_resonance = sweep_window.records[int(np.argmin(np.abs(omegas - 2.74)))]
     imbalance_ok = at_resonance.n_max > 0.5
 
-    minima = dl.find_gap_minima(omegas, sweep_window.column("gap"))
+    minima = dl.detect_dips(omegas, sweep_window.column("gap"), prominence=0.0)
     nearest = min(abs(m.omega - 2.74) for m in minima) if minima else math.inf
     crossing_ok = nearest <= 0.1
 
@@ -175,7 +175,7 @@ def test_criterion_09_resonance_formula_alignment(ref_spec, sweep_window):
     """
     config = sweep_window.config
     omegas = sweep_window.column("omega")
-    dips = dl.detect_overlap_dips(omegas, sweep_window.column("overlap"))
+    dips = dl.detect_dips(omegas, sweep_window.column("overlap"))
     matches = []
     for dip in dips:
         omega = float(omegas[np.argmin(np.abs(omegas - dip.omega))])

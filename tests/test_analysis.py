@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -52,6 +53,25 @@ def tiny_config(**kwargs):
     return dl.ExperimentConfig(**defaults)
 
 
+# a valid value different from the default of every ExperimentConfig field
+CHANGED_FIELD = {
+    "lattice": dl.LatticeSpec(omega=2.0),
+    "initial": dl.GaussianState(center=15.0, width=2.0),
+    "domain": "ring",
+    "supercells": 8,
+    "grid_points": 600,
+    "substeps": 512,
+    "horizon": 10,
+    "omega_start": 2.5,
+    "omega_stop": 3.0,
+    "omega_step": 0.02,
+    "outdir": "elsewhere",
+    "basis_size": 61,
+    "refine_peaks": False,
+    "workers": 2,
+}
+
+
 def resonance_rows(sweep):
     return dl.pair_resonances(
         sweep.config.lattice, sweep.column("omega"), sweep.column("overlap")
@@ -84,6 +104,19 @@ class TestConfigParsing:
         # the hash every reference CSV header carries; any change in how a
         # key is read or defaulted moves it
         assert dl.load_config(REFERENCE_CFG).config_hash() == "fda3affe9695d4b9"
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(dl.ExperimentConfig)])
+    def test_config_hash_covers_every_field_but_workers(self, name):
+        base = dl.ExperimentConfig(
+            lattice=dl.LatticeSpec(), initial=dl.UniformState(),
+            omega_start=2.4, omega_stop=3.2, omega_step=0.01,
+        )
+        changed = dataclasses.replace(base, **{name: CHANGED_FIELD[name]})
+        assert getattr(changed, name) != getattr(base, name)
+        if name == "workers":
+            assert changed.config_hash() == base.config_hash()
+        else:
+            assert changed.config_hash() != base.config_hash()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(dl.ConfigError, match="unknown key"):
@@ -281,7 +314,7 @@ class TestEvolutionMethods:
 class TestResonanceReport:
     def test_requires_sweep_data(self):
         config = tiny_config(omega_start=1.0, omega_stop=1.1, omega_step=0.1)
-        empty = dl.SweepResult(records=(), failures=(), config=config)
+        empty = dl.SweepResult(records=(), config=config)
         with pytest.raises(dl.ConfigError):
             resonance_rows(empty)
 
@@ -306,7 +339,7 @@ class TestResonanceReport:
                 assert row.residual <= 0.1
 
     def test_every_prediction_has_a_nearby_local_minimum(self, sweep_window):
-        dips = dl.detect_overlap_dips(
+        dips = dl.detect_dips(
             sweep_window.column("omega"), sweep_window.column("overlap"),
             prominence=0.0,
         )
@@ -319,7 +352,7 @@ class TestResonanceReport:
 
         omegas = sweep_window.column("omega")
         n_max = sweep_window.column("n_max")
-        dips = dl.detect_overlap_dips(
+        dips = dl.detect_dips(
             omegas, sweep_window.column("overlap"), prominence=0.0
         )
         peaks, _ = scipy.signal.find_peaks(n_max, prominence=0.02)
@@ -346,6 +379,15 @@ class TestCli:
             ["evolve", "--bands", "0,999"],
             ["evolve", "--keep", "0"],
             ["modes", "--count", "-1"],
+            # non-finite values fail every check instead of passing them
+            ["modes", "--kappa", "nan"],
+            ["modes", "--omega", "nan"],
+            ["modes", "--delta", "nan"],
+            ["modes", "--v0", "nan"],
+            ["modes", "--omega", "inf"],
+            ["modes", "--phases", "0,nan,0"],
+            ["sweep", "--omega-start", "2.7", "--omega-stop", "2.8", "--omega-step", "nan"],
+            ["evolve", "--sigma", "nan"],
         ):
             code = cli.main([*argv, "--substeps", "512", "--outdir", str(tmp_path)])
             assert code == 2, argv
@@ -374,12 +416,23 @@ class TestCli:
         assert cli.main(reso_args) == 0
         assert (tmp_path / "reso.csv").exists()
 
-    def test_missing_sweep_file_exit_code(self, tmp_path):
+    def test_missing_sweep_file_exit_code(self, tmp_path, capsys):
         code = cli.main([
             "resonances", "--outdir", str(tmp_path),
             "--sweep-csv", str(tmp_path / "nope.csv"),
         ])
         assert code == 2
+        # other outputs of the package are not sweeps
+        grid = ["--omega-start", "1.0", "--omega-stop", "1.0", "--omega-step", "0.1"]
+        for argv in (["modes", "--count", "1"], ["spectrum", *grid]):
+            assert cli.main([*argv, "--substeps", "512", "--outdir", str(tmp_path)]) == 0
+            capsys.readouterr()
+            code = cli.main([
+                "resonances", "--outdir", str(tmp_path),
+                "--sweep-csv", str(tmp_path / f"{argv[0]}.csv"),
+            ])
+            assert code == 2, argv
+            assert "not a driven-lattice sweep" in capsys.readouterr().err, argv
 
     def test_tolerance_violation_exit_code(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):

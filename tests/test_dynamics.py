@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import driven_lattice as dl
+from driven_lattice import dynamics
 
 REF = dl.LatticeSpec()
 FAST = dl.PropagationParams(substeps_per_period=512)
@@ -103,10 +104,11 @@ class TestCellTransform:
         expected = tiled_populations(dec.coefficients, spectra, state.grid, periods)
         assert np.abs(trace.values - expected).max() < 1e-12
 
-    def test_chunking_does_not_change_populations(self, packet_case):
+    def test_chunking_does_not_change_populations(self, packet_case, monkeypatch):
         _, _, dec = packet_case
-        small = dl.population_trace(dec, range(50), chunk=7)
-        large = dl.population_trace(dec, range(50), chunk=128)
+        large = dl.population_trace(dec, range(50))
+        monkeypatch.setattr(dynamics, "_TRACE_CHUNK", 7)
+        small = dl.population_trace(dec, range(50))
         assert np.abs(small.values - large.values).max() < 1e-14
 
     def test_selected_bands_match_zeroed_full_route(self, packet_case):

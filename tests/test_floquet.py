@@ -211,6 +211,13 @@ class TestDiagonalize:
         with pytest.raises(dl.UnitarityError):
             dl.diagonalize_monodromy(0.5 * np.eye(5), REF, 0.0)
 
+    def test_rejects_nan_matrix(self):
+        # a NaN deviation must fail the check, not reach the Schur routine
+        U = np.eye(5, dtype=complex)
+        U[1, 3] = np.nan
+        with pytest.raises(dl.UnitarityError):
+            dl.diagonalize_monodromy(U, REF, 0.0)
+
     def test_free_particle_quasienergies(self, grid480):
         spec = dl.LatticeSpec(v0=0.0)
         U = dl.monodromy_matrix(spec, 0.0, basis_size=41)
@@ -280,7 +287,7 @@ class TestFolding:
 
 class TestLabeling:
     def test_overlaps_sum_to_reference_norm(self, spectrum_w1):
-        weights = np.abs(spectrum_w1.overlaps(spectrum_w1.uniform_reference())) ** 2
+        weights = spectrum_w1.uniform_weights()
         assert weights.sum() == pytest.approx(1.0, abs=1e-8)
         assert weights[0] == weights.max()
 
@@ -288,7 +295,7 @@ class TestLabeling:
         spectrum = dl.labeled_spectrum(
             dl.LatticeSpec(v0=1e-9, amplitude=0.0), 0.0, grid=grid480
         )
-        weights = np.abs(spectrum.overlaps(spectrum.uniform_reference())) ** 2
+        weights = spectrum.uniform_weights()
         assert weights[0] > 1.0 - 1e-6
 
     def test_third_mode_is_site_localized(self, spectrum_w1):
@@ -394,7 +401,7 @@ class TestScans:
                 for e in np.atleast_1d(free_quasienergies(spec_w, alphas))
             )
             assert record.gap == pytest.approx(analytic, abs=1e-8)
-        minima = dl.find_gap_minima(sweep.column("omega"), sweep.column("gap"))
+        minima = dl.detect_dips(sweep.column("omega"), sweep.column("gap"), prominence=0.0)
         assert minima and min(abs(m.omega - target) for m in minima) <= 0.005
 
     def test_static_lattice_crossings_are_exact(self, grid480):

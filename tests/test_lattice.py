@@ -32,6 +32,10 @@ class TestSpec:
             {"hbar": -1.0},
             {"amplitude": -0.5},
             {"phases": ()},
+            # NaN fails no comparison, so each is checked for finiteness
+            *({name: value} for name in ("v0", "delta", "spacing", "amplitude", "omega",
+                                         "mass", "hbar") for value in (math.nan, math.inf)),
+            {"phases": (0.0, math.nan, 0.0)},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -110,6 +114,12 @@ class TestStates:
         ring = dl.RingDomain(dl.SupercellGrid.for_spec(REF, 480), 16)
         state = dl.make_initial_state(dl.GaussianState(240.0, 20 * math.pi), ring)
         assert abs(state.norm_squared() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("center, width", [
+        (0.0, math.nan), (0.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0), (0.0, 0.0)])
+    def test_gaussian_rejects_bad_parameters(self, center, width):
+        with pytest.raises(ValueError):
+            dl.GaussianState(center, width)
 
     def test_gaussian_too_wide_is_rejected(self):
         ring = dl.RingDomain(dl.SupercellGrid.for_spec(REF, 480), 4)

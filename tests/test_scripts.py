@@ -1,18 +1,23 @@
-"""Checks of the experiment scripts.
+"""Checks of the experiment scripts and of what the benchmark calls.
 
 ``single_cell_modes.py`` runs in seconds and is run whole.  The others take
 minutes, so they are only checked statically: every package name they use
-must exist, which catches a script left calling a removed name.
+must exist, which catches a script left calling a removed name.  The
+benchmark's child process and the functions its per-layer metrics name are
+checked the same way.
 """
 
 import ast
-import importlib
+import importlib.util
+import json
 import runpy
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
+USERS = [*sorted(SCRIPTS.glob("*.py")), ROOT / "bench" / "child.py"]
 
 
 def package_names_used(path):
@@ -30,13 +35,51 @@ def package_names_used(path):
     return sorted(used)
 
 
-@pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))
-def test_script_uses_only_existing_package_names(script):
-    used = package_names_used(SCRIPTS / script)
+def exists(module, name):
+    """Whether ``module.name`` is an attribute or a submodule."""
+    if hasattr(importlib.import_module(module), name):
+        return True
+    return importlib.util.find_spec(f"{module}.{name}") is not None
+
+
+@pytest.mark.parametrize("path", USERS, ids=lambda p: p.name)
+def test_script_uses_only_existing_package_names(path):
+    used = package_names_used(path)
     assert used
-    missing = [f"{module}.{name}" for module, name in used
-               if not hasattr(importlib.import_module(module), name)]
-    assert not missing, f"{script} uses names the package does not have: {missing}"
+    missing = [f"{module}.{name}" for module, name in used if not exists(module, name)]
+    assert not missing, f"{path.name} uses names the package does not have: {missing}"
+
+
+def benchmark_functions():
+    """``layer.function`` of every per-layer ``*.self_s`` or ``*.calls``
+    metric of BENCHMARK.json."""
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    names = set()
+    for metric in metrics:
+        *span, unit = metric["name"].split(".")
+        if len(span) == 2 and unit in ("self_s", "calls"):
+            names.add(".".join(span))
+    return sorted(names)
+
+
+# metrics that name a function deleted since: they always read 0
+STALE = {"propagate.potential_on_grid"}
+
+
+@pytest.mark.parametrize("span", [
+    pytest.param(name, marks=pytest.mark.xfail(
+        strict=True, reason="stale metric of a deleted function")) if name in STALE else name
+    for name in benchmark_functions()
+])
+def test_benchmark_spans_name_public_functions(span):
+    layer, function = span.split(".")
+    module = importlib.import_module(f"driven_lattice.{layer}")
+    if span == "analysis.write_csv":
+        # the aggregate of the write_*_csv functions
+        assert any(name.startswith("write_") and name.endswith("_csv")
+                   and callable(getattr(module, name)) for name in vars(module))
+    else:
+        assert not function.startswith("_") and callable(getattr(module, function, None))
 
 
 def test_single_cell_modes_runs(tmp_path, monkeypatch, capsys):
