@@ -174,8 +174,8 @@ def _finite(value) -> float:
 # Every config-file key (and CLI flag) with the cast of its raw value; every
 # number must be finite.  The LatticeSpec fields build the lattice; np checks
 # the phase count; sigma > 0 selects a Gaussian of that width centred at
-# `center`; the remaining keys are ExperimentConfig fields.  A key left unset
-# takes the dataclass default.
+# `center`, sigma = 0 the uniform state; the remaining keys are
+# ExperimentConfig fields.  A key left unset takes the dataclass default.
 _CONFIG_KEYS = {
     "mass": _finite, "hbar": _finite, "v0": _finite, "delta": _finite, "spacing": _finite,
     "amplitude": _finite, "omega": _finite, "phases": _parse_phases,
@@ -194,11 +194,8 @@ def parse_config_text(text: str) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        for sep in ("=", ":"):
-            if sep in line:
-                key, _, val = line.partition(sep)
-                break
-        else:
+        key, sep, val = line.partition("=")
+        if not sep:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key = key.strip()
         if key not in _CONFIG_KEYS:
@@ -225,6 +222,8 @@ def config_from_values(values: dict, overrides: dict | None = None) -> Experimen
     sites = typed.pop("np", None)
     sigma = typed.pop("sigma", 0.0)
     center = typed.pop("center", None)
+    if sigma < 0:
+        raise ConfigError(f"sigma must be >= 0 (0 selects the uniform state), got {sigma!r}")
 
     lattice_keys = {f.name for f in dataclasses.fields(LatticeSpec)} & typed.keys()
     try:

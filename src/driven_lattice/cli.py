@@ -47,9 +47,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         elif key == "substeps":
             parser.add_argument(
                 "--substeps", dest=key,
-                help="substeps per driving period (>= 256); the monodromy groups them "
-                     "into ceil(n/3) 4th-order triple jumps, the direct integrator runs "
-                     "n 2nd-order steps; default: each integrator's own rule")
+                help="substeps per driving period (>= 256); the monodromy rounds them up "
+                     "to whole 4th-order steps of one substep per composition weight, the "
+                     "direct integrator runs n 2nd-order steps; default: each own rule")
         else:
             parser.add_argument(f"--{key.replace('_', '-')}", dest=key)
 

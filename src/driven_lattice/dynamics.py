@@ -81,10 +81,10 @@ def ring_spectra(
     basis_size = basis_size if basis_size is not None else dynamics_basis_size(spec)
     kappas = ring_kappas(spec, ring.supercells)
     monodromies = monodromy_matrix(spec, kappas, params=params, basis_size=basis_size)
-    spectra = [
-        label_by_overlap(diagonalize_monodromy(U, spec, float(kappa), grid=ring.cell))
-        for U, kappa in zip(monodromies, kappas)
-    ]
+    spectra = [diagonalize_monodromy(U, spec, float(kappa), grid=ring.cell)
+               for U, kappa in zip(monodromies, kappas)]
+    # match_band_labels carries the labels of kappa = 0 (ring_kappas[0]) to the rest
+    spectra[0] = label_by_overlap(spectra[0])
     return match_band_labels(spectra)
 
 
@@ -128,7 +128,7 @@ def decompose(initial: ComplexState, spectra) -> SpectralDecomposition:
             f"need one spectrum per ring quasimomentum "
             f"({ring.supercells}), got {len(spectra)}"
         )
-    if abs(initial.norm_squared() - 1.0) > _NORM_TOL:
+    if not abs(initial.norm_squared() - 1.0) <= _NORM_TOL:  # a NaN norm fails too
         raise ValueError("initial state must be normalized")
     spec = spectra[0].spec
     expected = ring_kappas(spec, ring.supercells)
@@ -158,7 +158,7 @@ def decompose(initial: ComplexState, spectra) -> SpectralDecomposition:
     )
     rebuilt = next(_reconstruct(dec, np.array([0]), 1))[:, 0]
     residual = float(np.sum(np.abs(initial.psi - rebuilt) ** 2) * ring.dx)
-    if residual > _RESIDUAL_TOL:
+    if not residual <= _RESIDUAL_TOL:
         raise CompletenessError(
             f"decomposition residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}; "
             "basis too small for this state"

@@ -2,12 +2,12 @@
 
 The monodromy is integrated directly in a truncated plane-wave basis
 ``exp(i (2 pi a / (n_p L) + kappa) x)``, |a| <= (B-1)/2, with the potential
-represented by its exact Fourier-coefficient (Toeplitz) matrix.  It is 4th
-order in time: Yoshida's triple jump ``S(w1 h) S(w0 h) S(w1 h)`` of the
-time-symmetric midpoint Strang substep S that the grid propagators use
-(2nd order), with the kinetic halves of adjacent substeps merged.  An
-explicit ``substeps_per_period = n`` means n potential factors, grouped
-into ceil(n/3) jumps; unset, the jump count follows omega and the basis's
+represented by its exact Fourier-coefficient (Toeplitz) matrix.  A time step
+h is ``S(w_1 h) ... S(w_r h)`` over the r weights of ``_WEIGHTS`` (summing to
+one) of the midpoint Strang substep S the grid propagators use (2nd order),
+kinetic halves of adjacent substeps merged; Yoshida's triple jump makes it
+4th order.  An explicit ``substeps_per_period = n`` means n potential factors
+in ceil(n/r) steps; unset, the step count follows omega and the basis's
 kinetic edge (`_monodromy_resolution`).
 
 Each potential factor ``exp(-i W tau / hbar)`` is its Taylor polynomial, of
@@ -55,14 +55,14 @@ _MIN_BASIS_SIZE = 41
 # the lattice's energy scale max(v0, hbar*omega)
 _CUTOFF_FACTOR = 5.0
 
-# Yoshida's triple jump S(w1 h) S(w0 h) S(w1 h) of a time-symmetric 2nd-order
-# step S is 4th order (Phys. Lett. A 150, 262, 1990)
-_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-_W0 = 1.0 - 2.0 * _W1
-# default triple jumps per period (`_default_jumps`)
-_MIN_JUMPS = 200
-_JUMPS_PER_OMEGA = 100.0
-_JUMPS_PER_EDGE_PHASE = 0.6
+# One step h of the monodromy is S(w h) for each weight w in turn, S the
+# time-symmetric 2nd-order substep.  Yoshida's triple jump (w1, 1 - 2 w1, w1),
+# w1 = 1 / (2 - 2^(1/3)), is 4th order (Phys. Lett. A 150, 262, 1990).
+_WEIGHTS = (1.3512071919596578, -1.7024143839193155, 1.3512071919596578)
+# default composition steps per period (`_default_steps`)
+_MIN_STEPS = 200
+_STEPS_PER_OMEGA = 100.0
+_STEPS_PER_EDGE_PHASE = 0.6
 
 # The eigenvalue accuracy of a truncated-basis monodromy degrades near the
 # basis edge; reports keep only this many best-converged modes.
@@ -183,8 +183,8 @@ def _edge_kinetic(spec: LatticeSpec, basis_size: int) -> float:
     return spec.hbar**2 * k_edge**2 / (2.0 * spec.mass)
 
 
-def _default_jumps(spec: LatticeSpec, basis_size: int) -> int:
-    """Triple jumps per period when no resolution is given.
+def _default_steps(spec: LatticeSpec, basis_size: int) -> int:
+    """Composition steps per period when no resolution is given.
 
     A floor, plus a share for the drive (omega) and one for the kinetic
     phase the basis's edge plane wave gathers in a period, whose commutator
@@ -194,8 +194,8 @@ def _default_jumps(spec: LatticeSpec, basis_size: int) -> int:
     2.8 and 3.2 on default bases and at omega = 1 on B = 131.
     """
     edge_phase = _edge_kinetic(spec, basis_size) * spec.period / spec.hbar
-    return max(_MIN_JUMPS,
-               math.ceil(_JUMPS_PER_OMEGA * spec.omega + _JUMPS_PER_EDGE_PHASE * edge_phase))
+    return max(_MIN_STEPS,
+               math.ceil(_STEPS_PER_OMEGA * spec.omega + _STEPS_PER_EDGE_PHASE * edge_phase))
 
 
 def _monodromy_resolution(
@@ -204,14 +204,14 @@ def _monodromy_resolution(
     basis_size: int | None = None,
 ) -> tuple[int, int]:
     """(potential substeps per period, basis size) that `monodromy_matrix`
-    uses: three substeps per triple jump, ceil(n / 3) jumps for an explicit
-    n and the basis-aware default rule otherwise."""
+    uses: steps of one substep per weight, ceil(n / len(_WEIGHTS)) steps
+    for an explicit n and the basis-aware default rule otherwise."""
     B = basis_size if basis_size is not None else default_basis_size(spec)
     if params is not None:
-        jumps = math.ceil(params.substeps_per_period / 3)
+        steps = math.ceil(params.substeps_per_period / len(_WEIGHTS))
     else:
-        jumps = _default_jumps(spec, B)
-    return 3 * jumps, B
+        steps = _default_steps(spec, B)
+    return len(_WEIGHTS) * steps, B
 
 
 def monodromy_matrix(
@@ -227,8 +227,8 @@ def monodromy_matrix(
     A scalar ``kappa`` gives one ``(B, B)`` matrix; a 1-D array of M kappas
     gives the ``(M, B, B)`` stack, built in one pass over the potential
     factors they share.  ``params`` gives the potential substeps per period
-    (rounded up to whole triple jumps); None picks them from omega and the
-    basis's kinetic edge (`_monodromy_resolution`).
+    (rounded up to whole steps of the composition); None picks them from
+    omega and the basis's kinetic edge (`_monodromy_resolution`).
     """
     substeps, B = _monodromy_resolution(spec, params, basis_size)
     if B % 2 == 0 or B < 1:
@@ -266,26 +266,27 @@ def monodromy_matrix(
             U[m] = (vecs * np.exp(-1j * vals * spec.period / spec.hbar)) @ vecs.conj().T
         return U if kappas.ndim else U[0]
 
-    # Triple jump of step h: substeps of w1 h, w0 h, w1 h, each potential
-    # factor at its own midpoint time, with the kinetic halves between two
-    # substeps merged into one row scaling.
-    jumps = substeps // 3
-    h = spec.period / jumps
-    taus = np.tile(np.array([_W1, _W0, _W1]) * h, jumps)
-    times = ((np.arange(jumps)[:, None] + np.array([_W1 / 2, 0.5, 1 - _W1 / 2])) * h).reshape(-1)
-    kin_edge = np.exp(-1j * kinetic * (_W1 * h / 2) / spec.hbar)[:, :, None]  # row scalings
-    kin_inner = np.exp(-1j * kinetic * ((_W1 + _W0) * h / 2) / spec.hbar)[:, :, None]
-    kin_after = (kin_inner, kin_inner, kin_edge * kin_edge)  # by position in the jump
+    # Step h: a substep of w h per weight, each potential factor at its own
+    # midpoint time; the kinetic halves between two substeps merge into one
+    # row scaling, and two steps meet in the last half times the first.
+    weights, stages = np.array(_WEIGHTS), len(_WEIGHTS)
+    steps = substeps // stages
+    h = spec.period / steps
+    taus = np.tile(weights * h, steps)
+    times = ((np.arange(steps)[:, None] + (np.cumsum(weights) - weights / 2)) * h).reshape(-1)
+    halves = [weights[0], *(weights[:-1] + weights[1:]), weights[-1]]  # first, merged, last
+    kin = [np.exp(-1j * kinetic * (w * h / 2) / spec.hbar)[:, :, None] for w in halves]
+    kin_after = kin[1:-1] + [kin[-1] * kin[0]]  # by position in the step
 
     # ||W|| <= sum_n |c_n| <= n_p * sum(envelope) for the Toeplitz matrix W;
     # scaling by 2^squarings keeps theta below 1 and so the degree small
-    theta = spec.sites_per_cell * envelope.sum() * abs(_W0) * h / spec.hbar
+    theta = spec.sites_per_cell * envelope.sum() * np.abs(weights).max() * h / spec.hbar
     squarings = max(0, math.frexp(theta)[1])
     degree = _taylor_degree(theta / 2**squarings)
     chunk = max(1, _CHUNK_BYTES // (16 * B * B))
     # x and the Taylor work space, reused by every chunk
     work = np.empty((_block_size(degree) + 2, min(chunk, substeps), B, B), dtype=complex)
-    U = np.stack([np.diag(kh) for kh in kin_edge[:, :, 0]])  # (M, B, B)
+    U = np.stack([np.diag(kh) for kh in kin[0][:, :, 0]])  # (M, B, B)
     for start in range(0, substeps, chunk):
         stop = min(start + chunk, substeps)
         coeffs = _potential_coefficients(spec, q, envelope, times[start:stop])
@@ -297,7 +298,7 @@ def monodromy_matrix(
         for j in range(stop - start):
             # one (B, B) product per kappa, then that kappa's kinetic row scaling
             U = np.matmul(exp_w[j], U)
-            U = (kin_after[(start + j) % 3] if start + j < substeps - 1 else kin_edge) * U
+            U = (kin_after[(start + j) % stages] if start + j < substeps - 1 else kin[-1]) * U
 
     deviation = np.abs(np.matmul(U.conj().transpose(0, 2, 1), U) - np.eye(B)).max()
     if not deviation <= _UNITARITY_TOL:

@@ -122,6 +122,15 @@ class TestConfigParsing:
         with pytest.raises(dl.ConfigError, match="unknown key"):
             analysis.parse_config_text("flux_capacitor = 1\n")
 
+    def test_only_equals_separates_key_and_value(self):
+        with pytest.raises(dl.ConfigError, match="expected 'key = value'"):
+            analysis.parse_config_text("omega: 2.0\n")
+
+    def test_negative_sigma_rejected(self):
+        with pytest.raises(dl.ConfigError, match="sigma"):
+            analysis.config_from_values({"sigma": "-5"})
+        assert analysis.config_from_values({"sigma": "0"}).initial == dl.UniformState()
+
     def test_phase_token_forms(self):
         values = {"phases": "0.5pi,-pi,0", "np": "3"}
         config = analysis.config_from_values(values)
@@ -388,6 +397,8 @@ class TestCli:
             ["modes", "--phases", "0,nan,0"],
             ["sweep", "--omega-start", "2.7", "--omega-stop", "2.8", "--omega-step", "nan"],
             ["evolve", "--sigma", "nan"],
+            # only sigma = 0 selects the uniform state
+            ["evolve", "--sigma", "-5"],
         ):
             code = cli.main([*argv, "--substeps", "512", "--outdir", str(tmp_path)])
             assert code == 2, argv

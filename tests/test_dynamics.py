@@ -160,6 +160,13 @@ class TestDecompose:
         with pytest.raises(ValueError, match="normalized"):
             dl.decompose(dl.ComplexState(2.0 * state.psi, ring2), spectra2)
 
+    def test_nan_state_raises(self, spectra2):
+        # NaN passes no `>` bound, so every check is written `not x <= tol`
+        ring1 = dl.RingDomain(dl.SupercellGrid.for_spec(REF, 480), 1)
+        nan_state = dl.ComplexState(np.full(ring1.points, np.nan, dtype=complex), ring1)
+        with pytest.raises(ValueError, match="normalized"):
+            dl.decompose(nan_state, spectra2[:1])
+
 
 class TestReconstruction:
     def test_single_mode_populations_stationary(self, ring2, spectra2):

@@ -13,8 +13,11 @@ REF = dl.LatticeSpec()
 FAST = dl.PropagationParams(substeps_per_period=512)
 
 
-W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))  # Yoshida's triple-jump weights
-W0 = 1.0 - 2.0 * W1
+W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+YOSHIDA = (W1, 1.0 - 2.0 * W1, W1)  # the triple jump, 4th order
+STRANG = (1.0,)  # the bare midpoint substep, 2nd order
+P = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
+SUZUKI = (P, P, 1.0 - 4.0 * P, P, P)  # Suzuki's 5-stage composition, 4th order
 
 
 def _eigh_factor(spec, q, envelope, idx, t, tau):
@@ -24,40 +27,38 @@ def _eigh_factor(spec, q, envelope, idx, t, tau):
     return (vecs * np.exp(-1j * vals * tau / spec.hbar)) @ vecs.conj().T
 
 
-def eigh_monodromy(spec, kappa, params, basis_size):
-    """Reference monodromy: ceil(n/3) triple jumps S(w1 h) S(w0 h) S(w1 h)
-    of the midpoint Strang substep, unmerged kinetic halves and every
-    potential factor exponentiated by Hermitian eigendecomposition."""
+def eigh_monodromy(spec, kappa, params, basis_size, weights=YOSHIDA):
+    """Reference monodromy: ceil(n/r) steps S(w_1 h) ... S(w_r h) of the
+    midpoint Strang substep over the r weights, unmerged kinetic halves and
+    every potential factor exponentiated by Hermitian eigendecomposition."""
     B = basis_size
-    jumps = math.ceil(params.substeps_per_period / 3)
-    h = spec.period / jumps
+    steps = math.ceil(params.substeps_per_period / len(weights))
+    h = spec.period / steps
     k = dl.basis_wavenumbers(spec, B, kappa)
     kinetic = spec.hbar * k**2 / (2 * spec.mass)  # kinetic energy / hbar
     q, envelope = floquet._fourier_ladder(spec, B)
     idx = (B - 1) + np.arange(B)[:, None] - np.arange(B)[None, :]
     U = np.eye(B, dtype=complex)
-    for j in range(jumps):
+    for j in range(steps):
         t = j * h
-        for tau in (W1 * h, W0 * h, W1 * h):
+        for tau in (w * h for w in weights):
             half = np.exp(-1j * kinetic * tau / 2)[:, None]
             U = half * (_eigh_factor(spec, q, envelope, idx, t + tau / 2, tau) @ (half * U))
             t += tau
     return U
 
 
-def strang_monodromy(spec, kappa, params, basis_size):
-    """The 2nd-order scheme the triple jump replaced: n midpoint Strang
-    substeps with eigendecomposed potential factors."""
-    B, n = basis_size, params.substeps_per_period
-    dt = spec.period / n
-    k = dl.basis_wavenumbers(spec, B, kappa)
-    kin_half = np.exp(-1j * spec.hbar * k**2 * dt / (4 * spec.mass))[:, None]
-    q, envelope = floquet._fourier_ladder(spec, B)
-    idx = (B - 1) + np.arange(B)[:, None] - np.arange(B)[None, :]
-    U = np.eye(B, dtype=complex)
-    for j in range(n):
-        U = kin_half * (_eigh_factor(spec, q, envelope, idx, (j + 0.5) * dt, dt) @ (kin_half * U))
-    return U
+def _halving_ratio(spec, kappa, exact_steps):
+    """max |U - U_exact| at 100 steps over that at 200, against a run of
+    `exact_steps` steps of the current weights."""
+    stages = len(floquet._WEIGHTS)
+    exact = dl.monodromy_matrix(spec, kappa, dl.PropagationParams(stages * exact_steps), 41)
+    errors = [
+        np.abs(dl.monodromy_matrix(spec, kappa, dl.PropagationParams(stages * steps), 41)
+               - exact).max()
+        for steps in (100, 200)
+    ]
+    return errors[0] / errors[1]
 
 
 def free_quasienergies(spec, alphas):
@@ -112,16 +113,24 @@ class TestMonodromy:
         assert np.array_equal(stacked[0], U)
         assert np.abs(stacked[1] - eigh_monodromy(spec, kappas[1], params, B)).max() < 1e-12
 
+    def test_weights_are_yoshidas_triple_jump(self):
+        assert floquet._WEIGHTS == YOSHIDA
+
     def test_fourth_order_in_the_step(self):
-        # halving the triple-jump step divides the error by about 2^4
-        spec, kappa = REF, 0.3 * REF.brillouin_edge
-        exact = dl.monodromy_matrix(spec, kappa, dl.PropagationParams(3 * 1600), 41)
-        errors = [
-            np.abs(dl.monodromy_matrix(spec, kappa, dl.PropagationParams(3 * jumps), 41)
-                   - exact).max()
-            for jumps in (100, 200)
-        ]
-        assert 12.0 <= errors[0] / errors[1] <= 20.0
+        # halving the step divides the error by about 2^4
+        assert 12.0 <= _halving_ratio(REF, 0.3 * REF.brillouin_edge, 1600) <= 20.0
+
+    @pytest.mark.parametrize("weights", [STRANG, SUZUKI], ids=["strang", "suzuki"])
+    def test_weights_tuple_alone_defines_the_composition(self, monkeypatch, weights):
+        # another tuple runs its own scheme through the same loop, so the
+        # loop holds nothing of the triple jump
+        monkeypatch.setattr(floquet, "_WEIGHTS", weights)
+        kappa = 0.3 * REF.brillouin_edge
+        assert floquet._monodromy_resolution(REF, FAST)[0] % len(weights) == 0
+        U = dl.monodromy_matrix(REF, kappa, FAST, basis_size=41)
+        assert np.abs(U - eigh_monodromy(REF, kappa, FAST, 41, weights)).max() < 1e-12
+        if weights is SUZUKI:
+            assert 12.0 <= _halving_ratio(REF, kappa, 800) <= 20.0
 
     @pytest.mark.parametrize("omega, B", [(1.0, 41), (2.8, 53)])
     def test_default_resolution_no_worse_than_strang_default(self, omega, B):
@@ -130,7 +139,7 @@ class TestMonodromy:
         # monodromy is a converged 2048-jump one
         spec = replace(REF, omega=omega)
         exact = dl.monodromy_matrix(spec, 0.0, dl.PropagationParams(3 * 2048), B)
-        strang = strang_monodromy(spec, 0.0, dl.default_params(spec), B)
+        strang = eigh_monodromy(spec, 0.0, dl.default_params(spec), B, STRANG)
         default = dl.monodromy_matrix(spec, 0.0, basis_size=B)
         assert np.abs(default - exact).max() <= np.abs(strang - exact).max()
 
@@ -138,7 +147,7 @@ class TestMonodromy:
         params = dl.PropagationParams(substeps_per_period=256)
         assert floquet._monodromy_resolution(REF, params) == (258, 41)
         substeps, B = floquet._monodromy_resolution(REF, None, 131)
-        assert (substeps, B) == (3 * floquet._default_jumps(REF, 131), 131)
+        assert (substeps, B) == (3 * floquet._default_steps(REF, 131), 131)
         assert substeps > floquet._monodromy_resolution(REF)[0]
 
     @pytest.mark.parametrize(

@@ -1,15 +1,17 @@
 """Checks of the experiment scripts and of what the benchmark calls.
 
-``single_cell_modes.py`` runs in seconds and is run whole.  The others take
-minutes, so they are only checked statically: every package name they use
-must exist, which catches a script left calling a removed name.  The
-benchmark's child process and the functions its per-layer metrics name are
-checked the same way.
+``single_cell_modes.py`` and the README's library quick start run in
+seconds and are run whole.  The other scripts take minutes, so they are
+only checked statically: every package name they use must exist, which
+catches a script left calling a removed name.  The benchmark's child
+process and the functions its per-layer metrics name are checked the same
+way.
 """
 
 import ast
 import importlib.util
 import json
+import re
 import runpy
 from pathlib import Path
 
@@ -90,3 +92,14 @@ def test_single_cell_modes_runs(tmp_path, monkeypatch, capsys):
     assert written == ["modes.csv", "trace_full.csv", "trace_three_mode.csv",
                        "trace_two_mode.csv"]
     assert "interference period of the (0, 2) pair" in capsys.readouterr().out
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md quick start", "exec"), namespace)
+    assert namespace["U"].shape == (16, 41, 41)
+    assert namespace["trace"].values.shape == (48, 401)  # 16 cells of 3 sites
+    assert 70 < float(capsys.readouterr().out) < 85  # the ~77-period comment
