@@ -26,7 +26,6 @@ from .propagate import (
     PropagationParams,
     default_params,
     evolve_ring,
-    evolve_twisted,
 )
 from .floquet import (
     FloquetSpectrum,

@@ -69,7 +69,7 @@ class ExperimentConfig:
     initial: GaussianState | UniformState
     domain: str = "supercell"            # "supercell" (kappa = 0) or "ring"
     supercells: int = 16
-    grid_points: int = 480               # per supercell; divisible by n_p
+    grid_points: int = 480               # per supercell; site edges may fall between samples
     substeps: int | None = None          # None: each integrator's default
     horizon: int = 400
     omega_start: float | None = None
@@ -310,7 +310,7 @@ def _sweep_point(config: ExperimentConfig, omega: float, with_populations: bool)
     gap = np.abs(fold_quasienergy(eps[1:] - eps[0], spectrum.spec)).min()
     n_max, arg_site, arg_m = math.nan, -1, -1
     if with_populations:
-        state = make_initial_state(config.initial, RingDomain(spectrum.grid, 1))
+        state = config.make_initial_state()
         trace = population_trace(decompose(state, [spectrum]), range(config.horizon + 1))
         flat = int(np.argmax(trace.values))
         arg_site, arg_m = np.unravel_index(flat, trace.values.shape)
@@ -641,9 +641,11 @@ def read_sweep_csv(path) -> tuple[np.ndarray, np.ndarray]:
     if len(table) < 2:
         raise ConfigError(f"no sweep records found in {path}")
     header, *rows = table
-    omega, overlap = header.index("omega"), header.index("overlap")
-    return (np.array([float(row[omega]) for row in rows]),
-            np.array([float(row[overlap]) for row in rows]))
+    try:
+        columns = [header.index("omega"), header.index("overlap")]
+        return tuple(np.array([float(row[c]) for row in rows]) for c in columns)
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"{path} has no readable omega and overlap columns: {exc}") from exc
 
 
 def output_path(config: ExperimentConfig, name: str) -> Path:

@@ -33,7 +33,7 @@ from .floquet import (
     match_band_labels,
     monodromy_matrix,
 )
-from .lattice import ComplexState, LatticeSpec, RingDomain
+from .lattice import ComplexState, LatticeSpec, RingDomain, _in_first_zone
 from .propagate import PropagationParams, evolve_ring
 
 _RESIDUAL_TOL = 1e-4
@@ -58,8 +58,7 @@ def ring_kappas(spec: LatticeSpec, supercells: int) -> np.ndarray:
     """Quasimomentum ladder 2 pi j / (M n_p L) folded into the first zone."""
     j = np.arange(supercells)
     kappas = 2.0 * math.pi * j / (supercells * spec.cell_length)
-    return np.where(kappas > spec.brillouin_edge * (1 + 1e-12),
-                    kappas - 2.0 * spec.brillouin_edge, kappas)
+    return np.where(_in_first_zone(kappas, spec), kappas, kappas - 2.0 * spec.brillouin_edge)
 
 
 def ring_spectra(
@@ -93,7 +92,7 @@ class SpectralDecomposition:
     """Expansion of a ring state over Floquet-Bloch modes at time 0.
 
     ``coefficients[j, i]`` is the amplitude on mode ``i`` (in the spectrum's
-    label order) at ring quasimomentum ``kappas[j]``.  ``modes[j]`` holds the
+    label order) at ring quasimomentum ``spectra[j].kappa``.  ``modes[j]`` holds the
     supercell samples of those modes (cell points x bands, Bloch phase
     included) and ``quasienergies[j]`` their quasienergies.  ``residual`` is
     the squared norm left outside the retained basis, measured by
@@ -103,7 +102,6 @@ class SpectralDecomposition:
     spec: LatticeSpec
     ring: RingDomain
     spectra: tuple[FloquetSpectrum, ...]
-    kappas: np.ndarray
     coefficients: np.ndarray
     modes: np.ndarray = field(repr=False)
     quasienergies: np.ndarray = field(repr=False)
@@ -120,8 +118,6 @@ def decompose(initial: ComplexState, spectra) -> SpectralDecomposition:
     outside the retained basis (basis too small).
     """
     ring = initial.grid
-    if not isinstance(ring, RingDomain):
-        raise GridMismatchError("decompose expects a state on a ring domain")
     spectra = tuple(spectra)
     if len(spectra) != ring.supercells:
         raise ValueError(
@@ -131,10 +127,9 @@ def decompose(initial: ComplexState, spectra) -> SpectralDecomposition:
     if not abs(initial.norm_squared() - 1.0) <= _NORM_TOL:  # a NaN norm fails too
         raise ValueError("initial state must be normalized")
     spec = spectra[0].spec
-    expected = ring_kappas(spec, ring.supercells)
     tol = _ALIGNMENT_TOL * 2.0 * spec.brillouin_edge
     basis = spectra[0].basis_size
-    for spectrum, kappa in zip(spectra, expected):
+    for spectrum, kappa in zip(spectra, ring_kappas(spec, ring.supercells)):
         if abs(spectrum.kappa - kappa) > tol:
             raise ValueError("spectra are not aligned with the ring kappa ladder")
         if spectrum.basis_size != basis:
@@ -150,7 +145,6 @@ def decompose(initial: ComplexState, spectra) -> SpectralDecomposition:
         spec=spec,
         ring=ring,
         spectra=spectra,
-        kappas=expected,
         coefficients=coeffs,
         modes=modes,
         quasienergies=np.stack([spectrum.quasienergies for spectrum in spectra]),
@@ -318,14 +312,13 @@ def direct_population_trace(
     spec: LatticeSpec,
     params: PropagationParams,
     max_period: int,
-    sites=None,
 ) -> PopulationTrace:
     """Site populations from direct period-by-period ring integration.
 
     Independent of the mode decomposition; used as the brute-force reference
     for the stroboscopic reconstruction.
     """
-    site_indices, weights = site_weights(spec, initial.grid, sites)
+    site_indices, weights = site_weights(spec, initial.grid)
     periods = np.arange(max_period + 1)
     values = np.empty((len(site_indices), len(periods)))
     state = initial

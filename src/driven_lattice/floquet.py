@@ -40,7 +40,8 @@ from scipy.linalg.blas import zaxpy
 from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigError, UnitarityError
-from .lattice import LatticeSpec, SupercellGrid, UniformState, make_initial_state
+from .lattice import LatticeSpec, RingDomain, SupercellGrid, UniformState, make_initial_state
+from .lattice import _in_first_zone
 from .propagate import PropagationParams
 
 _UNITARITY_TOL = 1e-8
@@ -236,7 +237,7 @@ def monodromy_matrix(
     kappas = np.asarray(kappa, dtype=float)
     if kappas.ndim > 1 or kappas.size == 0:
         raise ConfigError("kappa must be a number or a non-empty 1-D array")
-    if not np.abs(kappas).max() <= spec.brillouin_edge * (1 + 1e-12):
+    if not np.all(_in_first_zone(kappas, spec)):
         raise ConfigError("kappa outside the first Brillouin zone")
     # an undriven lattice absorbs no drive quanta, so only v0 sets the scale
     demand = _CUTOFF_FACTOR * max(
@@ -340,7 +341,7 @@ class FloquetSpectrum:
 
     def uniform_weights(self) -> np.ndarray:
         """Squared overlaps |<mode_i | uniform>|^2 with the uniform state."""
-        uniform = make_initial_state(UniformState(), self.grid)
+        uniform = make_initial_state(UniformState(), RingDomain(self.grid, 1))
         return np.abs((self.samples.conj().T @ uniform.psi) * self.grid.dx) ** 2
 
     def mean_kinetic(self) -> np.ndarray:

@@ -79,6 +79,12 @@ class LatticeSpec:
         )
 
 
+def _in_first_zone(kappa, spec: LatticeSpec):
+    """Whether |kappa| lies in the first Brillouin zone, elementwise, with
+    a relative slack of 1e-12 for the roundoff of a folded ladder."""
+    return np.abs(kappa) <= spec.brillouin_edge * (1 + 1e-12)
+
+
 def potential(x, t: float, spec: LatticeSpec) -> np.ndarray:
     """Driven lattice potential V(x, t), vectorized over positions.
 
@@ -130,7 +136,8 @@ class SupercellGrid:
 
 @dataclass(frozen=True)
 class RingDomain:
-    """Periodic chain of `supercells` copies of a supercell grid.
+    """Periodic chain of `supercells` copies of a supercell grid, the one
+    domain a state lives on; a lone supercell is ``RingDomain(cell, 1)``.
 
     Realizes the extended lattice at finite size; position ``length`` is
     identified with 0.  The ring quantizes the quasimomentum to the ladder
@@ -160,21 +167,20 @@ class RingDomain:
         return np.arange(self.points) * self.dx
 
 
-Domain = SupercellGrid | RingDomain
-
-
 @dataclass(frozen=True)
 class ComplexState:
-    """Sampled wave function on a grid; amplitudes carry 1/sqrt(length) units.
+    """Sampled wave function on a ring; amplitudes carry 1/sqrt(length) units.
 
     The sample array is frozen at construction; evolution operators always
     return fresh states, so instances are safe to share across workers.
     """
 
     psi: np.ndarray
-    grid: Domain
+    grid: RingDomain
 
     def __post_init__(self):
+        if not isinstance(self.grid, RingDomain):
+            raise GridMismatchError("a state lives on a ring: RingDomain(cell, 1) for one cell")
         psi = np.asarray(self.psi, dtype=complex)
         if psi.shape != (self.grid.points,):
             raise GridMismatchError(
@@ -221,21 +227,24 @@ class UniformState:
 InitialStateSpec = GaussianState | UniformState
 
 
-def make_initial_state(state_spec: InitialStateSpec, domain: Domain) -> ComplexState:
+def make_initial_state(state_spec: InitialStateSpec, domain: RingDomain) -> ComplexState:
     """Sample and normalize an initial state on `domain`.
 
     A Gaussian is rejected when its amplitude at the domain seam (the point
     identified with 0 on the ring) exceeds 1e-3 of the peak, since the
-    sampled state would carry a visible wrap-around kink.
+    sampled state would carry a visible wrap-around kink, and when its
+    width under- or overflows or its samples have no finite, positive norm.
     """
     x = domain.positions()
     if isinstance(state_spec, UniformState):
         psi = np.full(domain.points, 1.0 / math.sqrt(domain.length), dtype=complex)
         return ComplexState(psi, domain)
     sigma = state_spec.width
-    psi = (math.pi * sigma**2) ** -0.25 * np.exp(
-        -((x - state_spec.center) ** 2) / (2.0 * sigma**2)
-    )
+    try:
+        scale = (math.pi * sigma**2) ** -0.25
+    except ArithmeticError as exc:  # sigma^2 underflows to 0 or overflows
+        raise ValueError(f"gaussian width {sigma:.4g} is out of range") from exc
+    psi = scale * np.exp(-((x - state_spec.center) ** 2) / (2.0 * sigma**2))
     edge = max(
         math.exp(-(state_spec.center**2) / (2 * sigma**2)),
         math.exp(-((domain.length - state_spec.center) ** 2) / (2 * sigma**2)),
@@ -247,4 +256,8 @@ def make_initial_state(state_spec: InitialStateSpec, domain: Domain) -> ComplexS
             "domain too small"
         )
     state = ComplexState(psi.astype(complex), domain)
-    return state.normalized()
+    norm = state.norm()
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"gaussian (sigma={sigma:.4g}, center={state_spec.center:.4g}) "
+                         f"samples to norm {norm:.3g} on the domain")
+    return ComplexState(state.psi / norm, domain)

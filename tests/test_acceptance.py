@@ -224,22 +224,21 @@ def test_criterion_11_numerical_hygiene(ref_spec):
     params = dl.default_params(ref_spec)
 
     # (a) norm drift over 400 periods
-    grid = dl.SupercellGrid.for_spec(ref_spec, 256)
+    grid = dl.RingDomain(dl.SupercellGrid.for_spec(ref_spec, 256), 1)
     rng = np.random.default_rng(21)
     state = dl.ComplexState(
         rng.normal(size=grid.points) + 1j * rng.normal(size=grid.points), grid
     ).normalized()
-    evolved = dl.evolve_twisted(state, 0.0, ref_spec, params, 400 * ref_spec.period)
+    evolved = dl.evolve_ring(state, ref_spec, params, 400 * ref_spec.period)
     drift = abs(evolved.norm() - 1.0)
 
     # (b) forward-backward round trip via time reversal
-    grid480 = dl.SupercellGrid.for_spec(ref_spec, 480)
+    grid480 = dl.RingDomain(dl.SupercellGrid.for_spec(ref_spec, 480), 1)
     packet = dl.make_initial_state(dl.GaussianState(15.0, 3.0), grid480)
-    forward = dl.evolve_twisted(packet, 0.0, ref_spec, params, ref_spec.period)
+    forward = dl.evolve_ring(packet, ref_spec, params, ref_spec.period)
     reversed_spec = replace(ref_spec, phases=tuple(-p for p in ref_spec.phases))
-    back = dl.evolve_twisted(
-        dl.ComplexState(forward.psi.conj(), grid480), 0.0, reversed_spec, params,
-        ref_spec.period,
+    back = dl.evolve_ring(
+        dl.ComplexState(forward.psi.conj(), grid480), reversed_spec, params, ref_spec.period,
     )
     round_trip = math.sqrt(
         np.sum(np.abs(back.psi.conj() - packet.psi) ** 2) * grid480.dx
@@ -247,12 +246,12 @@ def test_criterion_11_numerical_hygiene(ref_spec):
 
     # (c) second-order convergence under substep halving
     def error(substeps):
-        coarse = dl.evolve_twisted(
-            packet, 0.0, ref_spec,
+        coarse = dl.evolve_ring(
+            packet, ref_spec,
             dl.PropagationParams(substeps_per_period=substeps), ref_spec.period,
         )
-        fine = dl.evolve_twisted(
-            packet, 0.0, ref_spec,
+        fine = dl.evolve_ring(
+            packet, ref_spec,
             dl.PropagationParams(substeps_per_period=4 * substeps), ref_spec.period,
         )
         return math.sqrt(np.sum(np.abs(coarse.psi - fine.psi) ** 2) * grid480.dx)

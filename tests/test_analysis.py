@@ -399,6 +399,13 @@ class TestCli:
             ["evolve", "--sigma", "nan"],
             # only sigma = 0 selects the uniform state
             ["evolve", "--sigma", "-5"],
+            # a Gaussian whose samples underflow to nothing, or whose width does
+            ["evolve", "--domain", "ring", "--supercells", "2", "--sigma", "5",
+             "--center", "100000"],
+            ["evolve", "--domain", "ring", "--supercells", "2", "--sigma", "5",
+             "--center", "100000", "--method", "direct"],
+            ["evolve", "--sigma", "1e-200"],
+            ["evolve", "--sigma", "1e200"],
         ):
             code = cli.main([*argv, "--substeps", "512", "--outdir", str(tmp_path)])
             assert code == 2, argv
@@ -444,6 +451,16 @@ class TestCli:
             ])
             assert code == 2, argv
             assert "not a driven-lattice sweep" in capsys.readouterr().err, argv
+        # sweep files with a valid header but unreadable columns
+        header = "# driven-lattice 0.1.0 sweep\n"
+        for name, body in (("no_overlap", "omega,gap\n2.5,0.1\n"),
+                           ("short_row", "omega,n_max,overlap\n2.5,0.1\n"),
+                           ("not_a_number", "omega,overlap\n2.5,abc\n")):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(header + body)
+            code = cli.main(["resonances", "--outdir", str(tmp_path), "--sweep-csv", str(path)])
+            assert code == 2, name
+            assert f"{name}.csv" in capsys.readouterr().err, name
 
     def test_tolerance_violation_exit_code(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):

@@ -225,19 +225,19 @@ class TestReconstruction:
 
 class TestSitePopulations:
     def test_uniform_thirds(self, grid480):
-        state = dl.make_initial_state(dl.UniformState(), grid480)
+        state = dl.make_initial_state(dl.UniformState(), dl.RingDomain(grid480, 1))
         pops = dl.site_populations(state, REF)
         assert np.abs(pops - 1.0 / 3.0).max() < 1e-12
 
     def test_site_interval_convention(self, grid480):
         # site s covers [(s-1) L, s L): a packet at x = 5 lives in site 1
-        state = dl.make_initial_state(dl.GaussianState(5.0, 1.0), grid480)
+        state = dl.make_initial_state(dl.GaussianState(5.0, 1.0), dl.RingDomain(grid480, 1))
         pops = dl.site_populations(state, REF)
         assert int(np.argmax(pops)) == 1
         assert pops[1] > 0.999
 
     def test_totals_close_on_misaligned_grid(self):
-        grid = dl.SupercellGrid.for_spec(REF, 512)  # 512 not divisible by 3
+        grid = dl.RingDomain(dl.SupercellGrid.for_spec(REF, 512), 1)  # 512 not divisible by 3
         rng = np.random.default_rng(0)
         state = dl.ComplexState(
             rng.normal(size=512) + 1j * rng.normal(size=512), grid

@@ -267,8 +267,8 @@ class TestDiagonalize:
         order = np.argsort(spectrum.mean_kinetic(), kind="stable")[:20]
         worst = 0.0
         for i in order:
-            mode = dl.ComplexState(spectrum.samples[:, i], grid480)
-            evolved = dl.evolve_twisted(mode, kappa, REF, params, REF.period)
+            mode = dl.ComplexState(spectrum.samples[:, i], dl.RingDomain(grid480, 1))
+            evolved = dl.evolve_ring(mode, REF, params, REF.period, kappa=kappa)
             phase = np.exp(-1j * spectrum.quasienergies[i] * REF.period / REF.hbar)
             expected = phase * mode.psi
             diff = math.sqrt(np.sum(np.abs(evolved.psi - expected) ** 2) * grid480.dx)
@@ -311,7 +311,8 @@ class TestLabeling:
         # the slow population oscillation is carried by a strongly localized
         # mode that outweighs the second one in any single site
         localization = [
-            site_populations(dl.ComplexState(spectrum_w1.samples[:, i], spectrum_w1.grid),
+            site_populations(dl.ComplexState(spectrum_w1.samples[:, i],
+                                             dl.RingDomain(spectrum_w1.grid, 1)),
                              REF).max()
             for i in (1, 2)
         ]

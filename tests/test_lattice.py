@@ -105,7 +105,7 @@ class TestGrids:
 
 class TestStates:
     def test_uniform_amplitude_and_norm(self):
-        grid = dl.SupercellGrid.for_spec(REF, 480)
+        grid = dl.RingDomain(dl.SupercellGrid.for_spec(REF, 480), 1)
         state = dl.make_initial_state(dl.UniformState(), grid)
         assert np.allclose(state.psi, 1.0 / math.sqrt(30.0))
         assert state.norm_squared() == pytest.approx(1.0, abs=1e-14)
@@ -139,7 +139,7 @@ class TestStates:
         assert std == pytest.approx(1.0 / (sigma * math.sqrt(2.0)), rel=0.01)
 
     def test_state_samples_are_frozen(self):
-        grid = dl.SupercellGrid.for_spec(REF, 480)
+        grid = dl.RingDomain(dl.SupercellGrid.for_spec(REF, 480), 1)
         state = dl.make_initial_state(dl.UniformState(), grid)
         with pytest.raises(ValueError):
             state.psi[0] = 1.0
@@ -147,12 +147,12 @@ class TestStates:
 
 class TestInner:
     def test_normalized_self_inner(self):
-        grid = dl.SupercellGrid.for_spec(REF, 480)
+        grid = dl.RingDomain(dl.SupercellGrid.for_spec(REF, 480), 1)
         state = dl.make_initial_state(dl.GaussianState(15.0, 3.0), grid)
         assert dl.inner(state, state) == pytest.approx(1.0, abs=1e-12)
 
     def test_plane_wave_orthogonality(self):
-        grid = dl.SupercellGrid.for_spec(REF, 512)
+        grid = dl.RingDomain(dl.SupercellGrid.for_spec(REF, 512), 1)
         x = grid.positions()
         k1 = 2 * math.pi * 3 / grid.length
         k2 = 2 * math.pi * 7 / grid.length
@@ -164,7 +164,7 @@ class TestInner:
         # independent oracle: repeat the quadrature at double resolution
         values = []
         for points in (512, 1024):
-            grid = dl.SupercellGrid.for_spec(REF, points)
+            grid = dl.RingDomain(dl.SupercellGrid.for_spec(REF, points), 1)
             u = dl.make_initial_state(dl.UniformState(), grid)
             g = dl.make_initial_state(dl.GaussianState(15.0, 3.0), grid)
             values.append(dl.inner(u, g))
@@ -173,8 +173,9 @@ class TestInner:
         assert abs(values[0] - values[1]) < 1e-9
 
     def test_grid_mismatch_raises(self):
-        a = dl.make_initial_state(dl.UniformState(), dl.SupercellGrid.for_spec(REF, 480))
-        b = dl.make_initial_state(dl.UniformState(), dl.SupercellGrid.for_spec(REF, 512))
+        a, b = (dl.make_initial_state(dl.UniformState(),
+                                      dl.RingDomain(dl.SupercellGrid.for_spec(REF, n), 1))
+                for n in (480, 512))
         with pytest.raises(dl.GridMismatchError):
             dl.inner(a, b)
 
@@ -182,7 +183,7 @@ class TestInner:
     @given(st.integers(0, 10_000))
     def test_sesquilinearity_and_symmetry(self, seed):
         rng = np.random.default_rng(seed)
-        grid = dl.SupercellGrid(30.0, 32)
+        grid = dl.RingDomain(dl.SupercellGrid(30.0, 32), 1)
         va = rng.normal(size=32) + 1j * rng.normal(size=32)
         vb = rng.normal(size=32) + 1j * rng.normal(size=32)
         a = dl.ComplexState(va, grid)

@@ -40,12 +40,12 @@ class TestParams:
 class TestTwisted:
     def test_free_plane_wave_acquires_kinetic_phase(self):
         spec = dl.LatticeSpec(v0=0.0)
-        grid = dl.SupercellGrid.for_spec(spec, 512)
+        grid = dl.RingDomain(dl.SupercellGrid.for_spec(spec, 512), 1)
         x = grid.positions()
         k = 2 * math.pi * 5 / spec.cell_length
         kappa = 0.4 * spec.brillouin_edge
         state = dl.ComplexState(np.exp(1j * (k + kappa) * x) / math.sqrt(30.0), grid)
-        evolved = dl.evolve_twisted(state, kappa, spec, FAST, spec.period)
+        evolved = dl.evolve_ring(state, spec, FAST, spec.period, kappa=kappa)
         phase = np.exp(-1j * spec.hbar * (k + kappa) ** 2 * spec.period / (2 * spec.mass))
         assert state_distance(evolved, dl.ComplexState(phase * state.psi, grid)) < 1e-10
 
@@ -53,7 +53,7 @@ class TestTwisted:
         # <H> drift is dt^2-limited (~5e-8 at 2048 substeps), so this runs at
         # 8192 substeps on the coarsest grid that still resolves the barrier
         spec = dl.LatticeSpec(amplitude=0.0)
-        grid = dl.SupercellGrid.for_spec(spec, 256)
+        grid = dl.RingDomain(dl.SupercellGrid.for_spec(spec, 256), 1)
         state = dl.make_initial_state(dl.GaussianState(15.0, 3.0), grid)
         params = dl.PropagationParams(substeps_per_period=8192)
 
@@ -70,32 +70,33 @@ class TestTwisted:
         evolved = state
         worst = 0.0
         for _ in range(100):
-            evolved = dl.evolve_twisted(evolved, 0.0, spec, params, spec.period)
+            evolved = dl.evolve_ring(evolved, spec, params, spec.period)
             worst = max(worst, abs(energy(evolved) - initial))
         assert worst < 1e-8
 
     def test_norm_preserved_over_forty_periods(self):
-        grid = dl.SupercellGrid.for_spec(REF, 512)
+        grid = dl.RingDomain(dl.SupercellGrid.for_spec(REF, 512), 1)
         rng = np.random.default_rng(3)
         state = dl.ComplexState(
             rng.normal(size=512) + 1j * rng.normal(size=512), grid
         ).normalized()
-        evolved = dl.evolve_twisted(state, 0.0, REF, dl.default_params(REF), 40 * REF.period)
+        evolved = dl.evolve_ring(state, REF, dl.default_params(REF), 40 * REF.period)
         assert abs(evolved.norm() - 1.0) < 1e-8
 
     def test_rejects_bad_arguments(self):
         grid = dl.SupercellGrid.for_spec(REF, 512)
-        state = dl.make_initial_state(dl.UniformState(), grid)
+        state = dl.make_initial_state(dl.UniformState(), dl.RingDomain(grid, 1))
         with pytest.raises(ValueError, match="Brillouin"):
-            dl.evolve_twisted(state, 2 * REF.brillouin_edge, REF, FAST, 1.0)
-        with pytest.raises(ValueError, match="duration"):
-            dl.evolve_twisted(state, 0.0, REF, FAST, 0.0)
-        ring = dl.RingDomain(grid, 2)
-        ring_state = dl.make_initial_state(dl.UniformState(), ring)
+            dl.evolve_ring(state, REF, FAST, 1.0, kappa=2 * REF.brillouin_edge)
+        for duration in (0.0, math.nan):
+            with pytest.raises(ValueError, match="duration"):
+                dl.evolve_ring(state, REF, FAST, duration)
+        # a state lives on a ring, and the ring's cell must be the lattice's
         with pytest.raises(dl.GridMismatchError):
-            dl.evolve_twisted(ring_state, 0.0, REF, FAST, 1.0)
+            dl.ComplexState(state.psi, grid)
+        other = dl.RingDomain(dl.SupercellGrid(2 * REF.cell_length, 512), 1)
         with pytest.raises(dl.GridMismatchError):
-            dl.evolve_ring(state, REF, FAST, 1.0)
+            dl.evolve_ring(dl.make_initial_state(dl.UniformState(), other), REF, FAST, 1.0)
 
 
 class TestRing:
@@ -125,8 +126,8 @@ class TestRing:
     def test_twist_consistency_with_ring(self):
         # a Bloch state commensurate with the ring evolves identically both ways
         cells = 3
-        cell = dl.SupercellGrid.for_spec(REF, 480)
-        ring = dl.RingDomain(cell, cells)
+        grid = dl.SupercellGrid.for_spec(REF, 480)
+        cell, ring = dl.RingDomain(grid, 1), dl.RingDomain(grid, cells)
         kappa = 2 * math.pi / ring.length
         periodic = smooth_state(cell, seed=11, modes=4).psi
         cell_state = dl.ComplexState(
@@ -135,7 +136,7 @@ class TestRing:
         ring_state = dl.ComplexState(
             np.tile(periodic, cells) * np.exp(1j * kappa * ring.positions()), ring
         ).normalized()
-        a = dl.evolve_twisted(cell_state, kappa, REF, FAST, REF.period)
+        a = dl.evolve_ring(cell_state, REF, FAST, REF.period, kappa=kappa)
         b = dl.evolve_ring(ring_state, REF, FAST, REF.period)
         diff = b.psi[: cell.points] * math.sqrt(cells) - a.psi
         assert math.sqrt(np.sum(np.abs(diff) ** 2) * cell.dx) < 1e-9
@@ -163,28 +164,28 @@ class TestRing:
 class TestNumerics:
     def test_forward_backward_round_trip(self):
         # time reversal: conjugate the state and drive with negated phases
-        grid = dl.SupercellGrid.for_spec(REF, 480)
+        grid = dl.RingDomain(dl.SupercellGrid.for_spec(REF, 480), 1)
         state = dl.make_initial_state(dl.GaussianState(15.0, 3.0), grid)
         params = dl.default_params(REF)
-        forward = dl.evolve_twisted(state, 0.0, REF, params, REF.period)
+        forward = dl.evolve_ring(state, REF, params, REF.period)
         reversed_spec = replace(REF, phases=tuple(-p for p in REF.phases))
-        back = dl.evolve_twisted(
-            dl.ComplexState(forward.psi.conj(), grid), 0.0, reversed_spec, params, REF.period
+        back = dl.evolve_ring(
+            dl.ComplexState(forward.psi.conj(), grid), reversed_spec, params, REF.period
         )
         returned = dl.ComplexState(back.psi.conj(), grid)
         assert state_distance(returned, state) < 1e-8
 
     def test_second_order_convergence(self):
         # each error measured against its own 4x-resolved reference
-        grid = dl.SupercellGrid.for_spec(REF, 480)
+        grid = dl.RingDomain(dl.SupercellGrid.for_spec(REF, 480), 1)
         state = smooth_state(grid)
 
         def error(substeps):
-            coarse = dl.evolve_twisted(
-                state, 0.0, REF, dl.PropagationParams(substeps_per_period=substeps), REF.period
+            coarse = dl.evolve_ring(
+                state, REF, dl.PropagationParams(substeps_per_period=substeps), REF.period
             )
-            fine = dl.evolve_twisted(
-                state, 0.0, REF, dl.PropagationParams(substeps_per_period=4 * substeps), REF.period
+            fine = dl.evolve_ring(
+                state, REF, dl.PropagationParams(substeps_per_period=4 * substeps), REF.period
             )
             return state_distance(coarse, fine)
 

@@ -1,7 +1,7 @@
 """Checks of the experiment scripts and of what the benchmark calls.
 
 ``single_cell_modes.py`` and the README's library quick start run in
-seconds and are run whole.  The other scripts take minutes, so they are
+seconds and are run whole; the README's command lines are parsed.  The other scripts take minutes, so they are
 only checked statically: every package name they use must exist, which
 catches a script left calling a removed name.  The benchmark's child
 process and the functions its per-layer metrics name are checked the same
@@ -16,6 +16,8 @@ import runpy
 from pathlib import Path
 
 import pytest
+
+from driven_lattice import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -103,3 +105,14 @@ def test_readme_quick_start_runs(capsys):
     assert namespace["U"].shape == (16, 41, 41)
     assert namespace["trace"].values.shape == (48, 401)  # 16 cells of 3 sites
     assert 70 < float(capsys.readouterr().out) < 85  # the ~77-period comment
+
+
+def test_readme_command_lines_parse():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = [line.split() for line in block.splitlines() if line.startswith("driven-lattice ")]
+    assert len(lines) == 5
+    for words in lines:
+        args = cli.build_parser().parse_args(words[1:])  # exits 2 on an unknown flag
+        assert args.command == words[1]
