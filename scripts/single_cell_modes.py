@@ -24,8 +24,8 @@ def main() -> int:
         horizon=HORIZON,
         outdir=str(OUTDIR),
     )
-    for keep, name in ((None, "full"), (3, "three_mode"), (2, "two_mode")):
-        trace = dl.run_evolution(config, keep=keep)
+    for bands, name in ((None, "full"), (range(3), "three_mode"), (range(2), "two_mode")):
+        trace = dl.run_evolution(config, bands=bands)
         print(dl.write_evolution_csv(OUTDIR / f"trace_{name}.csv", config, trace))
 
     spectrum = dl.spectrum_at(config, config.lattice.omega)

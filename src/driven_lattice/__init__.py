@@ -55,7 +55,6 @@ from .dynamics import (
     site_populations,
     site_weights,
     stroboscopic_state,
-    truncate_modes,
 )
 from .analysis import (
     Dip,

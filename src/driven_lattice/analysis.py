@@ -32,7 +32,6 @@ from .dynamics import (
     population_trace,
     ring_spectra,
     select_bands,
-    truncate_modes,
     direct_population_trace,
 )
 from .floquet import (
@@ -311,12 +310,10 @@ def _sweep_point(config: ExperimentConfig, omega: float, with_populations: bool)
     n_max, arg_site, arg_m = math.nan, -1, -1
     if with_populations:
         state = config.make_initial_state()
-        trace = population_trace(decompose(state, [spectrum]), range(config.horizon + 1))
-        flat = int(np.argmax(trace.values))
-        arg_site, arg_m = np.unravel_index(flat, trace.values.shape)
-        n_max = float(trace.values[arg_site, arg_m])
-        arg_site = int(trace.site_indices[arg_site])
-        arg_m = int(trace.periods[arg_m])
+        # rows are sites and columns periods 0..horizon, so indices are labels
+        values = population_trace(decompose(state, [spectrum]), range(config.horizon + 1)).values
+        arg_site, arg_m = map(int, np.unravel_index(np.argmax(values), values.shape))
+        n_max = float(values[arg_site, arg_m])
     return SweepRecord(
         omega=omega, n_max=n_max, argmax_site=arg_site, argmax_m=arg_m,
         overlap=float(weights[0]), eps_fgs=float(eps[0]), gap=float(gap),
@@ -411,37 +408,29 @@ def _evolution_basis(config: ExperimentConfig) -> int:
     return dynamics_basis_size(config.lattice)
 
 
-def run_evolution(
-    config: ExperimentConfig,
-    keep: int | None = None,
-    bands: tuple[int, int] | None = None,
-    method: str = "floquet",
-):
-    """Population trace of the configured initial state over the horizon.
+def run_evolution(config: ExperimentConfig, bands=None, method: str = "floquet"):
+    """Population trace of every site of the configured initial state over
+    the horizon.
 
-    `keep` restricts the expansion to the most occupied bands, `bands`
-    to an explicit (ground, excited) pair.  `method="direct"` integrates
-    the ring directly instead of using the mode expansion.
+    `bands` restricts the mode expansion to those band labels (see
+    `select_bands`; ``range(k)`` keeps the first k).  `method="direct"`
+    integrates the ring directly instead of using the mode expansion.
     """
     spec = config.lattice
     state = config.make_initial_state()
     if method == "direct":
-        if keep is not None or bands is not None:
-            raise ConfigError("band truncations require the floquet method")
+        if bands is not None:
+            raise ConfigError("band selections require the floquet method")
         return direct_population_trace(
             state, spec, _grid_params(config), config.horizon
         )
     if method != "floquet":
         raise ConfigError(f"unknown evolution method {method!r}")
     basis = _evolution_basis(config)
-    if keep is not None and keep < 1:
-        raise ConfigError("keep must be >= 1")
-    if bands is not None and not all(0 <= b < basis for b in bands):
-        raise ConfigError(f"band labels must lie in [0, {basis}) for basis size {basis}")
+    if bands is not None and not (len(bands) and all(0 <= b < basis for b in bands)):
+        raise ConfigError(f"need band labels in [0, {basis}) for basis size {basis}")
     spectra, _ = ring_spectra(spec, state.grid, params=config.params, basis_size=basis)
     dec = decompose(state, spectra)
-    if keep is not None:
-        dec = truncate_modes(dec, keep)
     if bands is not None:
         dec = select_bands(dec, bands)
     return population_trace(dec, range(config.horizon + 1))
@@ -574,9 +563,9 @@ def write_evolution_csv(path, config: ExperimentConfig, trace, method: str = "fl
         numerics = _monodromy_numerics(config, [omega], _evolution_basis(config))
     period = config.lattice.period
     rows = (
-        (int(m), m * period, int(s), trace.values[i, j])
+        (int(m), m * period, s, trace.values[s, j])
         for j, m in enumerate(trace.periods)
-        for i, s in enumerate(trace.site_indices)
+        for s in range(len(trace.values))
     )
     return _write_csv(path, config, "evolve", ["m", "t", "s", "n_s"], rows,
                       numerics=numerics)

@@ -73,8 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="site-population trace over the horizon")
     _add_config_flags(p)
     p.add_argument("--method", choices=("floquet", "direct"), default="floquet")
-    p.add_argument("--keep", type=int, help="keep only the k most occupied bands")
-    p.add_argument("--bands", help="ground,excited band pair, e.g. 0,2")
+    p.add_argument("--bands", help="comma-separated band labels, e.g. 0,1,2")
     p.add_argument("--output", default="evolve.csv")
 
     p = sub.add_parser("spectrum", help="quasienergies vs driving frequency")
@@ -107,14 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_evolve(args) -> int:
     config = _build_config(args)
     bands = None
-    if args.bands:
+    if args.bands is not None:
         try:
             bands = tuple(int(tok) for tok in args.bands.split(","))
         except ValueError as exc:
             raise ConfigError(f"--bands expects integer labels, got {args.bands!r}") from exc
-        if len(bands) != 2:
-            raise ConfigError("--bands expects two labels, e.g. 0,2")
-    trace = run_evolution(config, keep=args.keep, bands=bands, method=args.method)
+    trace = run_evolution(config, bands=bands, method=args.method)
     path = write_evolution_csv(output_path(config, args.output), config, trace, args.method)
     print(path)
     return 0

@@ -18,6 +18,7 @@ supercell states by one inverse DFT.  No mode is ever extended to the ring.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -186,27 +187,20 @@ def stroboscopic_state(dec: SpectralDecomposition, periods: int) -> ComplexState
 
 
 def select_bands(dec: SpectralDecomposition, labels) -> SpectralDecomposition:
-    """Zero every coefficient outside the given band labels (no renormalization)."""
-    labels = sorted(set(int(b) for b in labels))
+    """Zero every coefficient outside the given band labels (no renormalization,
+    so the retained populations stay comparable with the full ones).
+
+    Labels are integers in [0, basis size); ``range(k)`` keeps the k bands
+    of largest kappa = 0 uniform-state overlap (see `label_by_overlap`).
+    """
+    keep = np.zeros(dec.coefficients.shape[1], dtype=bool)
+    labels = [operator.index(b) for b in labels]
     if not labels:
         raise ValueError("need at least one band label")
-    if labels[0] < 0 or labels[-1] >= dec.coefficients.shape[1]:
-        raise ValueError("band label outside the retained basis")
-    keep = np.zeros(dec.coefficients.shape[1], dtype=bool)
+    if not all(0 <= b < len(keep) for b in labels):
+        raise ValueError(f"band labels {labels} outside the retained basis [0, {len(keep)})")
     keep[labels] = True
     return replace(dec, coefficients=dec.coefficients * keep[None, :])
-
-
-def truncate_modes(dec: SpectralDecomposition, keep: int) -> SpectralDecomposition:
-    """Keep only the `keep` most occupied bands of the labeled ordering.
-
-    Truncated expansions are deliberately not renormalized: the retained
-    populations stay directly comparable with the full ones.
-    """
-    if keep < 1:
-        raise ValueError("keep must be >= 1")
-    keep = min(keep, dec.coefficients.shape[1])
-    return select_bands(dec, range(keep))
 
 
 def site_count(spec: LatticeSpec, domain) -> int:
@@ -217,17 +211,15 @@ def site_count(spec: LatticeSpec, domain) -> int:
     return int(count)
 
 
-def site_weights(spec: LatticeSpec, domain, sites=None) -> tuple[np.ndarray, np.ndarray]:
+def site_weights(spec: LatticeSpec, domain) -> np.ndarray:
     """Quadrature weights turning a sampled density into site populations.
 
     Site ``s`` occupies ``[(s-1) L, s L)``, wrapped into the periodic
     domain.  The density is treated as piecewise linear between samples
     (trapezoid rule); a site boundary falling between grid points splits
-    the straddling trapezoid.  Returns (site_indices, weights) with weights
-    of shape (sites, points).
+    the straddling trapezoid.  Returns weights of shape (sites, points),
+    one row per site of the domain.
     """
-    total = site_count(spec, domain)
-    sites = np.arange(total) if sites is None else np.asarray(list(sites), dtype=int)
     n, dx, length = domain.points, domain.dx, domain.length
 
     def cdf_weights(b: float) -> np.ndarray:
@@ -249,62 +241,67 @@ def site_weights(spec: LatticeSpec, domain, sites=None) -> tuple[np.ndarray, np.
         return w
 
     full = cdf_weights(length)
-    weights = np.empty((len(sites), n))
-    for row, s in enumerate(sites):
+    weights = np.empty((site_count(spec, domain), n))
+    for s in range(len(weights)):
         lo = (float(s - 1) * spec.spacing) % length
         hi = (float(s) * spec.spacing) % length
         if hi <= _ALIGNMENT_TOL * dx:
             hi = length
         if lo < hi:
-            weights[row] = cdf_weights(hi) - cdf_weights(lo)
+            weights[s] = cdf_weights(hi) - cdf_weights(lo)
         else:
-            weights[row] = full - cdf_weights(lo) + cdf_weights(hi)
-    return sites, weights
+            weights[s] = full - cdf_weights(lo) + cdf_weights(hi)
+    return weights
 
 
-def site_populations(state: ComplexState, spec: LatticeSpec, sites=None) -> np.ndarray:
+def site_populations(state: ComplexState, spec: LatticeSpec) -> np.ndarray:
     """Probability integrated over each site interval of the state's domain."""
-    _, weights = site_weights(spec, state.grid, sites)
-    return weights @ (np.abs(state.psi) ** 2)
+    return site_weights(spec, state.grid) @ (np.abs(state.psi) ** 2)
 
 
 @dataclass(frozen=True)
 class PopulationTrace:
-    """Site populations n_s at stroboscopic times m T, shape (sites, times)."""
+    """Site populations n_s at stroboscopic times m T, shape (sites, times),
+    one row for every site of the ring."""
 
-    site_indices: np.ndarray
     periods: np.ndarray
     values: np.ndarray
+
+    @property
+    def site_indices(self) -> np.ndarray:
+        return np.arange(len(self.values))
 
     def totals(self) -> np.ndarray:
         return self.values.sum(axis=0)
 
     def peak_to_peak(self, sites=None, window=None) -> float:
-        """Largest max-min excursion of any selected site over a period window."""
+        """Largest max-min excursion of any selected site over a period window
+        (inclusive bounds); every site and period by default."""
         values = self.values
         if sites is not None:
-            rows = [int(np.nonzero(self.site_indices == s)[0][0]) for s in sites]
-            values = values[rows]
+            sites = [operator.index(s) for s in sites]
+            missing = [s for s in sites if not 0 <= s < len(values)]
+            if missing or not sites:
+                raise ValueError(
+                    f"sites {missing or sites} are not on the {len(values)}-site trace")
+            values = values[sites]
         if window is not None:
             lo, hi = window
-            mask = (self.periods >= lo) & (self.periods <= hi)
-            values = values[:, mask]
+            values = values[:, (self.periods >= lo) & (self.periods <= hi)]
+            if values.size == 0:
+                raise ValueError(f"window {window} holds no period of the trace")
         return float((values.max(axis=1) - values.min(axis=1)).max())
 
 
-def population_trace(
-    dec: SpectralDecomposition,
-    periods,
-    sites=None,
-) -> PopulationTrace:
+def population_trace(dec: SpectralDecomposition, periods) -> PopulationTrace:
     """Stroboscopic site populations from the mode expansion."""
     periods = np.asarray(list(periods), dtype=int)
-    site_indices, weights = site_weights(dec.spec, dec.ring, sites)
-    values = np.empty((len(site_indices), len(periods)))
+    weights = site_weights(dec.spec, dec.ring)
+    values = np.empty((len(weights), len(periods)))
     for start, states in zip(range(0, len(periods), _TRACE_CHUNK),
                              _reconstruct(dec, periods, _TRACE_CHUNK)):
         values[:, start:start + _TRACE_CHUNK] = weights @ (np.abs(states) ** 2)
-    return PopulationTrace(site_indices=site_indices, periods=periods, values=values)
+    return PopulationTrace(periods=periods, values=values)
 
 
 def direct_population_trace(
@@ -318,15 +315,15 @@ def direct_population_trace(
     Independent of the mode decomposition; used as the brute-force reference
     for the stroboscopic reconstruction.
     """
-    site_indices, weights = site_weights(spec, initial.grid)
+    weights = site_weights(spec, initial.grid)
     periods = np.arange(max_period + 1)
-    values = np.empty((len(site_indices), len(periods)))
+    values = np.empty((len(weights), len(periods)))
     state = initial
     values[:, 0] = weights @ (np.abs(state.psi) ** 2)
     for m in range(1, max_period + 1):
         state = evolve_ring(state, spec, params, duration=spec.period)
         values[:, m] = weights @ (np.abs(state.psi) ** 2)
-    return PopulationTrace(site_indices=site_indices, periods=periods, values=values)
+    return PopulationTrace(periods=periods, values=values)
 
 
 def interference_period(eps_a: float, eps_b: float, spec: LatticeSpec) -> float:

@@ -501,7 +501,7 @@ def predict_resonances(
 ) -> tuple[ResonancePrediction, ...]:
     """Resonance frequencies 2 pi^2 hbar a^2 / (m (n_p L)^2 n), sorted ascending."""
     if alpha_max < 1 or max_folds < 1:
-        raise ValueError("alpha_max and max_folds must be >= 1")
+        raise ConfigError("alpha_max and max_folds must be >= 1")
     scale = 2.0 * math.pi**2 * spec.hbar / (spec.mass * spec.cell_length**2)
     predictions = [
         ResonancePrediction(a, n, scale * a**2 / n)

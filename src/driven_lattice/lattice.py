@@ -230,19 +230,22 @@ InitialStateSpec = GaussianState | UniformState
 def make_initial_state(state_spec: InitialStateSpec, domain: RingDomain) -> ComplexState:
     """Sample and normalize an initial state on `domain`.
 
-    A Gaussian is rejected when its amplitude at the domain seam (the point
-    identified with 0 on the ring) exceeds 1e-3 of the peak, since the
-    sampled state would carry a visible wrap-around kink, and when its
-    width under- or overflows or its samples have no finite, positive norm.
+    A Gaussian is rejected when it is narrower than the grid spacing, when
+    its amplitude at the domain seam (the point identified with 0 on the
+    ring) exceeds 1e-3 of the peak, since the sampled state would carry a
+    visible wrap-around kink, and when its width overflows or its samples
+    have no finite, positive norm.
     """
     x = domain.positions()
     if isinstance(state_spec, UniformState):
         psi = np.full(domain.points, 1.0 / math.sqrt(domain.length), dtype=complex)
         return ComplexState(psi, domain)
     sigma = state_spec.width
+    if sigma < domain.dx:
+        raise ValueError(f"gaussian width {sigma:.4g} is below the grid spacing {domain.dx:.4g}")
     try:
         scale = (math.pi * sigma**2) ** -0.25
-    except ArithmeticError as exc:  # sigma^2 underflows to 0 or overflows
+    except ArithmeticError as exc:  # sigma^2 overflows
         raise ValueError(f"gaussian width {sigma:.4g} is out of range") from exc
     psi = scale * np.exp(-((x - state_spec.center) ** 2) / (2.0 * sigma**2))
     edge = max(

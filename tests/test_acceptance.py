@@ -61,7 +61,7 @@ def test_criterion_03_interference_period(ref_spec, spectrum_w1, dec_w1_supercel
     predicted = dl.interference_period(eps[2], eps[0], ref_spec)
     in_bracket = 73.0 <= predicted <= 81.0
 
-    trace = dl.population_trace(dl.truncate_modes(dec_w1_supercell, 3), range(2048))
+    trace = dl.population_trace(dl.select_bands(dec_w1_supercell, range(3)), range(2048))
     row = int(np.argmax(trace.values.var(axis=1)))
     measured = _peak_period(trace.values[row])
     consistent = abs(measured - predicted) / predicted < 0.05
@@ -73,8 +73,8 @@ def test_criterion_03_interference_period(ref_spec, spectrum_w1, dec_w1_supercel
 
 
 def test_criterion_04_few_mode_hierarchy(dec_w1_supercell):
-    three = dl.population_trace(dl.truncate_modes(dec_w1_supercell, 3), range(401))
-    two = dl.population_trace(dl.truncate_modes(dec_w1_supercell, 2), range(401))
+    three = dl.population_trace(dl.select_bands(dec_w1_supercell, range(3)), range(401))
+    two = dl.population_trace(dl.select_bands(dec_w1_supercell, range(2)), range(401))
     amp3, amp2 = three.peak_to_peak(), two.peak_to_peak()
     ok = amp3 > 2.0 * amp2
     _report(4, "few-mode hierarchy", ok, f"amp(3)={amp3:.4f} vs amp(2)={amp2:.4f}")

@@ -309,15 +309,15 @@ class TestEvolutionMethods:
 
     def test_direct_rejects_truncations(self):
         with pytest.raises(dl.ConfigError):
-            dl.run_evolution(tiny_config(horizon=2), keep=3, method="direct")
+            dl.run_evolution(tiny_config(horizon=2), bands=range(3), method="direct")
 
     def test_truncated_evolutions_keep_reduced_weight(self):
         config = tiny_config(horizon=3)
-        by_keep = dl.run_evolution(config, keep=3)
+        first_three = dl.run_evolution(config, bands=range(3))
         by_bands = dl.run_evolution(config, bands=(0, 2))
-        assert np.all(by_keep.totals() < 1.0)
+        assert np.all(first_three.totals() < 1.0)
         assert np.all(by_bands.totals() < 1.0)
-        assert np.all(by_keep.totals() > 0.8)  # dominant modes retained
+        assert np.all(first_three.totals() > 0.8)  # dominant modes retained
 
 
 class TestResonanceReport:
@@ -386,7 +386,8 @@ class TestCli:
             ["evolve", "--phases", "0,pi/2,0"],
             ["evolve", "--bands", "a,b"],
             ["evolve", "--bands", "0,999"],
-            ["evolve", "--keep", "0"],
+            ["evolve", "--bands", "0,1,-1"],
+            ["evolve", "--bands", ""],
             ["modes", "--count", "-1"],
             # non-finite values fail every check instead of passing them
             ["modes", "--kappa", "nan"],
@@ -406,6 +407,9 @@ class TestCli:
              "--center", "100000", "--method", "direct"],
             ["evolve", "--sigma", "1e-200"],
             ["evolve", "--sigma", "1e200"],
+            # a Gaussian narrower than the grid spacing (0.0625) is not sampled
+            *(["evolve", "--domain", "ring", "--supercells", "2", "--horizon", "2",
+                "--sigma", sigma] for sigma in ("1e-160", "0.01", "0.05")),
         ):
             code = cli.main([*argv, "--substeps", "512", "--outdir", str(tmp_path)])
             assert code == 2, argv
@@ -420,6 +424,8 @@ class TestCli:
         ]
         assert cli.main(["evolve", *base, "--output", "evolve.csv"]) == 0
         assert (tmp_path / "evolve.csv").exists()
+        # any non-empty label list selects bands, not only a pair
+        assert cli.main(["evolve", *base, "--bands", "0,1,2", "--output", "three.csv"]) == 0
 
         sweep_args = [
             "sweep", "--substeps", "512", "--horizon", "3",
@@ -433,6 +439,8 @@ class TestCli:
         ]
         assert cli.main(reso_args) == 0
         assert (tmp_path / "reso.csv").exists()
+        for bad in (["--alpha-max", "0"], ["--folds", "0"], ["--alpha-max", "-3"]):
+            assert cli.main([*reso_args, *bad]) == 2, bad
 
     def test_missing_sweep_file_exit_code(self, tmp_path, capsys):
         code = cli.main([

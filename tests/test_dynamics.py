@@ -54,7 +54,7 @@ def tiled_populations(coefficients, spectra, ring, periods):
             -1j * np.outer(spectrum.quasienergies, times) / REF.hbar
         )
         psi += tiled_ring_modes(spectrum, ring) @ amp
-    _, weights = dl.site_weights(REF, ring)
+    weights = dl.site_weights(REF, ring)
     return weights @ (np.abs(psi) ** 2)
 
 
@@ -176,22 +176,24 @@ class TestReconstruction:
         assert (trace.values.max(axis=1) - trace.values.min(axis=1)).max() < 1e-8
 
     def test_truncation_identity_and_validation(self, dec_w1_supercell):
-        full = dl.truncate_modes(dec_w1_supercell, dec_w1_supercell.coefficients.shape[1])
+        bands = dec_w1_supercell.coefficients.shape[1]
+        full = dl.select_bands(dec_w1_supercell, range(bands))
         assert np.array_equal(full.coefficients, dec_w1_supercell.coefficients)
-        with pytest.raises(ValueError):
-            dl.truncate_modes(dec_w1_supercell, 0)
-        with pytest.raises(ValueError):
-            dl.select_bands(dec_w1_supercell, [999])
+        for labels in ([], [999], [-1], [bands]):
+            with pytest.raises(ValueError):
+                dl.select_bands(dec_w1_supercell, labels)
+        with pytest.raises(TypeError):  # a float label is not rounded to a band
+            dl.select_bands(dec_w1_supercell, [1.7])
 
     def test_truncation_does_not_renormalize(self, dec_w1_supercell):
-        kept = dl.truncate_modes(dec_w1_supercell, 3)
+        kept = dl.select_bands(dec_w1_supercell, range(3))
         assert kept.total_weight() < dec_w1_supercell.total_weight()
         trace = dl.population_trace(kept, [0, 50])
         assert np.all(trace.totals() < 1.0)
 
     def test_three_mode_oscillation_collapses_with_two(self, dec_w1_supercell):
-        three = dl.population_trace(dl.truncate_modes(dec_w1_supercell, 3), range(401))
-        two = dl.population_trace(dl.truncate_modes(dec_w1_supercell, 2), range(401))
+        three = dl.population_trace(dl.select_bands(dec_w1_supercell, range(3)), range(401))
+        two = dl.population_trace(dl.select_bands(dec_w1_supercell, range(2)), range(401))
         assert three.peak_to_peak() > 2.0 * two.peak_to_peak()
 
     def test_two_mode_beat_matches_interference_period(self, dec_w1_supercell, spectrum_w1):
@@ -223,6 +225,27 @@ class TestReconstruction:
         assert np.abs(trace.values - trace2.values).max() < 1e-12
 
 
+class TestPeakToPeak:
+    TRACE = dl.PopulationTrace(periods=np.array([0, 1, 2]),
+                               values=np.array([[0.1, 0.4, 0.2], [0.5, 0.5, 0.9]]))
+
+    def test_selected_sites_and_window(self):
+        assert self.TRACE.site_indices.tolist() == [0, 1]
+        assert self.TRACE.peak_to_peak() == pytest.approx(0.4)
+        assert self.TRACE.peak_to_peak(sites=(0,)) == pytest.approx(0.3)
+        assert self.TRACE.peak_to_peak(window=(0, 1)) == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("selector, message", [
+        ({"sites": (7,)}, r"sites \[7\]"),
+        ({"sites": (-1, 0)}, r"sites \[-1\]"),
+        ({"sites": ()}, "2-site trace"),
+        ({"window": (10, 20)}, r"window \(10, 20\)"),
+    ])
+    def test_bad_selectors_are_named(self, selector, message):
+        with pytest.raises(ValueError, match=message):
+            self.TRACE.peak_to_peak(**selector)
+
+
 class TestSitePopulations:
     def test_uniform_thirds(self, grid480):
         state = dl.make_initial_state(dl.UniformState(), dl.RingDomain(grid480, 1))
@@ -247,8 +270,8 @@ class TestSitePopulations:
 
     def test_ring_site_wrapping(self):
         ring = dl.RingDomain(dl.SupercellGrid.for_spec(REF, 480), 2)
-        sites, weights = dl.site_weights(REF, ring)
-        assert list(sites) == list(range(6))
+        weights = dl.site_weights(REF, ring)
+        assert weights.shape == (6, ring.points)
         assert weights.sum() == pytest.approx(ring.length)
         # site 0 wraps: [-L, 0) is the last spacing of the ring
         packet = dl.make_initial_state(
@@ -307,8 +330,8 @@ class TestOracleEquivalence:
 class TestRingPacket:
     def test_central_sites_oscillate_near_seventy_five_periods(self, ring16_w1_dec):
         horizon = 2048
-        trace = dl.population_trace(ring16_w1_dec, range(horizon), sites=(25,))
-        signal = trace.values[0] - trace.values[0].mean()
+        trace = dl.population_trace(ring16_w1_dec, range(horizon))
+        signal = trace.values[25] - trace.values[25].mean()
         amplitude = np.abs(np.fft.rfft(signal))
         amplitude[0] = 0.0
         period = horizon / int(np.argmax(amplitude))
@@ -320,7 +343,7 @@ class TestRingPacket:
         def detrended_amplitude(trace):
             m = trace.periods.astype(float)
             worst = 0.0
-            for row in trace.values:
+            for row in trace.values[24:27]:  # the central sites
                 residual = row - np.polyval(np.polyfit(m, row, 1), m)
                 worst = max(worst, float(residual.max() - residual.min()))
             return worst
@@ -331,18 +354,14 @@ class TestRingPacket:
         state = dl.make_initial_state(dl.GaussianState(240.0, 20 * math.pi), ring)
         spectra, _ = dl.ring_spectra(spec, ring)
         dec = dl.decompose(state, spectra)
-        flat = dl.population_trace(dec, range(401), sites=(24, 25, 26))
-        driven = dl.population_trace(ring16_w1_dec, range(401), sites=(24, 25, 26))
+        flat = dl.population_trace(dec, range(401))
+        driven = dl.population_trace(ring16_w1_dec, range(401))
 
         assert detrended_amplitude(flat) < 0.02
         assert detrended_amplitude(flat) < detrended_amplitude(driven) / 3.0
 
     def test_resonant_imbalance_grows_then_peaks_midway(self, ring16_w274_trace):
-        rows = [
-            int(np.nonzero(ring16_w274_trace.site_indices == s)[0][0])
-            for s in (24, 25, 26)
-        ]
-        central = ring16_w274_trace.values[rows]
+        central = ring16_w274_trace.values[24:27]
         imbalance = central.max(axis=0) - central.min(axis=0)
         peak_m = int(ring16_w274_trace.periods[int(np.argmax(imbalance))])
         assert 150 <= peak_m <= 350
@@ -353,7 +372,7 @@ class TestTwoBand:
     def test_zero_period_matches_truncated_initial(self, ring16_w274_dec):
         dec = ring16_w274_dec
         by_select = dl.stroboscopic_state(dl.select_bands(dec, (0, 1)), 0)
-        by_truncation = dl.stroboscopic_state(dl.truncate_modes(dec, 2), 0)
+        by_truncation = dl.stroboscopic_state(dl.select_bands(dec, range(2)), 0)
         assert np.array_equal(by_select.psi, by_truncation.psi)
 
     def test_ground_band_alone_is_nearly_frozen(self, ring16_w274_dec):
@@ -363,10 +382,8 @@ class TestTwoBand:
         spec = dec.spec
         horizon = 100
         ground = dl.select_bands(dec, (0,))
-        trace = dl.population_trace(ground, range(horizon + 1), sites=(24, 25, 26))
-        variation = float(
-            (trace.values.max(axis=1) - trace.values.min(axis=1)).max()
-        )
+        trace = dl.population_trace(ground, range(horizon + 1))
+        variation = trace.peak_to_peak(sites=(24, 25, 26))
 
         weights = np.abs(dec.coefficients[:, 0])
         eps = np.array([s.quasienergies[0] for s in dec.spectra])
@@ -387,8 +404,7 @@ class TestTwoBand:
         self, ring16_w274_dec, ring16_w274_trace
     ):
         window = (ring16_w274_trace.periods >= 500) & (ring16_w274_trace.periods <= 800)
-        rows = [int(np.nonzero(ring16_w274_trace.site_indices == s)[0][0]) for s in (24, 25, 26)]
-        full = ring16_w274_trace.values[np.ix_(rows, np.nonzero(window)[0])]
+        full = ring16_w274_trace.values[24:27, window]
         pair = dl.select_bands(ring16_w274_dec, (0, 1))
-        two = dl.population_trace(pair, range(500, 801), sites=(24, 25, 26))
-        assert np.abs(two.values - full).max() < 0.05
+        two = dl.population_trace(pair, range(500, 801)).values[24:27]
+        assert np.abs(two - full).max() < 0.05

@@ -1,15 +1,17 @@
 """Checks of the experiment scripts and of what the benchmark calls.
 
 ``single_cell_modes.py`` and the README's library quick start run in
-seconds and are run whole; the README's command lines are parsed.  The other scripts take minutes, so they are
-only checked statically: every package name they use must exist, which
-catches a script left calling a removed name.  The benchmark's child
-process and the functions its per-layer metrics name are checked the same
-way.
+seconds and are run whole; the README's command lines are parsed.  The
+other scripts take minutes, so they are only checked statically: every
+package name they use must exist and every ``dl.<name>(...)`` call must bind
+to the signature of what it calls, which catches a script left calling a
+removed name or keyword.  The benchmark's child process and the functions
+its per-layer metrics name are checked the same way.
 """
 
 import ast
 import importlib.util
+import inspect
 import json
 import re
 import runpy
@@ -52,6 +54,50 @@ def test_script_uses_only_existing_package_names(path):
     assert used
     missing = [f"{module}.{name}" for module, name in used if not exists(module, name)]
     assert not missing, f"{path.name} uses names the package does not have: {missing}"
+
+
+def package_calls(path):
+    """(line, dotted name, positional count, keyword names) of every
+    ``dl.<name>(...)`` call, attribute chains included; calls with starred
+    arguments are skipped."""
+    calls = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        chain, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            chain.insert(0, func.attr)
+            func = func.value
+        starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                   or any(k.arg is None for k in node.keywords))
+        if isinstance(func, ast.Name) and func.id == "dl" and chain and not starred:
+            calls.append((node.lineno, ".".join(chain), len(node.args),
+                          [k.arg for k in node.keywords]))
+    return calls
+
+
+def resolve(dotted):
+    """The package object ``dl.<dotted>`` names, importing submodules on the way."""
+    obj = importlib.import_module("driven_lattice")
+    for name in dotted.split("."):
+        if not hasattr(obj, name):
+            importlib.import_module(f"{obj.__name__}.{name}")
+        obj = getattr(obj, name)
+    return obj
+
+
+@pytest.mark.parametrize("path", USERS, ids=lambda p: p.name)
+def test_script_calls_bind_to_package_signatures(path):
+    calls = package_calls(path)
+    assert calls
+    unbound = []
+    for line, dotted, positional, keywords in calls:
+        try:
+            inspect.signature(resolve(dotted)).bind(*[None] * positional,
+                                                    **dict.fromkeys(keywords))
+        except TypeError as exc:
+            unbound.append(f"line {line}: dl.{dotted}: {exc}")
+    assert not unbound, f"{path.name} calls the package with arguments it does not take: {unbound}"
 
 
 def benchmark_functions():
