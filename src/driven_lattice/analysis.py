@@ -88,6 +88,8 @@ class ExperimentConfig:
             raise ConfigError("horizon must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.basis_size is not None and (self.basis_size < 1 or self.basis_size % 2 == 0):
+            raise ConfigError("basis_size must be odd and positive")
         grid = (self.omega_start, self.omega_stop, self.omega_step)
         if any(v is not None for v in grid):
             if any(v is None for v in grid):
@@ -266,8 +268,12 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """The records in omega order, and the resolution (substeps, basis size,
+    route) the monodromy of each computed frequency ran with."""
+
     records: tuple[SweepRecord, ...]
     config: ExperimentConfig
+    numerics: tuple[dict, ...] = ()
 
     @property
     def failures(self) -> tuple[tuple[float, str], ...]:
@@ -291,14 +297,17 @@ def spectrum_at(config: ExperimentConfig, omega: float, kappa: float = 0.0) -> F
 
 
 def _monodromy_numerics(config: ExperimentConfig, omegas, basis_size: int | None = None):
-    """The substeps and basis size each frequency's monodromy runs with
-    (``basis_size`` overrides the config's), for the sidecar."""
+    """The substeps, basis size and route (full, half or quarter period)
+    each frequency's monodromy runs with (``basis_size`` overrides the
+    config's), for the sidecar.  Read in the process that ran the monodromy,
+    this is what it ran: `_monodromy_resolution` caches its symmetry check."""
     basis_size = basis_size if basis_size is not None else config.basis_size
     numerics = []
     for omega in omegas:
         spec = replace(config.lattice, omega=float(omega))
-        substeps, basis = _monodromy_resolution(spec, config.params, basis_size)
-        numerics.append({"omega": float(omega), "substeps": substeps, "basis_size": basis})
+        resolution = _monodromy_resolution(spec, config.params, basis_size)
+        numerics.append({"omega": float(omega), "substeps": resolution.substeps,
+                         "basis_size": resolution.basis_size, "route": resolution.route})
     return numerics
 
 
@@ -323,16 +332,19 @@ def _sweep_point(config: ExperimentConfig, omega: float, with_populations: bool)
 def _guarded(task):
     point, config, omega = task
     try:
-        return omega, point(config, omega), None
+        result = point(config, omega)
     except (ConfigError, ToleranceError, np.linalg.LinAlgError) as exc:
-        return omega, None, str(exc)
+        return omega, None, str(exc), None
+    return omega, result, None, _monodromy_numerics(config, [omega])[0]
 
 
 def _run_points(config: ExperimentConfig, omegas, point) -> list[tuple]:
     """``point(config, omega)`` at every frequency, on ``config.workers``
-    processes, as (omega, result, error) in the order given.  Invalid input
-    and numerical trouble at one frequency give result None and the error
-    message; any other exception propagates."""
+    processes, as (omega, result, error, numerics) in the order given, with
+    numerics the sidecar entry of the monodromy the point ran, read in the
+    worker that ran it.  Invalid input and numerical trouble at one
+    frequency give result and numerics None and the error message; any
+    other exception propagates."""
     tasks = [(point, config, float(w)) for w in omegas]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -340,23 +352,25 @@ def _run_points(config: ExperimentConfig, omegas, point) -> list[tuple]:
     return [_guarded(task) for task in tasks]
 
 
-def _sweep_records(config: ExperimentConfig, omegas, with_populations: bool) -> list[SweepRecord]:
+def _sweep_records(config: ExperimentConfig, omegas, with_populations: bool) -> list[tuple]:
+    """(record, numerics) at every frequency; see `_run_points`."""
     point = partial(_sweep_point, with_populations=with_populations)
     return [
-        record if error is None else SweepRecord(
+        (record if error is None else SweepRecord(
             omega=omega, n_max=math.nan, argmax_site=-1, argmax_m=-1,
             overlap=math.nan, eps_fgs=math.nan, gap=math.nan, error=error,
-        )
-        for omega, record, error in _run_points(config, omegas, point)
+        ), numerics)
+        for omega, record, error, numerics in _run_points(config, omegas, point)
     ]
 
 
-def _refine_peaks(config: ExperimentConfig, records: list[SweepRecord]) -> list[SweepRecord]:
-    """Bisect the grid around strong n_max peaks down to REFINE_MIN_STEP."""
+def _refine_peaks(config: ExperimentConfig, points: list[tuple]) -> list[tuple]:
+    """Bisect the grid of (record, numerics) points around strong n_max
+    peaks down to REFINE_MIN_STEP."""
     while True:
-        records.sort(key=lambda r: r.omega)
-        omegas = [r.omega for r in records]
-        values = np.nan_to_num([r.n_max for r in records], nan=-1.0)
+        points.sort(key=lambda p: p[0].omega)
+        omegas = [record.omega for record, _ in points]
+        values = np.nan_to_num([record.n_max for record, _ in points], nan=-1.0)
         peaks, _ = scipy.signal.find_peaks(values, prominence=PEAK_PROMINENCE)
         inserts = []
         for i in peaks:
@@ -366,18 +380,21 @@ def _refine_peaks(config: ExperimentConfig, records: list[SweepRecord]) -> list[
                 if omegas[b] - omegas[a] > REFINE_MIN_STEP:
                     inserts.append(0.5 * (omegas[a] + omegas[b]))
         if not inserts:
-            return records
-        records.extend(_sweep_records(config, inserts, True))
+            return points
+        points.extend(_sweep_records(config, inserts, True))
 
 
 def _sweep(config: ExperimentConfig, with_populations: bool) -> SweepResult:
     if config.domain != "supercell":
         raise ConfigError("sweeps run on the supercell (kappa = 0) domain")
-    records = _sweep_records(config, config.omega_grid(), with_populations)
+    points = _sweep_records(config, config.omega_grid(), with_populations)
     if with_populations and config.refine_peaks:
-        records = _refine_peaks(config, records)
-    records.sort(key=lambda r: r.omega)
-    return SweepResult(records=tuple(records), config=config)
+        points = _refine_peaks(config, points)
+    points.sort(key=lambda p: p[0].omega)
+    return SweepResult(
+        records=tuple(record for record, _ in points), config=config,
+        numerics=tuple(numerics for _, numerics in points if numerics is not None),
+    )
 
 
 def run_nmax_sweep(config: ExperimentConfig) -> SweepResult:
@@ -558,7 +575,7 @@ def write_evolution_csv(path, config: ExperimentConfig, trace, method: str = "fl
     omega = config.lattice.omega
     if method == "direct":
         numerics = [{"omega": omega, "substeps": _grid_params(config).substeps_per_period,
-                     "basis_size": None}]
+                     "basis_size": None, "route": None}]
     else:
         numerics = _monodromy_numerics(config, [omega], _evolution_basis(config))
     period = config.lattice.period
@@ -580,7 +597,7 @@ def write_sweep_csv(path, sweep: SweepResult) -> Path:
         path, sweep.config, "sweep",
         ["omega", "n_max", "argmax_site", "argmax_m", "overlap", "eps_fgs", "gap"],
         rows, failures=sweep.failures,
-        numerics=_monodromy_numerics(sweep.config, sweep.column("omega")),
+        numerics=sweep.numerics,
     )
 
 

@@ -29,7 +29,6 @@ from .analysis import (
     write_modes_csv,
     write_resonances_csv,
     write_sweep_csv,
-    _monodromy_numerics,
     _run_points,
     _write_csv,
 )
@@ -48,8 +47,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
             parser.add_argument(
                 "--substeps", dest=key,
                 help="substeps per driving period (>= 256); the monodromy rounds them up "
-                     "to whole 4th-order steps of one substep per composition weight, the "
-                     "direct integrator runs n 2nd-order steps; default: each own rule")
+                     "to whole 4th-order steps of one substep per composition weight, and "
+                     "the steps to a multiple of 4 when the drive has the glide (the "
+                     "quarter- and half-period routes); the direct integrator runs n "
+                     "2nd-order steps; default: each own rule")
         else:
             parser.add_argument(f"--{key.replace('_', '-')}", dest=key)
 
@@ -134,12 +135,12 @@ def _finish(path, failures) -> int:
 def _cmd_spectrum(args) -> int:
     config = _build_config(args)
     points = _run_points(config, config.omega_grid(), _spectrum_rows)
-    rows = [row for _, point_rows, _ in points if point_rows for row in point_rows]
-    failures = [(omega, error) for omega, _, error in points if error is not None]
+    rows = [row for _, point_rows, _, _ in points if point_rows for row in point_rows]
+    failures = [(omega, error) for omega, _, error, _ in points if error is not None]
     path = _write_csv(
         output_path(config, args.output), config, "spectrum",
         ["omega", "alpha", "eps", "overlap"], rows, failures=failures,
-        numerics=_monodromy_numerics(config, [omega for omega, _, _ in points]),
+        numerics=[numerics for _, _, _, numerics in points if numerics is not None],
     )
     return _finish(path, failures)
 

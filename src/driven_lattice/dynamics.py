@@ -34,7 +34,7 @@ from .floquet import (
     match_band_labels,
     monodromy_matrix,
 )
-from .lattice import ComplexState, LatticeSpec, RingDomain, _in_first_zone
+from .lattice import ComplexState, LatticeSpec, RingDomain
 from .propagate import PropagationParams, evolve_ring
 
 _RESIDUAL_TOL = 1e-4
@@ -56,10 +56,13 @@ def dynamics_basis_size(spec: LatticeSpec) -> int:
 
 
 def ring_kappas(spec: LatticeSpec, supercells: int) -> np.ndarray:
-    """Quasimomentum ladder 2 pi j / (M n_p L) folded into the first zone."""
+    """Quasimomentum ladder 2 pi j / (M n_p L) folded into the first zone.
+
+    The fold is on the integer, j -> j - M for 2j > M, so -kappa is bitwise
+    in the ladder beside every kappa but the zone edge of an even ring."""
     j = np.arange(supercells)
-    kappas = 2.0 * math.pi * j / (supercells * spec.cell_length)
-    return np.where(_in_first_zone(kappas, spec), kappas, kappas - 2.0 * spec.brillouin_edge)
+    j = np.where(2 * j > supercells, j - supercells, j)
+    return 2.0 * math.pi * j / (supercells * spec.cell_length)
 
 
 def ring_spectra(

@@ -8,7 +8,8 @@ one) of the midpoint Strang substep S the grid propagators use (2nd order),
 kinetic halves of adjacent substeps merged; Yoshida's triple jump makes it
 4th order.  An explicit ``substeps_per_period = n`` means n potential factors
 in ceil(n/r) steps; unset, the step count follows omega and the basis's
-kinetic edge (`_monodromy_resolution`).
+kinetic edge (`_monodromy_resolution`); either is rounded up to a multiple
+of 4 steps when the drive has the glide (the quarter and half routes below).
 
 Each potential factor ``exp(-i W tau / hbar)`` is its Taylor polynomial, of
 the smallest degree whose remainder bound ``theta^(m+1) / (m+1)!`` (theta
@@ -26,13 +27,31 @@ the kinetic diagonal does.  A whole kappa ladder therefore shares one stack
 of potential factors: ``monodromy_matrix`` given M kappas evaluates each
 chunk of Taylor factors once and advances every kappa's propagator with its
 own ``(B, B)`` product, so each slice is bitwise the one-kappa result.
+
+The loop runs a fraction of the period chosen by the drive's symmetries,
+which `_monodromy_resolution` detects by checking the identities of the
+potential coefficients at the substep midpoint times to roundoff, never
+assuming them.  Time reversal is H(-t) = H(t) (c_n(-t) = c_n(t)); the glide
+is H(t + T/2) = R H(t) R^-1 for the reflection R: x -> 2L - x.  The
+reference phases (0, pi, 0) have both, and take the quarter route: the
+loop gives Q_k = U_k(T/4, 0) for every kappa and its -kappa, and with P
+the plane-wave index reversal and R_k the reflection from kappa to -kappa,
+``Uh_k = R_{-k} P Q_k^T P R_k Q_k`` and ``U_k = R_{-k} Uh_{-k} R_k Uh_k``.
+With the glide alone the half route runs Uh_k = U_k(T/2, 0) and assembles
+``U_k = R_{-k} Uh_{-k} R_k Uh_k``; without the glide (time reversal alone
+included) the full route runs the whole period.  The drive is checked at
+the step count rounded up to a multiple of 4, and the quarter and half
+routes run that count, so their fraction ends between steps; the assembled
+period matches the full-period loop at that count to roundoff.
 Modes are labeled by their weight on the uniform state (`uniform_weights`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import schur
@@ -55,6 +74,9 @@ _MIN_BASIS_SIZE = 41
 # a basis is adequate when its edge kinetic energy reaches this multiple of
 # the lattice's energy scale max(v0, hbar*omega)
 _CUTOFF_FACTOR = 5.0
+# roundoff allowed in a drive-symmetry identity of the potential
+# coefficients, relative to their scale n_p * max(envelope)
+_SYMMETRY_TOL = 1e-12
 
 # One step h of the monodromy is S(w h) for each weight w in turn, S the
 # time-symmetric 2nd-order substep.  Yoshida's triple jump (w1, 1 - 2 w1, w1),
@@ -112,7 +134,8 @@ def _potential_coefficients(spec: LatticeSpec, q, envelope, times) -> np.ndarray
         spec.omega * np.asarray(times)[:, None] + np.asarray(spec.phases)[None, :]
     )
     centers = np.arange(spec.sites_per_cell) * spec.spacing + offsets  # (nt, n_p)
-    phase = np.exp(-1j * q[None, :, None] * centers[:, None, :]).sum(axis=2)
+    # sites on the middle axis, so the sum adds whole rows site by site (faster)
+    phase = np.exp(-1j * centers[:, :, None] * q[None, None, :]).sum(axis=1)
     return envelope[None, :] * phase  # (nt, 2B-1)
 
 
@@ -199,20 +222,86 @@ def _default_steps(spec: LatticeSpec, basis_size: int) -> int:
                math.ceil(_STEPS_PER_OMEGA * spec.omega + _STEPS_PER_EDGE_PHASE * edge_phase))
 
 
+class _Resolution(NamedTuple):
+    """What `monodromy_matrix` runs: potential substeps per period, basis
+    size, and the route, the fraction of the period its loop runs."""
+
+    substeps: int
+    basis_size: int
+    route: str = "full"
+
+
+# the number of pieces each route assembles the period from
+_PIECES = {"full": 1, "half": 2, "quarter": 4}
+
+
+def _midpoint_times(spec: LatticeSpec, steps: int, weights: tuple) -> np.ndarray:
+    """Midpoint time of every substep of `steps` steps of `weights` over [0, T]."""
+    weights, h = np.array(weights), spec.period / steps
+    return ((np.arange(steps)[:, None] + (np.cumsum(weights) - weights / 2)) * h).reshape(-1)
+
+
+@functools.lru_cache(maxsize=256)
+def _drive_symmetries(spec: LatticeSpec, basis_size: int, steps: int,
+                      weights: tuple) -> tuple[bool, bool]:
+    """Whether the potential coefficients at the substep midpoint times of
+    `steps` steps of `weights` have (time reversal, the glide), each within
+    roundoff.  Cached, so the sidecar reads the route the monodromy ran in
+    the same process without checking again.
+
+    Time reversal is c_n(T - t) = c_n(t); with palindromic weights the
+    factor at T - t is the mirror of the one at t.  The glide is
+    c_{-n}(t + T/2) = exp(2i q_n L) c_n(t), the reflection x -> 2L - x half
+    a period on; with `steps` even the factor at t + T/2 is the image of
+    the one at t.
+    """
+    q, envelope = _fourier_ladder(spec, basis_size)
+    c = _potential_coefficients(spec, q, envelope, _midpoint_times(spec, steps, weights))
+    tol = _SYMMETRY_TOL * spec.sites_per_cell * envelope.max()
+    time_reversal = (weights == weights[::-1]
+                     and np.abs(c[::-1] - c).max() <= tol)
+    half = len(c) // 2
+    glide = np.abs(c[half:, ::-1] - np.exp(2j * spec.spacing * q) * c[:half]).max() <= tol
+    return bool(time_reversal), bool(glide)
+
+
 def _monodromy_resolution(
     spec: LatticeSpec,
     params: PropagationParams | None = None,
     basis_size: int | None = None,
-) -> tuple[int, int]:
-    """(potential substeps per period, basis size) that `monodromy_matrix`
-    uses: steps of one substep per weight, ceil(n / len(_WEIGHTS)) steps
-    for an explicit n and the basis-aware default rule otherwise."""
+) -> _Resolution:
+    """The substeps, basis size and route that `monodromy_matrix` runs.
+
+    Steps have one substep per weight: ceil(n / len(_WEIGHTS)) of them for
+    an explicit n, the basis-aware default rule otherwise.  The drive is
+    checked once, at the midpoint times of that count rounded up to a
+    multiple of 4: with time reversal and the glide it runs the quarter
+    route, with the glide alone the half route, both at the rounded count;
+    any other drive, and a static lattice, the full period unrounded.
+    """
     B = basis_size if basis_size is not None else default_basis_size(spec)
+    if B % 2 == 0 or B < 1:
+        raise ConfigError("basis_size must be odd and positive")
     if params is not None:
         steps = math.ceil(params.substeps_per_period / len(_WEIGHTS))
     else:
         steps = _default_steps(spec, B)
-    return len(_WEIGHTS) * steps, B
+    stages = len(_WEIGHTS)
+    if spec.v0 == 0.0 or spec.amplitude == 0.0:
+        return _Resolution(stages * steps, B)
+    rounded = 4 * -(-steps // 4)
+    time_reversal, glide = _drive_symmetries(spec, B, rounded, _WEIGHTS)
+    if glide:
+        return _Resolution(stages * rounded, B, "quarter" if time_reversal else "half")
+    return _Resolution(stages * steps, B)
+
+
+def _kappa_stack(kappas: list[float], paired: bool) -> list[float]:
+    """The kappas the loop runs: each distinct requested kappa, then, when
+    the route pairs them, every -kappa not among those (of a `ring_kappas`
+    ladder only the zone edge of an even ring)."""
+    partners = [-k for k in kappas] if paired else []
+    return list(dict.fromkeys(kappas + partners))  # 0.0 and -0.0 are one key
 
 
 def monodromy_matrix(
@@ -228,12 +317,12 @@ def monodromy_matrix(
     A scalar ``kappa`` gives one ``(B, B)`` matrix; a 1-D array of M kappas
     gives the ``(M, B, B)`` stack, built in one pass over the potential
     factors they share.  ``params`` gives the potential substeps per period
-    (rounded up to whole steps of the composition); None picks them from
-    omega and the basis's kinetic edge (`_monodromy_resolution`).
+    (rounded up to whole steps of the composition, and to a multiple of 4
+    steps on the quarter and half routes); None picks them from omega and
+    the basis's kinetic edge (`_monodromy_resolution`).
     """
-    substeps, B = _monodromy_resolution(spec, params, basis_size)
-    if B % 2 == 0 or B < 1:
-        raise ConfigError("basis_size must be odd and positive")
+    resolution = _monodromy_resolution(spec, params, basis_size)
+    B = resolution.basis_size
     kappas = np.asarray(kappa, dtype=float)
     if kappas.ndim > 1 or kappas.size == 0:
         raise ConfigError("kappa must be a number or a non-empty 1-D array")
@@ -249,11 +338,15 @@ def monodromy_matrix(
             f"{_CUTOFF_FACTOR:g}*max(v0, hbar*omega); enlarge the basis"
         )
 
+    # the loop runs the stack `run`; `wanted` indexes the requested kappas
+    requested = [float(k) for k in kappas.reshape(-1)]
+    pieces = _PIECES[resolution.route]
+    run = _kappa_stack(requested, paired=pieces > 1)
+    index = {k: i for i, k in enumerate(run)}
+    wanted = [index[k] for k in requested]
     # one kinetic ladder per kappa, each built exactly as for a lone kappa
-    kinetic = np.stack([
-        spec.hbar**2 * basis_wavenumbers(spec, B, float(kap)) ** 2 / (2.0 * spec.mass)
-        for kap in kappas.reshape(-1)
-    ])  # (M, B)
+    wavenumbers = np.stack([basis_wavenumbers(spec, B, k) for k in run])  # (M, B)
+    kinetic = spec.hbar**2 * wavenumbers**2 / (2.0 * spec.mass)
     q, envelope = _fourier_ladder(spec, B)
     idx = (B - 1) + np.arange(B)[:, None] - np.arange(B)[None, :]  # Toeplitz gather
 
@@ -265,16 +358,20 @@ def monodromy_matrix(
         for m, kin in enumerate(kinetic):
             vals, vecs = np.linalg.eigh(np.diag(kin).astype(complex) + w)
             U[m] = (vecs * np.exp(-1j * vals * spec.period / spec.hbar)) @ vecs.conj().T
+        U = U[wanted]
         return U if kappas.ndim else U[0]
 
     # Step h: a substep of w h per weight, each potential factor at its own
     # midpoint time; the kinetic halves between two substeps merge into one
     # row scaling, and two steps meet in the last half times the first.
+    # The loop runs the first 1/pieces of the period, whole steps from 0,
+    # its first and last kinetic halves unmerged.
     weights, stages = np.array(_WEIGHTS), len(_WEIGHTS)
-    steps = substeps // stages
+    steps = resolution.substeps // stages
     h = spec.period / steps
+    factors = resolution.substeps // pieces
     taus = np.tile(weights * h, steps)
-    times = ((np.arange(steps)[:, None] + (np.cumsum(weights) - weights / 2)) * h).reshape(-1)
+    times = _midpoint_times(spec, steps, _WEIGHTS)
     halves = [weights[0], *(weights[:-1] + weights[1:]), weights[-1]]  # first, merged, last
     kin = [np.exp(-1j * kinetic * (w * h / 2) / spec.hbar)[:, :, None] for w in halves]
     kin_after = kin[1:-1] + [kin[-1] * kin[0]]  # by position in the step
@@ -286,10 +383,10 @@ def monodromy_matrix(
     degree = _taylor_degree(theta / 2**squarings)
     chunk = max(1, _CHUNK_BYTES // (16 * B * B))
     # x and the Taylor work space, reused by every chunk
-    work = np.empty((_block_size(degree) + 2, min(chunk, substeps), B, B), dtype=complex)
+    work = np.empty((_block_size(degree) + 2, min(chunk, factors), B, B), dtype=complex)
     U = np.stack([np.diag(kh) for kh in kin[0][:, :, 0]])  # (M, B, B)
-    for start in range(0, substeps, chunk):
-        stop = min(start + chunk, substeps)
+    for start in range(0, factors, chunk):
+        stop = min(start + chunk, factors)
         coeffs = _potential_coefficients(spec, q, envelope, times[start:stop])
         scale = (-1j / (spec.hbar * 2**squarings)) * taus[start:stop, None]
         # x = -i W tau / (hbar 2^squarings), shared by every kappa; "clip"
@@ -299,7 +396,24 @@ def monodromy_matrix(
         for j in range(stop - start):
             # one (B, B) product per kappa, then that kappa's kinetic row scaling
             U = np.matmul(exp_w[j], U)
-            U = (kin_after[(start + j) % stages] if start + j < substeps - 1 else kin[-1]) * U
+            U = (kin_after[(start + j) % stages] if start + j < factors - 1 else kin[-1]) * U
+
+    if pieces > 1:
+        # P reverses the plane-wave index; the reflection R_k takes index a
+        # at kappa to -a at -kappa with phase exp(2i k_a L), so P R_k = D_k
+        # and R_{-k} P = D_k^* for D_k = diag(exp(2i k_a L)).
+        mirror = np.exp(2j * spec.spacing * wavenumbers)[:, None, :]  # X D_k = X * mirror
+        if pieces == 4:
+            # Q_k = U_k(T/4, 0) to Uh_k = U_k(T/2, 0) = R_{-k} P Q_k^T P R_k Q_k
+            # = D_k^* Q_k^T D_k Q_k
+            U = mirror.conj().transpose(0, 2, 1) * np.matmul(U.transpose(0, 2, 1) * mirror, U)
+        # the glide takes Uh_k to the period: U_k = R_{-k} Uh_{-k} R_k Uh_k
+        # = D_k^* P Uh_{-k} P D_k Uh_k
+        partner = U[[index[-k] for k in requested]]
+        flipped = partner[:, ::-1, ::-1] * mirror[wanted]
+        U = mirror[wanted].conj().transpose(0, 2, 1) * np.matmul(flipped, U[wanted])
+    else:
+        U = U[wanted]
 
     deviation = np.abs(np.matmul(U.conj().transpose(0, 2, 1), U) - np.eye(B)).max()
     if not deviation <= _UNITARITY_TOL:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import driven_lattice as dl
-from driven_lattice import analysis, cli
+from driven_lattice import analysis, cli, floquet
 
 REF = dl.LatticeSpec()
 REFERENCE_CFG = Path(__file__).resolve().parents[1] / "scripts" / "reference.cfg"
@@ -263,6 +263,27 @@ class TestDeterminism:
         parallel = run(2, "c.csv")
         assert first == second == parallel
 
+    def test_workers_record_the_numerics_they_ran(self, tmp_path, monkeypatch):
+        # with workers the drive is checked only in the worker processes,
+        # and the sidecar carries what they ran
+        checks = []
+        drive_symmetries = floquet._drive_symmetries
+        monkeypatch.setattr(floquet, "_drive_symmetries",
+                            lambda *args: checks.append(args) or drive_symmetries(*args))
+        numerics = {}
+        for workers in (1, 2):
+            checks.clear()
+            assert cli.main([
+                "sweep", "--overlap-only", "--substeps", "512", "--workers", str(workers),
+                "--omega-start", "2.7", "--omega-stop", "2.8", "--omega-step", "0.1",
+                "--outdir", str(tmp_path), "--output", f"w{workers}.csv",
+            ]) == 0
+            meta = json.loads((tmp_path / f"w{workers}.csv.meta.json").read_text())
+            numerics[workers] = meta["numerics"]
+            assert bool(checks) == (workers == 1)
+        assert numerics[1] == numerics[2]
+        assert [n["route"] for n in numerics[1]] == ["quarter", "quarter"]
+
 
 class TestCsvEmission:
     def test_sweep_csv_format(self, tmp_path):
@@ -410,6 +431,10 @@ class TestCli:
             # a Gaussian narrower than the grid spacing (0.0625) is not sampled
             *(["evolve", "--domain", "ring", "--supercells", "2", "--horizon", "2",
                 "--sigma", sigma] for sigma in ("1e-160", "0.01", "0.05")),
+            # a basis that is not odd and positive is bad input, not a failed frequency
+            *([command, "--basis-size", basis, "--omega-start", "2.8", "--omega-stop", "2.8",
+               "--omega-step", "0.01"]
+              for command in ("spectrum", "sweep") for basis in ("52", "0", "-3")),
         ):
             code = cli.main([*argv, "--substeps", "512", "--outdir", str(tmp_path)])
             assert code == 2, argv
@@ -522,16 +547,40 @@ class TestCli:
         grid = ["--omega-start", "2.8", "--omega-stop", "2.8", "--omega-step", "0.1"]
         ring = ["--domain", "ring", "--supercells", "1", "--horizon", "1"]
         expected = {
-            ("sweep", "--overlap-only", *grid): {"omega": 2.8, "substeps": 900, "basis_size": 53},
-            ("evolve", *ring): {"omega": 1.0, "substeps": 600, "basis_size": 61},
+            ("sweep", "--overlap-only", *grid):
+                {"omega": 2.8, "substeps": 900, "basis_size": 53, "route": "quarter"},
+            ("evolve", *ring):
+                {"omega": 1.0, "substeps": 600, "basis_size": 61, "route": "quarter"},
             ("evolve", "--method", "direct", *ring):
-                {"omega": 1.0, "substeps": 2048, "basis_size": None},
+                {"omega": 1.0, "substeps": 2048, "basis_size": None, "route": None},
         }
         for argv, numerics in expected.items():
             assert cli.main([*argv, "--outdir", str(tmp_path)]) == 0
             meta = json.loads((tmp_path / f"{argv[0]}.csv.meta.json").read_text())
             assert meta["config"]["substeps"] is None
             assert meta["numerics"] == [numerics]
+
+    @pytest.mark.parametrize(
+        "phases, route",
+        [("0,pi,0", "quarter"), ("0,0.5pi,0", "half"), ("0,0,pi", "full"), ("0,1,2", "full")])
+    def test_sidecar_route_and_substeps_are_what_the_monodromy_ran(
+            self, tmp_path, monkeypatch, phases, route):
+        # count the potential factors the jump loop exponentiates: a route
+        # over 1/pieces of the period runs substeps / pieces of them
+        ran = []
+        taylor_exp = floquet._taylor_exp
+        monkeypatch.setattr(floquet, "_taylor_exp",
+                            lambda x, *args: ran.append(len(x)) or taylor_exp(x, *args))
+        assert cli.main([
+            "spectrum", "--phases", phases, "--substeps", "256",
+            "--omega-start", "2.8", "--omega-stop", "2.8", "--omega-step", "0.1",
+            "--outdir", str(tmp_path),
+        ]) == 0
+        meta = json.loads((tmp_path / "spectrum.csv.meta.json").read_text())
+        [numerics] = meta["numerics"]
+        assert numerics["route"] == route
+        pieces = {"full": 1, "half": 2, "quarter": 4}[route]
+        assert sum(ran) * pieces == numerics["substeps"]
 
     def test_basis_below_cutoff_exit_code(self, tmp_path):
         code = cli.main([

@@ -27,12 +27,17 @@ def _eigh_factor(spec, q, envelope, idx, t, tau):
     return (vecs * np.exp(-1j * vals * tau / spec.hbar)) @ vecs.conj().T
 
 
-def eigh_monodromy(spec, kappa, params, basis_size, weights=YOSHIDA):
-    """Reference monodromy: ceil(n/r) steps S(w_1 h) ... S(w_r h) of the
-    midpoint Strang substep over the r weights, unmerged kinetic halves and
-    every potential factor exponentiated by Hermitian eigendecomposition."""
+def run_steps(spec, params, basis_size):
+    """Composition steps per period `monodromy_matrix` runs, rounded for its route."""
+    return floquet._monodromy_resolution(spec, params, basis_size).substeps // len(floquet._WEIGHTS)
+
+
+def eigh_monodromy(spec, kappa, steps, basis_size, weights=YOSHIDA):
+    """Reference monodromy: `steps` steps S(w_1 h) ... S(w_r h) of the
+    midpoint Strang substep over the r weights, over the whole period,
+    unmerged kinetic halves and every potential factor exponentiated by
+    Hermitian eigendecomposition."""
     B = basis_size
-    steps = math.ceil(params.substeps_per_period / len(weights))
     h = spec.period / steps
     k = dl.basis_wavenumbers(spec, B, kappa)
     kinetic = spec.hbar * k**2 / (2 * spec.mass)  # kinetic energy / hbar
@@ -98,20 +103,21 @@ class TestMonodromy:
         "spec, kappa, params, B",
         [
             (REF, 0.3 * REF.brillouin_edge, FAST, 41),
-            # theta = n_p sum|c_n| |w0| h / hbar ~ 18.7: scaled and squared
-            # 5 times; 215 is the smallest basis that clears the 5 v0 cutoff
+            # theta = n_p sum|c_n| |w0| h / hbar ~ 18.2 (88 steps): scaled and
+            # squared 5 times; 215 is the smallest basis that clears the 5 v0 cutoff
             (dl.LatticeSpec(v0=50.0), 0.0, dl.PropagationParams(substeps_per_period=256), 215),
         ],
         ids=["kappa0.3-B41", "v0-50"],
     )
     def test_matches_eigendecomposition_factors(self, spec, kappa, params, B):
+        steps = run_steps(spec, params, B)
         U = dl.monodromy_matrix(spec, kappa, params, basis_size=B)
-        assert np.abs(U - eigh_monodromy(spec, kappa, params, B)).max() < 1e-12
+        assert np.abs(U - eigh_monodromy(spec, kappa, steps, B)).max() < 1e-12
         # the stacked call shares the potential factors between its kappas
         kappas = np.array([kappa, -0.5 * spec.brillouin_edge])
         stacked = dl.monodromy_matrix(spec, kappas, params, basis_size=B)
         assert np.array_equal(stacked[0], U)
-        assert np.abs(stacked[1] - eigh_monodromy(spec, kappas[1], params, B)).max() < 1e-12
+        assert np.abs(stacked[1] - eigh_monodromy(spec, kappas[1], steps, B)).max() < 1e-12
 
     def test_weights_are_yoshidas_triple_jump(self):
         assert floquet._WEIGHTS == YOSHIDA
@@ -128,7 +134,8 @@ class TestMonodromy:
         kappa = 0.3 * REF.brillouin_edge
         assert floquet._monodromy_resolution(REF, FAST)[0] % len(weights) == 0
         U = dl.monodromy_matrix(REF, kappa, FAST, basis_size=41)
-        assert np.abs(U - eigh_monodromy(REF, kappa, FAST, 41, weights)).max() < 1e-12
+        steps = run_steps(REF, FAST, 41)
+        assert np.abs(U - eigh_monodromy(REF, kappa, steps, 41, weights)).max() < 1e-12
         if weights is SUZUKI:
             assert 12.0 <= _halving_ratio(REF, kappa, 800) <= 20.0
 
@@ -139,16 +146,25 @@ class TestMonodromy:
         # monodromy is a converged 2048-jump one
         spec = replace(REF, omega=omega)
         exact = dl.monodromy_matrix(spec, 0.0, dl.PropagationParams(3 * 2048), B)
-        strang = eigh_monodromy(spec, 0.0, dl.default_params(spec), B, STRANG)
+        strang = eigh_monodromy(spec, 0.0, dl.default_params(spec).substeps_per_period, B, STRANG)
         default = dl.monodromy_matrix(spec, 0.0, basis_size=B)
         assert np.abs(default - exact).max() <= np.abs(strang - exact).max()
 
     def test_explicit_substeps_make_whole_triple_jumps(self):
+        # 256 substeps are ceil(256 / 3) = 86 triple jumps, rounded up to
+        # 88 for the quarter route of the reference phases and the half
+        # route of the glide alone; the full route keeps 86
         params = dl.PropagationParams(substeps_per_period=256)
-        assert floquet._monodromy_resolution(REF, params) == (258, 41)
-        substeps, B = floquet._monodromy_resolution(REF, None, 131)
-        assert (substeps, B) == (3 * floquet._default_steps(REF, 131), 131)
-        assert substeps > floquet._monodromy_resolution(REF)[0]
+        assert floquet._monodromy_resolution(REF, params) == (264, 41, "quarter")
+        glide_only = replace(REF, phases=(0.0, math.pi / 2, 0.0))
+        assert floquet._monodromy_resolution(glide_only, params) == (264, 41, "half")
+        for phases in [(0.0, 0.0, math.pi), (0.0, 1.0, 2.0)]:  # time reversal alone, neither
+            asymmetric = replace(REF, phases=phases)
+            assert floquet._monodromy_resolution(asymmetric, params) == (258, 41, "full")
+        resolution = floquet._monodromy_resolution(REF, None, 131)
+        steps = 4 * math.ceil(floquet._default_steps(REF, 131) / 4)
+        assert resolution == (3 * steps, 131, "quarter")
+        assert resolution.substeps > floquet._monodromy_resolution(REF).substeps
 
     @pytest.mark.parametrize(
         "spec, fractions",
@@ -207,6 +223,76 @@ class TestMonodromy:
         assert dl.default_basis_size(REF) == 41
         assert dl.default_basis_size(replace(REF, omega=2.74)) == 51
         assert dl.default_basis_size(replace(REF, omega=4.6)) == 67
+
+
+ROUTE_PARAMS = dl.PropagationParams(3 * 172)  # 172 steps: whole quarters on every route
+
+
+def full_period_loop(spec, kappa, params, basis_size):
+    """The monodromy's own jump loop over the whole period, no assembly."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(floquet, "_drive_symmetries", lambda *args: (False, False))
+        assert floquet._monodromy_resolution(spec, params, basis_size).route == "full"
+        return dl.monodromy_matrix(spec, kappa, params, basis_size)
+
+
+class TestRoutes:
+    @pytest.mark.parametrize(
+        "phases, fraction, route",
+        [
+            ((0.0, math.pi, 0.0), 0.0, "quarter"),
+            ((0.0, math.pi, 0.0), 0.37, "quarter"),
+            ((0.0, math.pi / 2, 0.0), 0.37, "half"),  # the glide alone
+            ((0.0, 0.0, math.pi), 0.37, "full"),  # time reversal alone
+            ((0.0, 1.0, 2.0), 0.37, "full"),
+        ],
+        ids=["quarter-k0", "quarter-interior", "half-glide", "full-time-reversal", "full"],
+    )
+    def test_assembled_period_matches_full_period_loop(self, phases, fraction, route):
+        spec = replace(REF, omega=2.8, phases=phases)
+        kappa = fraction * spec.brillouin_edge
+        assert floquet._monodromy_resolution(spec, ROUTE_PARAMS, 53).route == route
+        U = dl.monodromy_matrix(spec, kappa, ROUTE_PARAMS, basis_size=53)
+        assert np.abs(U - full_period_loop(spec, kappa, ROUTE_PARAMS, 53)).max() < 1e-12
+
+    def test_even_ring_zone_edge_gets_its_partner(self):
+        # the ladder of a 4-cell ring holds +edge but not -edge
+        kappas = dl.ring_kappas(REF, 4)
+        edge = REF.brillouin_edge
+        assert np.isclose(kappas, edge).any() and not np.isclose(kappas, -edge).any()
+        stacked = dl.monodromy_matrix(REF, kappas, ROUTE_PARAMS, basis_size=41)
+        for U, kappa in zip(stacked, kappas):
+            assert np.abs(U - full_period_loop(REF, kappa, ROUTE_PARAMS, 41)).max() < 1e-12
+
+    @pytest.mark.parametrize("supercells, extra", [(4, 1), (16, 1), (5, 0)])
+    def test_ring_ladder_stack_adds_only_the_minus_edge(self, supercells, extra):
+        # the ladder holds -kappa bitwise beside every kappa but the even
+        # ring's +edge, so a paired route runs one kappa more, not 2M - 1
+        kappas = [float(k) for k in dl.ring_kappas(REF, supercells)]
+        run = floquet._kappa_stack(kappas, paired=True)
+        assert len(run) == supercells + extra
+        assert run[:supercells] == kappas and {-k for k in kappas} <= set(run)
+        assert floquet._kappa_stack(kappas, paired=False) == kappas
+
+    def test_symmetries_are_checked_on_the_coefficients(self):
+        steps = 172
+        for phases, expected in [
+            ((0.0, math.pi, 0.0), (True, True)),
+            ((0.0, math.pi / 2, 0.0), (False, True)),
+            ((0.0, 0.0, math.pi), (True, False)),
+            ((0.0, 1.0, 2.0), (False, False)),
+            # a perturbation far above roundoff breaks both
+            ((1e-6, math.pi, 0.0), (False, False)),
+        ]:
+            spec = replace(REF, phases=phases)
+            assert floquet._drive_symmetries(spec, 41, steps, floquet._WEIGHTS) == expected
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.floats(-1.0, 1.0))
+    def test_quarter_route_matches_full_period_at_any_kappa(self, fraction):
+        kappa = fraction * REF.brillouin_edge
+        U = dl.monodromy_matrix(REF, kappa, ROUTE_PARAMS, basis_size=41)
+        assert np.abs(U - full_period_loop(REF, kappa, ROUTE_PARAMS, 41)).max() < 1e-12
 
 
 class TestDiagonalize:

@@ -46,27 +46,27 @@ CASES = {
 DIGESTS = {
     "evolve": {
         "evolve.csv":
-            "eecf2276b6fc78da80216fa6eeb35fc3590430d30d6bba259bb4d7450eee32e9",
+            "b958c93994c3351d81057c612d4e25147d418684917e5fd724c639dde3ac8e77",
         "evolve.csv.meta.json":
-            "940741a0eb20fc7a35282346f6cd987ea7758281ab474eb4c630d17efca7f7ef",
+            "57b00e5c117de1ce71ad3e8b83621715623ddf9e1354662e7bff0a5979b21320",
     },
     "spectrum": {
         "spectrum.csv":
-            "929452747991370202addb17e3279cae8b9836a7f2dc3ab949daac136a060467",
+            "7d95430e9e18e8e5eaddde40e1dbe628c8cdad4440118fd6e1921edbe3763d04",
         "spectrum.csv.meta.json":
-            "d17480f44ad91f0a5f7bda03b954b6f0cf17e18adc779c03ac1524c9ca496f76",
+            "9bb4c2fc686b183b1aef8a504c80a7f4bfe2f2a2e2cea0a75bdb96ca2a13fb01",
     },
     "sweep": {
         "sweep.csv":
-            "c5885ffebc3db49b08dda1cc75f821e478b8f9bd1efaf7ea2563082f7d8b29dd",
+            "bd7f4be6724f37d3354adda9481226fc4cebfa92188f2bff679671741aca9d22",
         "sweep.csv.meta.json":
-            "a9af1a78e4ec7548661d4ad2c84df9de605883111e34cdb6e7c1eef6bc8d8f00",
+            "da2eb639757737b094e01210b12cc9e1ab0b69ecfa7b5e713a18e0f5fd877a5a",
     },
     "modes": {
         "modes.csv":
-            "268386fbe01d200e579209c94a2b9be6df7d40e1ff78fde0d354b5f549fb1096",
+            "b6b095ac469451c2db2c532ee6268d48d4e241a84c19bc224e3041874f77a291",
         "modes.csv.meta.json":
-            "0fdfeec3ddbd1a3c5dff30975c0c165d4c147328d2de73631cd55dcb738fdf32",
+            "a0b1b9885771483108e2688c00f4d64a3ca53edd25d6ca3c4b41c232a1a1edb0",
     },
     "resonances": {
         "resonances.csv":
@@ -74,9 +74,9 @@ DIGESTS = {
         "resonances.csv.meta.json":
             "32b789b4c535439324bd20292720bb5d627b908cfc5c7831206d53b4180e95d9",
         "sweep.csv":
-            "e91b75d99272c378373fe3ece760ce7e8fcc2f726291be5455e92aaf400e84dd",
+            "dfaf29fe7977cc64e5b56f16b8a66b6d40fe35e77e3424fe0815ea4345041098",
         "sweep.csv.meta.json":
-            "a9af1a78e4ec7548661d4ad2c84df9de605883111e34cdb6e7c1eef6bc8d8f00",
+            "da2eb639757737b094e01210b12cc9e1ab0b69ecfa7b5e713a18e0f5fd877a5a",
     },
 }
 
