@@ -96,8 +96,8 @@ def potential(x, t: float, spec: LatticeSpec) -> np.ndarray:
     xmin = float(x.min()) if x.size else 0.0
     xmax = float(x.max()) if x.size else 0.0
     margin = _BARRIER_WINDOW_WIDTHS * spec.delta + spec.amplitude
-    s_lo = int(math.floor((xmin - margin) / spec.spacing))
-    s_hi = int(math.ceil((xmax + margin) / spec.spacing))
+    s_lo = int(math.ceil((xmin - margin) / spec.spacing))
+    s_hi = int(math.floor((xmax + margin) / spec.spacing))
     total = np.zeros_like(x)
     for s in range(s_lo, s_hi + 1):
         y = (x - s * spec.spacing - spec.drive_offset(s, t)) / spec.delta

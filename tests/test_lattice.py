@@ -9,6 +9,20 @@ import driven_lattice as dl
 REF = dl.LatticeSpec()
 
 
+def wide_window_potential(x, t, spec, extra=3):
+    """Test-local barrier sum over a window `extra` barriers wider on each
+    side than every barrier within 8 widths plus the amplitude of `x`."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    margin = 8 * spec.delta + spec.amplitude
+    lo = math.floor((x.min() - margin) / spec.spacing) - extra
+    hi = math.ceil((x.max() + margin) / spec.spacing) + extra
+    total = np.zeros_like(x)
+    for s in range(lo, hi + 1):
+        y = (x - s * spec.spacing - spec.drive_offset(s, t)) / spec.delta
+        total += np.exp(-y * y)
+    return spec.v0 * total
+
+
 class TestSpec:
     def test_derived_quantities(self):
         assert REF.period == pytest.approx(2 * math.pi)
@@ -59,6 +73,22 @@ class TestPotential:
         # two barriers at distance L/2 = 10 delta: 2 exp(-100)
         value = float(dl.potential(spec.spacing / 2, 0.0, spec))
         assert value == pytest.approx(2 * spec.v0 * math.exp(-100), rel=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(-45.0, 45.0),
+        st.floats(0.0, 25.0),
+        st.sampled_from((REF, dl.LatticeSpec(v0=3.0, delta=1.2, spacing=7.0, amplitude=2.5))),
+    )
+    def test_window_keeps_every_barrier_above_roundoff(self, x, t, spec):
+        # a lone point is the narrowest window: x, the barrier equilibria and
+        # the cell seams; a shifted cell of grid points is the split step's
+        cell = spec.cell_length
+        points = np.concatenate(([x], spec.spacing * np.arange(-4, 5), cell * np.arange(-2, 3)))
+        windows = [*points, x + np.arange(480) * cell / 480]
+        for xs in windows:
+            diff = np.abs(dl.potential(xs, t, spec) - wide_window_potential(xs, t, spec))
+            assert diff.max() <= 1e-15 * spec.v0
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-45.0, 45.0), st.floats(0.0, 25.0))

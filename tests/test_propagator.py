@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.fft as sfft
+from hypothesis import given, settings, strategies as st
 
 import driven_lattice as dl
 
@@ -24,6 +25,27 @@ def smooth_state(grid, seed=7, modes=6):
 
 def state_distance(a, b):
     return math.sqrt(np.sum(np.abs(a.psi - b.psi) ** 2) * a.grid.dx)
+
+
+def ring_loop(state, spec, params, duration, kappa=0.0):
+    """Test-local full-ring split step: the potential tiled over the ring,
+    its phase evaluated at every substep, and one ring FFT pair per
+    substep."""
+    ring = state.grid
+    n = max(1, int(round(params.substeps_per_period * duration / spec.period)))
+    dt = duration / n
+    x = ring.positions()
+    k = 2 * math.pi * sfft.fftfreq(ring.points, ring.dx)
+    kin_half = np.exp(-1j * spec.hbar * (k + kappa) ** 2 * dt / (4.0 * spec.mass))
+    kin_full = kin_half * kin_half
+    u = state.psi if kappa == 0.0 else state.psi * np.exp(-1j * kappa * x)
+    u = sfft.ifft(sfft.fft(u) * kin_half)
+    for j in range(n):
+        v = np.tile(dl.potential(ring.cell.positions(), (j + 0.5) * dt, spec),
+                    ring.supercells)
+        u = u * np.exp(-1j * v * dt / spec.hbar)
+        u = sfft.ifft(sfft.fft(u) * (kin_full if j < n - 1 else kin_half))
+    return u if kappa == 0.0 else u * np.exp(1j * kappa * x)
 
 
 class TestParams:
@@ -142,23 +164,39 @@ class TestRing:
         assert math.sqrt(np.sum(np.abs(diff) ** 2) * cell.dx) < 1e-9
 
     def test_matches_tiled_potential_loop(self):
-        # test-local copy of the split step that tiles the potential over the
-        # ring at every substep; the cell-broadcast phase must not change a bit
-        ring = dl.RingDomain(dl.SupercellGrid.for_spec(REF, 480), 3)
-        state = dl.make_initial_state(dl.GaussianState(45.0, 5.0), ring)
-        n = FAST.substeps_per_period
-        dt = REF.period / n
-        k = 2 * math.pi * sfft.fftfreq(ring.points, ring.dx)
-        kin_half = np.exp(-1j * REF.hbar * k**2 * dt / (4.0 * REF.mass))
-        kin_full = kin_half * kin_half
-        u = sfft.ifft(sfft.fft(state.psi) * kin_half)
-        for j in range(n):
-            v = np.tile(dl.potential(ring.cell.positions(), (j + 0.5) * dt, REF),
-                        ring.supercells)
-            u = u * np.exp(-1j * v * dt / REF.hbar)
-            u = sfft.ifft(sfft.fft(u) * (kin_full if j < n - 1 else kin_half))
-        evolved = dl.evolve_ring(state, REF, FAST, REF.period)
-        assert np.array_equal(evolved.psi, u)
+        # the cell-Bloch frame is the full-ring loop up to roundoff on a ring,
+        # and bitwise on one cell, where its cell DFT is the identity; a
+        # static drive's one phase is the same bits as a phase per substep
+        grid = dl.SupercellGrid.for_spec(REF, 480)
+        static = replace(REF, amplitude=0.0)
+        for spec, cells, kappa in ((REF, 3, 0.0), (REF, 1, 0.0),
+                                   (static, 1, 0.3 * REF.brillouin_edge)):
+            ring = dl.RingDomain(grid, cells)
+            state = dl.make_initial_state(dl.GaussianState(15.0 * cells, 3.0), ring)
+            evolved = dl.evolve_ring(state, spec, FAST, spec.period, kappa=kappa)
+            u = ring_loop(state, spec, FAST, spec.period, kappa)
+            if cells == 1:
+                assert np.array_equal(evolved.psi, u)
+            else:
+                assert np.abs(evolved.psi - u).max() <= 1e-12
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        cells=st.integers(1, 5),
+        zone=st.floats(-1.0, 1.0),
+        substeps=st.integers(256, 512),
+        amplitude=st.sampled_from((0.0, 1.0)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_cell_bloch_frame_matches_ring_loop(self, cells, zone, substeps, amplitude, seed):
+        spec = replace(REF, amplitude=amplitude)
+        ring = dl.RingDomain(dl.SupercellGrid.for_spec(spec, 240), cells)
+        state = smooth_state(ring, seed=seed, modes=4 * cells)
+        params = dl.PropagationParams(substeps_per_period=substeps)
+        kappa = zone * spec.brillouin_edge
+        evolved = dl.evolve_ring(state, spec, params, spec.period, kappa=kappa)
+        u = ring_loop(state, spec, params, spec.period, kappa)
+        assert np.abs(evolved.psi - u).max() <= 1e-12
 
 
 class TestNumerics:
