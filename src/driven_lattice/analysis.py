@@ -6,7 +6,7 @@ Output files are plain CSV (UTF-8, '.' decimal, 17 significant digits) with
 a '#'-prefixed header block carrying the package version, a hash of the
 resolved configuration and the configuration echo; a JSON sidecar stores the
 full resolved configuration.  Identical configurations produce byte-identical
-files regardless of worker count, at a fixed BLAS thread count.
+files regardless of worker count.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-import scipy.signal
 
 from .version import __version__
 from .errors import ConfigError, ToleranceError
@@ -300,7 +299,8 @@ def _monodromy_numerics(config: ExperimentConfig, omegas, basis_size: int | None
     """The substeps, basis size and route (full, half or quarter period)
     each frequency's monodromy runs with (``basis_size`` overrides the
     config's), for the sidecar.  Read in the process that ran the monodromy,
-    this is what it ran: `_monodromy_resolution` caches its symmetry check."""
+    this is what it ran, by the same rule (`_monodromy_resolution`, whose
+    drive check is cheap enough to repeat)."""
     basis_size = basis_size if basis_size is not None else config.basis_size
     numerics = []
     for omega in omegas:
@@ -367,6 +367,8 @@ def _sweep_records(config: ExperimentConfig, omegas, with_populations: bool) -> 
 def _refine_peaks(config: ExperimentConfig, points: list[tuple]) -> list[tuple]:
     """Bisect the grid of (record, numerics) points around strong n_max
     peaks down to REFINE_MIN_STEP."""
+    import scipy.signal  # its import is slow, and only refinement and dips use it
+
     while True:
         points.sort(key=lambda p: p[0].omega)
         omegas = [record.omega for record, _ in points]
@@ -477,6 +479,8 @@ def _parabolic_vertex(x, y) -> float:
 def detect_dips(omegas, values, prominence: float = DIP_PROMINENCE) -> tuple[Dip, ...]:
     """Local minima of a sweep curve (the ground overlap, the gap) with at
     least `prominence`, parabolic-refined on the sampling grid."""
+    import scipy.signal  # its import is slow, and only refinement and dips use it
+
     omegas = np.asarray(omegas, dtype=float)
     values = np.asarray(values, dtype=float)
     idx, props = scipy.signal.find_peaks(-values, prominence=prominence)

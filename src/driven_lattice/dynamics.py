@@ -27,6 +27,7 @@ import scipy.fft as sfft
 from .errors import CompletenessError, DegenerateModeError, GridMismatchError
 from .floquet import (
     FloquetSpectrum,
+    _one_blas_thread,
     circle_gap,
     default_basis_size,
     diagonalize_monodromy,
@@ -35,7 +36,7 @@ from .floquet import (
     monodromy_matrix,
 )
 from .lattice import ComplexState, LatticeSpec, RingDomain
-from .propagate import PropagationParams, evolve_ring
+from .propagate import PropagationParams, _split_step
 
 _RESIDUAL_TOL = 1e-4
 _NORM_TOL = 1e-6
@@ -115,6 +116,7 @@ class SpectralDecomposition:
         return float(np.sum(np.abs(self.coefficients) ** 2))
 
 
+@_one_blas_thread
 def decompose(initial: ComplexState, spectra) -> SpectralDecomposition:
     """Project a ring state onto the Floquet-Bloch modes of every ring kappa.
 
@@ -181,6 +183,7 @@ def _reconstruct(dec: SpectralDecomposition, periods: np.ndarray, chunk: int):
         yield cells.reshape(dec.ring.points, -1)
 
 
+@_one_blas_thread
 def stroboscopic_state(dec: SpectralDecomposition, periods: int) -> ComplexState:
     """State after `periods` whole driving periods, assembled from the modes."""
     if periods < 0:
@@ -296,6 +299,7 @@ class PopulationTrace:
         return float((values.max(axis=1) - values.min(axis=1)).max())
 
 
+@_one_blas_thread
 def population_trace(dec: SpectralDecomposition, periods) -> PopulationTrace:
     """Stroboscopic site populations from the mode expansion."""
     periods = np.asarray(list(periods), dtype=int)
@@ -313,7 +317,9 @@ def direct_population_trace(
     params: PropagationParams,
     max_period: int,
 ) -> PopulationTrace:
-    """Site populations from direct period-by-period ring integration.
+    """Site populations from direct ring integration, one split-step pass
+    over `max_period` periods that hands back the state at each whole
+    period.
 
     Independent of the mode decomposition; used as the brute-force reference
     for the stroboscopic reconstruction.
@@ -321,11 +327,11 @@ def direct_population_trace(
     weights = site_weights(spec, initial.grid)
     periods = np.arange(max_period + 1)
     values = np.empty((len(weights), len(periods)))
-    state = initial
-    values[:, 0] = weights @ (np.abs(state.psi) ** 2)
-    for m in range(1, max_period + 1):
-        state = evolve_ring(state, spec, params, duration=spec.period)
-        values[:, m] = weights @ (np.abs(state.psi) ** 2)
+    values[:, 0] = weights @ (np.abs(initial.psi) ** 2)
+    if max_period > 0:
+        states = _split_step(initial, spec, params, max_period * spec.period)
+        for m, psi in enumerate(states, start=1):
+            values[:, m] = weights @ (np.abs(psi) ** 2)
     return PopulationTrace(periods=periods, values=values)
 
 

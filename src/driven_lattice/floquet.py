@@ -29,10 +29,11 @@ chunk of Taylor factors once and advances every kappa's propagator with its
 own ``(B, B)`` product, so each slice is bitwise the one-kappa result.
 
 The loop runs a fraction of the period chosen by the drive's symmetries,
-which `_monodromy_resolution` detects by checking the identities of the
-potential coefficients at the substep midpoint times to roundoff, never
-assuming them.  Time reversal is H(-t) = H(t) (c_n(-t) = c_n(t)); the glide
-is H(t + T/2) = R H(t) R^-1 for the reflection R: x -> 2L - x.  The
+which `_monodromy_resolution` detects by checking their identities on the
+barrier offsets at the substep midpoint times to roundoff
+(`LatticeSpec.drive_symmetries`, the check the direct integrator reads
+too), never assuming them.  Time reversal is H(-t) = H(t); the glide is
+H(t + T/2) = R H(t) R^-1 for the reflection R: x -> 2L - x.  The
 reference phases (0, pi, 0) have both, and take the quarter route: the
 loop gives Q_k = U_k(T/4, 0) for every kappa and its -kappa, and with P
 the plane-wave index reversal and R_k the reflection from kappa to -kappa,
@@ -44,19 +45,28 @@ the step count rounded up to a multiple of 4, and the quarter and half
 routes run that count, so their fraction ends between steps; the assembled
 period matches the full-period loop at that count to roundoff.
 Modes are labeled by their weight on the uniform state (`uniform_weights`).
+
+The monodromy loop, Schur, band matching and the complex products with the
+sampled modes (here and in `dynamics`) run on one BLAS thread
+(`_one_blas_thread`), whatever the caller's setting, so their last bits do
+not depend on it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import math
+import threading
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 from scipy.linalg import schur
 from scipy.linalg.blas import zaxpy
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigError, UnitarityError
 from .lattice import LatticeSpec, RingDomain, SupercellGrid, UniformState, make_initial_state
@@ -74,9 +84,6 @@ _MIN_BASIS_SIZE = 41
 # a basis is adequate when its edge kinetic energy reaches this multiple of
 # the lattice's energy scale max(v0, hbar*omega)
 _CUTOFF_FACTOR = 5.0
-# roundoff allowed in a drive-symmetry identity of the potential
-# coefficients, relative to their scale n_p * max(envelope)
-_SYMMETRY_TOL = 1e-12
 
 # One step h of the monodromy is S(w h) for each weight w in turn, S the
 # time-symmetric 2nd-order substep.  Yoshida's triple jump (w1, 1 - 2 w1, w1),
@@ -90,6 +97,68 @@ _STEPS_PER_EDGE_PHASE = 0.6
 # The eigenvalue accuracy of a truncated-basis monodromy degrades near the
 # basis edge; reports keep only this many best-converged modes.
 REPORTED_MODES = 20
+
+
+@functools.cache
+def _blas_thread_controls() -> tuple:
+    """(get, set) of the thread count of each OpenBLAS that numpy and scipy
+    bundle (``numpy.libs``, ``scipy.libs``), found by their exported names;
+    empty where there is none."""
+    controls = []
+    for package in (np, scipy):
+        libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+        for path in sorted(libs.glob("libscipy_openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+            except OSError:  # not loadable here: nothing to set
+                continue
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+                if get and set_:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    controls.append((get, set_))
+                    break
+    return tuple(controls)
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Run with one BLAS thread, restoring the caller's counts after.
+
+    The library's products, (B, B) in the monodromy, Schur and band
+    matching and (P, B) against the sampled modes, are too small for a
+    second thread, whose waiting costs more than it gives, and one thread
+    makes their last bits independent of the caller's setting.  Where no
+    OpenBLAS setter is found nothing changes.  The count is the process's,
+    so the first of overlapping entries, from any thread, saves it and the
+    last exit restores it.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._counts: list[int] = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                controls = _blas_thread_controls()
+                self._counts = [get() for get, _ in controls]
+                for _, set_ in controls:
+                    set_(1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for (_, set_), count in zip(_blas_thread_controls(), self._counts):
+                    set_(count)
+        return False
+
+
+_one_blas_thread = _OneBlasThread()
 
 
 def fold_quasienergy(value, spec: LatticeSpec):
@@ -241,28 +310,17 @@ def _midpoint_times(spec: LatticeSpec, steps: int, weights: tuple) -> np.ndarray
     return ((np.arange(steps)[:, None] + (np.cumsum(weights) - weights / 2)) * h).reshape(-1)
 
 
-@functools.lru_cache(maxsize=256)
-def _drive_symmetries(spec: LatticeSpec, basis_size: int, steps: int,
-                      weights: tuple) -> tuple[bool, bool]:
-    """Whether the potential coefficients at the substep midpoint times of
-    `steps` steps of `weights` have (time reversal, the glide), each within
-    roundoff.  Cached, so the sidecar reads the route the monodromy ran in
-    the same process without checking again.
+def _drive_symmetries(spec: LatticeSpec, steps: int, weights: tuple) -> tuple[bool, bool]:
+    """Whether the drive has (time reversal, the glide) at the substep
+    midpoint times of `steps` steps of `weights`, each within roundoff
+    (`LatticeSpec.drive_symmetries`, on the barrier offsets).
 
-    Time reversal is c_n(T - t) = c_n(t); with palindromic weights the
-    factor at T - t is the mirror of the one at t.  The glide is
-    c_{-n}(t + T/2) = exp(2i q_n L) c_n(t), the reflection x -> 2L - x half
-    a period on; with `steps` even the factor at t + T/2 is the image of
-    the one at t.
+    With palindromic weights the factor at T - t is the mirror of the one
+    at t, so time reversal needs them; with `steps` even the factor at
+    t + T/2 is the image of the one at t.
     """
-    q, envelope = _fourier_ladder(spec, basis_size)
-    c = _potential_coefficients(spec, q, envelope, _midpoint_times(spec, steps, weights))
-    tol = _SYMMETRY_TOL * spec.sites_per_cell * envelope.max()
-    time_reversal = (weights == weights[::-1]
-                     and np.abs(c[::-1] - c).max() <= tol)
-    half = len(c) // 2
-    glide = np.abs(c[half:, ::-1] - np.exp(2j * spec.spacing * q) * c[:half]).max() <= tol
-    return bool(time_reversal), bool(glide)
+    time_reversal, glide = spec.drive_symmetries(_midpoint_times(spec, steps, weights))
+    return time_reversal and weights == weights[::-1], glide
 
 
 def _monodromy_resolution(
@@ -290,7 +348,7 @@ def _monodromy_resolution(
     if spec.v0 == 0.0 or spec.amplitude == 0.0:
         return _Resolution(stages * steps, B)
     rounded = 4 * -(-steps // 4)
-    time_reversal, glide = _drive_symmetries(spec, B, rounded, _WEIGHTS)
+    time_reversal, glide = _drive_symmetries(spec, rounded, _WEIGHTS)
     if glide:
         return _Resolution(stages * rounded, B, "quarter" if time_reversal else "half")
     return _Resolution(stages * steps, B)
@@ -304,6 +362,7 @@ def _kappa_stack(kappas: list[float], paired: bool) -> list[float]:
     return list(dict.fromkeys(kappas + partners))  # 0.0 and -0.0 are one key
 
 
+@_one_blas_thread
 def monodromy_matrix(
     spec: LatticeSpec,
     kappa,
@@ -453,6 +512,7 @@ class FloquetSpectrum:
     def basis_size(self) -> int:
         return self.quasienergies.shape[0]
 
+    @_one_blas_thread
     def uniform_weights(self) -> np.ndarray:
         """Squared overlaps |<mode_i | uniform>|^2 with the uniform state."""
         uniform = make_initial_state(UniformState(), RingDomain(self.grid, 1))
@@ -481,6 +541,7 @@ class FloquetSpectrum:
         )
 
 
+@_one_blas_thread
 def diagonalize_monodromy(
     U: np.ndarray,
     spec: LatticeSpec,
@@ -566,6 +627,7 @@ def labeled_spectrum(
     return label_by_overlap(diagonalize_monodromy(U, spec, kappa, grid=grid))
 
 
+@_one_blas_thread
 def match_band_labels(
     spectra,
 ) -> tuple[tuple[FloquetSpectrum, ...], tuple[tuple[int, int], ...]]:
@@ -577,6 +639,8 @@ def match_band_labels(
     tuple of ``(spectrum_index, label)`` flags for assignments whose best
     and runner-up overlaps differ by less than 1e-3.
     """
+    from scipy.optimize import linear_sum_assignment  # its import is slow
+
     spectra = list(spectra)
     ref_idx = int(np.argmin([abs(s.kappa) for s in spectra]))
     ref = spectra[ref_idx]

@@ -21,6 +21,9 @@ from .errors import GridMismatchError
 _BARRIER_WINDOW_WIDTHS = 8.0
 # Largest Gaussian amplitude at the domain seam, relative to its peak.
 _SEAM_TOL = 1e-3
+# roundoff allowed in a drive-symmetry identity of the barrier offsets,
+# relative to the drive amplitude
+_SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,27 @@ class LatticeSpec:
         return self.amplitude * math.cos(
             self.omega * t + self.phases[site % self.sites_per_cell]
         )
+
+    def drive_symmetries(self, times) -> tuple[bool, bool]:
+        """Whether the drive has (time reversal, the glide) at the midpoint
+        times of one period's substeps, each within roundoff.
+
+        V depends on t only through the barrier offsets
+        d_s(t) = A cos(omega t + phi_s), so the identities are checked on
+        them.  ``times`` are in order and mirrored, t_{N-1-i} = T - t_i.
+        Time reversal is d_s(T - t) = d_s(t), the substep at T - t_i seeing
+        the potential of the one at t_i.  The glide, the reflection
+        x -> 2L - x half a period on, is d_{(2-s) mod n_p}(t + T/2) = -d_s(t);
+        with N even, t_{i+N/2} = t_i + T/2, and an odd N has no glide.
+        """
+        d = self.amplitude * np.cos(
+            self.omega * np.asarray(times, dtype=float)[:, None] + np.array(self.phases))
+        tol = _SYMMETRY_TOL * self.amplitude
+        half, odd = divmod(len(d), 2)
+        image = (2 - np.arange(self.sites_per_cell)) % self.sites_per_cell
+        time_reversal = np.abs(d[::-1] - d).max() <= tol
+        glide = not odd and np.abs(d[half:, image] + d[:half]).max() <= tol
+        return bool(time_reversal), bool(glide)
 
 
 def _in_first_zone(kappa, spec: LatticeSpec):

@@ -14,9 +14,23 @@ the frame once: its cell-axis FFT times the twiddle
 the ring's wavenumber ``m = j + M a``, so each substep is one batched
 size-P FFT pair with the kinetic phase ``kin.reshape(P, M).T`` between the
 transforms.  The potential repeats every cell, so its phase is evaluated on
-one cell and multiplies every row; a static drive (amplitude 0) evaluates
-it once per run.  The state leaves the frame once, at the end.  This is
-the full-ring split step up to roundoff, and bitwise it on a one-cell ring.
+one cell and multiplies every row.  This is the full-ring split step up to
+roundoff, and bitwise it on a one-cell ring where every substep evaluates
+its own phase (below).
+
+One call is one pass over the whole duration, the kinetic tables and
+twiddle built once.  When the duration is whole periods, the state is
+handed out at the end of each (`_split_step` is a generator; the
+stroboscopic direct trace reads every period, `evolve_ring` the last): a
+copy leaves the frame, and the pass goes on inside it.  The potential
+phases are then those of one period, and when the drive has time reversal
+(`LatticeSpec.drive_symmetries`, checked at the substep midpoint times)
+the substeps j and n - 1 - j of an n-substep period see the same
+potential, since their midpoint times add up to T.  Their phase is built
+once per call, in a table of the first ceil(n/2) substeps that serves both.
+Without time reversal, and over a duration that is not whole periods,
+every substep evaluates its own phase; a static drive (amplitude 0) has
+one.
 """
 
 from __future__ import annotations
@@ -28,7 +42,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from .errors import GridMismatchError
-from .lattice import ComplexState, LatticeSpec, RingDomain, _in_first_zone, potential
+from .lattice import ComplexState, LatticeSpec, _in_first_zone, potential
 
 
 @dataclass(frozen=True)
@@ -51,15 +65,31 @@ def default_params(spec: LatticeSpec) -> PropagationParams:
 
 
 def _split_step(
-    psi: np.ndarray,
-    ring: RingDomain,
-    kappa: float,
+    state: ComplexState,
     spec: LatticeSpec,
     params: PropagationParams,
     duration: float,
-) -> np.ndarray:
+    kappa: float = 0.0,
+):
+    """Ring samples after each whole period of `duration`, its end last; a
+    duration that is not whole periods yields its end only.  The arguments
+    are checked when the generator is first advanced."""
+    if not _in_first_zone(kappa, spec):
+        raise ValueError(
+            f"kappa={kappa:.6g} outside the first Brillouin zone "
+            f"[-{spec.brillouin_edge:.6g}, {spec.brillouin_edge:.6g}]"
+        )
+    if state.grid.cell.length != spec.cell_length:
+        raise GridMismatchError("ring cell length does not match the lattice supercell")
+    if not duration > 0:  # a NaN duration fails too
+        raise ValueError("duration must be positive")
+    ring = state.grid
     n = max(1, int(round(params.substeps_per_period * duration / spec.period)))
     dt = duration / n
+    periods = round(duration / spec.period)
+    whole = (periods >= 1 and n % periods == 0
+             and math.isclose(duration, periods * spec.period, rel_tol=1e-12))
+    stride = n // periods if whole else n  # substeps between yields
     cells, points = ring.supercells, ring.cell.points
     x = ring.positions()
     k = 2.0 * math.pi * sfft.fftfreq(ring.points, ring.dx)
@@ -75,23 +105,34 @@ def _split_step(
     def phase(t: float) -> np.ndarray:
         return np.exp(-1j * potential(x_cell, t, spec) * dt / hbar)
 
-    def kinetic(w: np.ndarray, kin: np.ndarray) -> np.ndarray:
-        w = sfft.fft(w, axis=1, overwrite_x=True)
-        w *= kin
-        return sfft.ifft(w, axis=1, overwrite_x=True)
+    def leave(w: np.ndarray) -> np.ndarray:
+        u = sfft.ifft(w * twiddle.conj(), axis=0).reshape(-1)
+        return u if kappa == 0.0 else u * np.exp(1j * kappa * x)
 
-    # without a drive the potential, and so its phase, is the same bits at
-    # every midpoint time
-    static = phase(0.0) if spec.amplitude == 0 else None
-    u = psi if kappa == 0.0 else psi * np.exp(-1j * kappa * x)
-    w = kinetic(sfft.fft(u.reshape(cells, points), axis=0) * twiddle, kin_half)
+    # a static drive has one phase; with time reversal the substeps j and
+    # stride - 1 - j of every period see the same potential, so row j of a
+    # half-period table serves both
+    times = (np.arange(stride) + 0.5) * dt
+    if spec.amplitude == 0:
+        table, rows = phase(0.0)[None], np.zeros(stride, dtype=int)
+    elif whole and spec.drive_symmetries(times)[0]:
+        rows = np.minimum(np.arange(stride), np.arange(stride)[::-1])
+        table = np.empty((rows.max() + 1, points), dtype=complex)
+        for j in range(len(table)):
+            table[j] = phase(times[j])
+    else:
+        table = None
+    u = state.psi if kappa == 0.0 else state.psi * np.exp(-1j * kappa * x)
+    w = sfft.fft(u.reshape(cells, points), axis=0) * twiddle
+    w = sfft.ifft(sfft.fft(w, axis=1, overwrite_x=True) * kin_half, axis=1, overwrite_x=True)
     for j in range(n):
-        w *= phase((j + 0.5) * dt) if static is None else static
-        w = kinetic(w, kin_full if j < n - 1 else kin_half)
-    u = sfft.ifft(w * twiddle.conj(), axis=0).reshape(-1)
-    if kappa != 0.0:
-        u = u * np.exp(1j * kappa * x)
-    return u
+        w *= phase((j + 0.5) * dt) if table is None else table[rows[j % stride]]
+        w = sfft.fft(w, axis=1, overwrite_x=True)
+        if (j + 1) % stride == 0:
+            yield leave(sfft.ifft(w * kin_half, axis=1, overwrite_x=True))
+        if j < n - 1:
+            w *= kin_full
+            w = sfft.ifft(w, axis=1, overwrite_x=True)
 
 
 def evolve_ring(
@@ -107,14 +148,6 @@ def evolve_ring(
     ``psi(x + length) = exp(i kappa length) psi(x)`` on the ring, handled
     spectrally by shifting the momentum ladder to ``k + kappa``.
     """
-    if not _in_first_zone(kappa, spec):
-        raise ValueError(
-            f"kappa={kappa:.6g} outside the first Brillouin zone "
-            f"[-{spec.brillouin_edge:.6g}, {spec.brillouin_edge:.6g}]"
-        )
-    if state.grid.cell.length != spec.cell_length:
-        raise GridMismatchError("ring cell length does not match the lattice supercell")
-    if not duration > 0:  # a NaN duration fails too
-        raise ValueError("duration must be positive")
-    psi = _split_step(state.psi, state.grid, kappa, spec, params, duration)
+    for psi in _split_step(state, spec, params, duration, kappa):
+        pass
     return ComplexState(psi, state.grid)

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -283,6 +286,17 @@ class TestDeterminism:
             assert bool(checks) == (workers == 1)
         assert numerics[1] == numerics[2]
         assert [n["route"] for n in numerics[1]] == ["quarter", "quarter"]
+
+    def test_import_leaves_out_scipy_signal_and_optimize(self):
+        # only dip detection, peak refinement and band matching need them,
+        # so they are imported there and a run that does none never pays
+        src = str(Path(dl.__file__).resolve().parents[1])
+        code = ("import sys, driven_lattice.cli; "
+                "print([m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules])")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
 
 
 class TestCsvEmission:

@@ -327,6 +327,28 @@ class TestOracleEquivalence:
         assert np.abs(floquet_trace.values - direct_trace.values).max() < 1e-3
 
 
+class TestDirectTrace:
+    @pytest.mark.parametrize(
+        "cells, substeps, amplitude",
+        [(1, 512, 1.0), (3, 512, 1.0), (16, 256, 1.0), (2, 257, 1.0), (3, 256, 0.0)],
+        ids=["M1", "M3", "M16", "odd-substeps", "static"],
+    )
+    def test_one_pass_matches_period_by_period_calls(self, cells, substeps, amplitude):
+        spec = replace(REF, amplitude=amplitude)
+        ring = dl.RingDomain(dl.SupercellGrid.for_spec(spec, 240), cells)
+        state = dl.make_initial_state(
+            dl.GaussianState(ring.length / 2, ring.length / 9), ring)
+        params = dl.PropagationParams(substeps_per_period=substeps)
+        trace = dl.direct_population_trace(state, spec, params, 3)
+        weights = dl.site_weights(spec, ring)
+        expected = [weights @ np.abs(state.psi) ** 2]
+        for _ in range(3):
+            state = dl.evolve_ring(state, spec, params, spec.period)
+            expected.append(weights @ np.abs(state.psi) ** 2)
+        assert np.array_equal(trace.periods, np.arange(4))
+        assert np.abs(trace.values - np.stack(expected, axis=1)).max() <= 1e-13
+
+
 class TestRingPacket:
     def test_central_sites_oscillate_near_seventy_five_periods(self, ring16_w1_dec):
         horizon = 2048

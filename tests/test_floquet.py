@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -236,6 +238,21 @@ def full_period_loop(spec, kappa, params, basis_size):
         return dl.monodromy_matrix(spec, kappa, params, basis_size)
 
 
+def coefficient_symmetries(spec, basis_size, steps, weights):
+    """Test-local oracle, the check on the potential coefficients c_n(t) at
+    the substep midpoint times that the barrier-offset check replaced: time
+    reversal c_n(T - t) = c_n(t), the glide c_{-n}(t + T/2) = exp(2i q_n L)
+    c_n(t), each within 1e-12 of n_p * max(envelope)."""
+    q, envelope = floquet._fourier_ladder(spec, basis_size)
+    times = floquet._midpoint_times(spec, steps, weights)
+    c = floquet._potential_coefficients(spec, q, envelope, times)
+    tol = 1e-12 * spec.sites_per_cell * envelope.max()
+    time_reversal = weights == weights[::-1] and np.abs(c[::-1] - c).max() <= tol
+    half = len(c) // 2
+    glide = np.abs(c[half:, ::-1] - np.exp(2j * spec.spacing * q) * c[:half]).max() <= tol
+    return bool(time_reversal), bool(glide)
+
+
 class TestRoutes:
     @pytest.mark.parametrize(
         "phases, fraction, route",
@@ -285,7 +302,23 @@ class TestRoutes:
             ((1e-6, math.pi, 0.0), (False, False)),
         ]:
             spec = replace(REF, phases=phases)
-            assert floquet._drive_symmetries(spec, 41, steps, floquet._WEIGHTS) == expected
+            assert floquet._drive_symmetries(spec, steps, floquet._WEIGHTS) == expected
+            assert coefficient_symmetries(spec, 41, steps, floquet._WEIGHTS) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        phases=st.lists(
+            st.one_of(st.sampled_from((0.0, math.pi, -math.pi, math.pi / 2, -math.pi / 2)),
+                      st.floats(-math.pi, math.pi)),
+            min_size=2, max_size=5),
+        half_steps=st.integers(1, 100),
+        omega=st.sampled_from((1.0, 2.74, 3.2)),
+    )
+    def test_offset_check_agrees_with_the_coefficient_check(self, phases, half_steps, omega):
+        spec = replace(REF, phases=tuple(phases), omega=omega)
+        steps = 2 * half_steps  # the glide pairs steps half a period apart
+        assert (floquet._drive_symmetries(spec, steps, floquet._WEIGHTS)
+                == coefficient_symmetries(spec, 41, steps, floquet._WEIGHTS))
 
     @settings(max_examples=8, deadline=None)
     @given(st.floats(-1.0, 1.0))
@@ -293,6 +326,65 @@ class TestRoutes:
         kappa = fraction * REF.brillouin_edge
         U = dl.monodromy_matrix(REF, kappa, ROUTE_PARAMS, basis_size=41)
         assert np.abs(U - full_period_loop(REF, kappa, ROUTE_PARAMS, 41)).max() < 1e-12
+
+
+class TestBlasThreads:
+    def test_spectrum_does_not_depend_on_the_callers_thread_count(self):
+        controls = floquet._blas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS thread setter found")
+        spec = replace(REF, omega=2.72)
+        grid = dl.SupercellGrid.for_spec(spec, 512)
+        saved = [get() for get, _ in controls]
+        results = {}
+        try:
+            for count in (2, 1):
+                for _, set_ in controls:
+                    set_(count)
+                spectrum = dl.labeled_spectrum(spec, 0.0, grid=grid, params=FAST)
+                results[count] = (spectrum.quasienergies, spectrum.samples,
+                                  spectrum.uniform_weights())
+                # the library ran on one thread and gave the caller's count back
+                assert [get() for get, _ in controls] == [count] * len(controls)
+        finally:
+            for (_, set_), count in zip(controls, saved):
+                set_(count)
+        for a, b in zip(results[2], results[1]):
+            assert np.array_equal(a, b)
+
+    def test_overlapping_threads_give_the_callers_count_back(self):
+        controls = floquet._blas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS thread setter found")
+        grid = dl.SupercellGrid.for_spec(REF, 240)
+        U = np.diag(np.exp(1j * np.linspace(0.0, 3.0, 41)))
+        failures = []
+
+        def work():
+            try:
+                for _ in range(40):
+                    dl.diagonalize_monodromy(U, REF, 0.0, grid=grid).uniform_weights()
+            except Exception as exc:  # reported by the main thread
+                failures.append(exc)
+
+        saved = [get() for get, _ in controls]
+        interval = sys.getswitchinterval()
+        try:
+            for _, set_ in controls:
+                set_(2)
+            sys.setswitchinterval(1e-6)
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not failures
+            assert [get() for get, _ in controls] == [2] * len(controls)
+        finally:
+            sys.setswitchinterval(interval)
+            for (_, set_), count in zip(controls, saved):
+                set_(count)
 
 
 class TestDiagonalize:

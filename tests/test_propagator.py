@@ -7,6 +7,7 @@ import scipy.fft as sfft
 from hypothesis import given, settings, strategies as st
 
 import driven_lattice as dl
+from driven_lattice import propagate
 
 REF = dl.LatticeSpec()
 FAST = dl.PropagationParams(substeps_per_period=512)
@@ -164,21 +165,83 @@ class TestRing:
         assert math.sqrt(np.sum(np.abs(diff) ** 2) * cell.dx) < 1e-9
 
     def test_matches_tiled_potential_loop(self):
-        # the cell-Bloch frame is the full-ring loop up to roundoff on a ring,
-        # and bitwise on one cell, where its cell DFT is the identity; a
-        # static drive's one phase is the same bits as a phase per substep
+        # the cell-Bloch frame is the full-ring loop up to roundoff on a ring;
+        # on one cell its cell DFT is the identity, so only the half-period
+        # table of the reference drive, which serves substep j's mirror from
+        # row j, is off by roundoff; a static drive's one phase is the same
+        # bits as a phase per substep
         grid = dl.SupercellGrid.for_spec(REF, 480)
         static = replace(REF, amplitude=0.0)
-        for spec, cells, kappa in ((REF, 3, 0.0), (REF, 1, 0.0),
-                                   (static, 1, 0.3 * REF.brillouin_edge)):
+        for spec, cells, kappa, tol in ((REF, 3, 0.0, 1e-12), (REF, 1, 0.0, 1e-13),
+                                        (static, 1, 0.3 * REF.brillouin_edge, 0.0)):
             ring = dl.RingDomain(grid, cells)
             state = dl.make_initial_state(dl.GaussianState(15.0 * cells, 3.0), ring)
             evolved = dl.evolve_ring(state, spec, FAST, spec.period, kappa=kappa)
             u = ring_loop(state, spec, FAST, spec.period, kappa)
-            if cells == 1:
+            if tol == 0.0:
                 assert np.array_equal(evolved.psi, u)
             else:
-                assert np.abs(evolved.psi - u).max() <= 1e-12
+                assert np.abs(evolved.psi - u).max() <= tol
+
+    @pytest.mark.parametrize("duration", [1.0, 3.0, 1.37], ids=["1T", "3T", "1.37T"])
+    def test_drive_without_time_reversal_runs_every_substep(self, duration):
+        # no table: each substep evaluates its own phase, bitwise the loop
+        spec = replace(REF, phases=(0.0, 1.0, 2.0))
+        ring = dl.RingDomain(dl.SupercellGrid.for_spec(spec, 480), 1)
+        state = dl.make_initial_state(dl.GaussianState(15.0, 3.0), ring)
+        kappa = 0.3 * spec.brillouin_edge
+        evolved = dl.evolve_ring(state, spec, FAST, duration * spec.period, kappa=kappa)
+        u = ring_loop(state, spec, FAST, duration * spec.period, kappa)
+        assert np.array_equal(evolved.psi, u)
+
+    @pytest.mark.parametrize(
+        "phases, amplitude, duration, substeps, calls",
+        [
+            ((0.0, math.pi, 0.0), 1.0, 3.0, 512, 256),  # half a period's table
+            ((0.0, math.pi, 0.0), 1.0, 2.0, 257, 129),  # odd: the middle row is its own mirror
+            ((0.0, 0.0, math.pi), 1.0, 2.0, 256, 128),  # time reversal without the glide
+            ((0.0, math.pi / 2, 0.0), 1.0, 2.0, 256, 512),  # the glide alone
+            ((0.0, 1.0, 2.0), 1.0, 2.0, 256, 512),
+            ((0.0, math.pi, 0.0), 1.0, 1.5, 256, 384),  # not whole periods
+            ((0.0, math.pi, 0.0), 0.0, 3.0, 256, 1),  # static
+        ],
+        ids=["reference", "odd", "time-reversal", "glide", "asymmetric", "fractional", "static"],
+    )
+    def test_potential_evaluations_per_call(self, monkeypatch, phases, amplitude, duration,
+                                            substeps, calls):
+        spec = replace(REF, phases=phases, amplitude=amplitude)
+        ring = dl.RingDomain(dl.SupercellGrid.for_spec(spec, 240), 2)
+        state = smooth_state(ring)
+        counted = []
+        potential = propagate.potential
+        monkeypatch.setattr(propagate, "potential",
+                            lambda *args: counted.append(args[1]) or potential(*args))
+        params = dl.PropagationParams(substeps_per_period=substeps)
+        dl.evolve_ring(state, spec, params, duration * spec.period)
+        assert len(counted) == calls
+
+    @pytest.mark.parametrize(
+        "cells, substeps, zone, phases",
+        [
+            (1, 512, 0.0, (0.0, math.pi, 0.0)),
+            (3, 512, 0.3, (0.0, math.pi, 0.0)),
+            (2, 257, -0.7, (0.0, math.pi, 0.0)),  # odd substep count
+            (3, 256, 1.0, (0.0, 0.0, math.pi)),
+            (2, 256, 0.4, (0.0, 1.0, 2.0)),  # no table
+        ],
+    )
+    def test_whole_periods_match_period_by_period_calls(self, cells, substeps, zone, phases):
+        # one pass over three periods against three one-period calls
+        spec = replace(REF, phases=phases)
+        ring = dl.RingDomain(dl.SupercellGrid.for_spec(spec, 240), cells)
+        state = smooth_state(ring, seed=cells, modes=4 * cells)
+        params = dl.PropagationParams(substeps_per_period=substeps)
+        kappa = zone * spec.brillouin_edge
+        stepped = state
+        for _ in range(3):
+            stepped = dl.evolve_ring(stepped, spec, params, spec.period, kappa=kappa)
+        evolved = dl.evolve_ring(state, spec, params, 3 * spec.period, kappa=kappa)
+        assert np.abs(evolved.psi - stepped.psi).max() <= 1e-13
 
     @settings(max_examples=12, deadline=None)
     @given(
