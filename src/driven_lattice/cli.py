@@ -48,8 +48,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                 "--substeps", dest=key,
                 help="substeps per driving period (>= 256); the monodromy rounds them up "
                      "to whole 4th-order steps of one substep per composition weight, and "
-                     "the steps to a multiple of 4 when the drive has the glide (the "
-                     "quarter- and half-period routes); the direct integrator runs n "
+                     "the steps to a multiple of 4 when the phases have the glide, "
+                     "phi[(2-s) mod np] = phi[s] (the quarter- and half-period "
+                     "routes); the direct integrator runs n "
                      "2nd-order steps; default: each own rule")
         else:
             parser.add_argument(f"--{key.replace('_', '-')}", dest=key)

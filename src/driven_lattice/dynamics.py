@@ -303,6 +303,8 @@ class PopulationTrace:
 def population_trace(dec: SpectralDecomposition, periods) -> PopulationTrace:
     """Stroboscopic site populations from the mode expansion."""
     periods = np.asarray(list(periods), dtype=int)
+    if (periods < 0).any():
+        raise ValueError("periods must be >= 0")
     weights = site_weights(dec.spec, dec.ring)
     values = np.empty((len(weights), len(periods)))
     for start, states in zip(range(0, len(periods), _TRACE_CHUNK),
@@ -324,6 +326,8 @@ def direct_population_trace(
     Independent of the mode decomposition; used as the brute-force reference
     for the stroboscopic reconstruction.
     """
+    if max_period < 0:
+        raise ValueError("periods must be >= 0")
     weights = site_weights(spec, initial.grid)
     periods = np.arange(max_period + 1)
     values = np.empty((len(weights), len(periods)))

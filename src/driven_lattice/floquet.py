@@ -9,7 +9,7 @@ kinetic halves of adjacent substeps merged; Yoshida's triple jump makes it
 4th order.  An explicit ``substeps_per_period = n`` means n potential factors
 in ceil(n/r) steps; unset, the step count follows omega and the basis's
 kinetic edge (`_monodromy_resolution`); either is rounded up to a multiple
-of 4 steps when the drive has the glide (the quarter and half routes below).
+of 4 steps on the quarter and half routes below.
 
 Each potential factor ``exp(-i W tau / hbar)`` is its Taylor polynomial, of
 the smallest degree whose remainder bound ``theta^(m+1) / (m+1)!`` (theta
@@ -19,8 +19,8 @@ Paterson-Stockmeyer form; when theta reaches 1 the polynomial of
 the truncated space to roundoff and the product is unitary regardless of
 basis size; basis adequacy is checked separately through the kinetic-energy
 cutoff and the grid-propagator consistency tests.  The time-independent
-Hamiltonian of an undriven lattice or a free particle (v0 = 0) is
-exponentiated exactly instead.
+Hamiltonian of a static lattice (`LatticeSpec.static`: undriven, or a free
+particle with v0 = 0) is exponentiated exactly instead.
 
 The potential matrix ``W_ba = c_{b-a}(t)`` does not depend on kappa; only
 the kinetic diagonal does.  A whole kappa ladder therefore shares one stack
@@ -29,21 +29,21 @@ chunk of Taylor factors once and advances every kappa's propagator with its
 own ``(B, B)`` product, so each slice is bitwise the one-kappa result.
 
 The loop runs a fraction of the period chosen by the drive's symmetries,
-which `_monodromy_resolution` detects by checking their identities on the
-barrier offsets at the substep midpoint times to roundoff
-(`LatticeSpec.drive_symmetries`, the check the direct integrator reads
-too), never assuming them.  Time reversal is H(-t) = H(t); the glide is
-H(t + T/2) = R H(t) R^-1 for the reflection R: x -> 2L - x.  The
-reference phases (0, pi, 0) have both, and take the quarter route: the
-loop gives Q_k = U_k(T/4, 0) for every kappa and its -kappa, and with P
-the plane-wave index reversal and R_k the reflection from kappa to -kappa,
+which `LatticeSpec.drive_symmetries` decides from the drive phases to
+roundoff (the direct integrator reads it too), never assuming them.  Time
+reversal is H(-t) = H(t), every sin(phi_s) = 0; the glide is
+H(t + T/2) = R H(t) R^-1 for the reflection R: x -> 2L - x, every
+phi_{(2-s) mod n_p} = phi_s mod 2 pi.  The reference phases (0, pi, 0)
+have both, and take the quarter route: the loop gives Q_k = U_k(T/4, 0)
+for every kappa and its -kappa, and with P the plane-wave index reversal
+and R_k the reflection from kappa to -kappa,
 ``Uh_k = R_{-k} P Q_k^T P R_k Q_k`` and ``U_k = R_{-k} Uh_{-k} R_k Uh_k``.
 With the glide alone the half route runs Uh_k = U_k(T/2, 0) and assembles
 ``U_k = R_{-k} Uh_{-k} R_k Uh_k``; without the glide (time reversal alone
-included) the full route runs the whole period.  The drive is checked at
-the step count rounded up to a multiple of 4, and the quarter and half
-routes run that count, so their fraction ends between steps; the assembled
-period matches the full-period loop at that count to roundoff.
+included) the full route runs the whole period.  The quarter and half
+routes run the step count rounded up to a multiple of 4, so their fraction
+ends between steps; the assembled period matches the full-period loop at
+that count to roundoff.
 Modes are labeled by their weight on the uniform state (`uniform_weights`).
 
 The monodromy loop, Schur, band matching and the complex products with the
@@ -199,10 +199,7 @@ def _fourier_ladder(spec: LatticeSpec, basis_size: int):
 
 def _potential_coefficients(spec: LatticeSpec, q, envelope, times) -> np.ndarray:
     """Fourier coefficients c_n(t) of the potential for a batch of times."""
-    offsets = spec.amplitude * np.cos(
-        spec.omega * np.asarray(times)[:, None] + np.asarray(spec.phases)[None, :]
-    )
-    centers = np.arange(spec.sites_per_cell) * spec.spacing + offsets  # (nt, n_p)
+    centers = np.arange(spec.sites_per_cell) * spec.spacing + spec.offsets(times)  # (nt, n_p)
     # sites on the middle axis, so the sum adds whole rows site by site (faster)
     phase = np.exp(-1j * centers[:, :, None] * q[None, None, :]).sum(axis=1)
     return envelope[None, :] * phase  # (nt, 2B-1)
@@ -310,19 +307,6 @@ def _midpoint_times(spec: LatticeSpec, steps: int, weights: tuple) -> np.ndarray
     return ((np.arange(steps)[:, None] + (np.cumsum(weights) - weights / 2)) * h).reshape(-1)
 
 
-def _drive_symmetries(spec: LatticeSpec, steps: int, weights: tuple) -> tuple[bool, bool]:
-    """Whether the drive has (time reversal, the glide) at the substep
-    midpoint times of `steps` steps of `weights`, each within roundoff
-    (`LatticeSpec.drive_symmetries`, on the barrier offsets).
-
-    With palindromic weights the factor at T - t is the mirror of the one
-    at t, so time reversal needs them; with `steps` even the factor at
-    t + T/2 is the image of the one at t.
-    """
-    time_reversal, glide = spec.drive_symmetries(_midpoint_times(spec, steps, weights))
-    return time_reversal and weights == weights[::-1], glide
-
-
 def _monodromy_resolution(
     spec: LatticeSpec,
     params: PropagationParams | None = None,
@@ -331,11 +315,13 @@ def _monodromy_resolution(
     """The substeps, basis size and route that `monodromy_matrix` runs.
 
     Steps have one substep per weight: ceil(n / len(_WEIGHTS)) of them for
-    an explicit n, the basis-aware default rule otherwise.  The drive is
-    checked once, at the midpoint times of that count rounded up to a
-    multiple of 4: with time reversal and the glide it runs the quarter
-    route, with the glide alone the half route, both at the rounded count;
-    any other drive, and a static lattice, the full period unrounded.
+    an explicit n, the basis-aware default rule otherwise.  A drive with
+    the glide (`LatticeSpec.drive_symmetries`, decided from the phases)
+    runs the quarter route when it also has time reversal and the weights
+    are palindromic, so that the factor at T - t mirrors the one at t, and
+    the half route otherwise, both at the step count rounded up to a
+    multiple of 4 so that the quarter and half periods end between steps;
+    any other drive, and a static lattice, runs the full period unrounded.
     """
     B = basis_size if basis_size is not None else default_basis_size(spec)
     if B % 2 == 0 or B < 1:
@@ -345,13 +331,11 @@ def _monodromy_resolution(
     else:
         steps = _default_steps(spec, B)
     stages = len(_WEIGHTS)
-    if spec.v0 == 0.0 or spec.amplitude == 0.0:
+    time_reversal, glide = spec.drive_symmetries()
+    if spec.static or not glide:
         return _Resolution(stages * steps, B)
-    rounded = 4 * -(-steps // 4)
-    time_reversal, glide = _drive_symmetries(spec, rounded, _WEIGHTS)
-    if glide:
-        return _Resolution(stages * rounded, B, "quarter" if time_reversal else "half")
-    return _Resolution(stages * steps, B)
+    quarter = time_reversal and _WEIGHTS == _WEIGHTS[::-1]
+    return _Resolution(stages * 4 * -(-steps // 4), B, "quarter" if quarter else "half")
 
 
 def _kappa_stack(kappas: list[float], paired: bool) -> list[float]:
@@ -388,8 +372,7 @@ def monodromy_matrix(
     if not np.all(_in_first_zone(kappas, spec)):
         raise ConfigError("kappa outside the first Brillouin zone")
     # an undriven lattice absorbs no drive quanta, so only v0 sets the scale
-    demand = _CUTOFF_FACTOR * max(
-        spec.v0, spec.hbar * spec.omega if spec.amplitude > 0 else 0.0)
+    demand = _CUTOFF_FACTOR * max(spec.v0, 0.0 if spec.static else spec.hbar * spec.omega)
     edge_kinetic = _edge_kinetic(spec, B)
     if spec.v0 > 0 and edge_kinetic < demand:
         raise ConfigError(
@@ -409,7 +392,7 @@ def monodromy_matrix(
     q, envelope = _fourier_ladder(spec, B)
     idx = (B - 1) + np.arange(B)[:, None] - np.arange(B)[None, :]  # Toeplitz gather
 
-    if spec.v0 == 0.0 or spec.amplitude == 0.0:
+    if spec.static:
         # static lattice (a free particle when v0 = 0 and W vanishes):
         # exponentiate the full Hamiltonian matrix exactly
         w = _potential_coefficients(spec, q, envelope, [0.0])[0][idx]

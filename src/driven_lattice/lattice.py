@@ -21,8 +21,7 @@ from .errors import GridMismatchError
 _BARRIER_WINDOW_WIDTHS = 8.0
 # Largest Gaussian amplitude at the domain seam, relative to its peak.
 _SEAM_TOL = 1e-3
-# roundoff allowed in a drive-symmetry identity of the barrier offsets,
-# relative to the drive amplitude
+# roundoff allowed in a drive-symmetry identity of the phases
 _SYMMETRY_TOL = 1e-12
 
 
@@ -75,32 +74,33 @@ class LatticeSpec:
         """Half-width of the first spatial Brillouin zone, pi / (n_p * L)."""
         return math.pi / self.cell_length
 
-    def drive_offset(self, site: int, t: float) -> float:
-        """Lateral displacement of barrier `site` at time `t`."""
-        return self.amplitude * math.cos(
-            self.omega * t + self.phases[site % self.sites_per_cell]
-        )
+    @property
+    def static(self) -> bool:
+        """Whether the Hamiltonian is time-independent: no barriers or no drive."""
+        return self.v0 == 0 or self.amplitude == 0
 
-    def drive_symmetries(self, times) -> tuple[bool, bool]:
-        """Whether the drive has (time reversal, the glide) at the midpoint
-        times of one period's substeps, each within roundoff.
-
-        V depends on t only through the barrier offsets
-        d_s(t) = A cos(omega t + phi_s), so the identities are checked on
-        them.  ``times`` are in order and mirrored, t_{N-1-i} = T - t_i.
-        Time reversal is d_s(T - t) = d_s(t), the substep at T - t_i seeing
-        the potential of the one at t_i.  The glide, the reflection
-        x -> 2L - x half a period on, is d_{(2-s) mod n_p}(t + T/2) = -d_s(t);
-        with N even, t_{i+N/2} = t_i + T/2, and an odd N has no glide.
-        """
-        d = self.amplitude * np.cos(
+    def offsets(self, times) -> np.ndarray:
+        """Lateral barrier offsets d_s(t) = A cos(omega t + phi_s), one row
+        of the n_p sites per time: shape (len(times), n_p)."""
+        return self.amplitude * np.cos(
             self.omega * np.asarray(times, dtype=float)[:, None] + np.array(self.phases))
-        tol = _SYMMETRY_TOL * self.amplitude
-        half, odd = divmod(len(d), 2)
-        image = (2 - np.arange(self.sites_per_cell)) % self.sites_per_cell
-        time_reversal = np.abs(d[::-1] - d).max() <= tol
-        glide = not odd and np.abs(d[half:, image] + d[:half]).max() <= tol
-        return bool(time_reversal), bool(glide)
+
+    def drive_symmetries(self) -> tuple[bool, bool]:
+        """Whether the drive has (time reversal, the glide), decided from the
+        phases, each within roundoff; a drive of amplitude 0 has both.
+
+        Time reversal is d_s(-t) = d_s(t), which holds iff every
+        sin(phi_s) = 0.  The glide, the reflection x -> 2L - x half a period
+        on, is d_{(2-s) mod n_p}(t + T/2) = -d_s(t), which holds iff
+        phi_{(2-s) mod n_p} = phi_s mod 2 pi.
+        """
+        if self.amplitude == 0:
+            return True, True
+        phases, n = self.phases, self.sites_per_cell
+        time_reversal = all(abs(math.sin(p)) <= _SYMMETRY_TOL for p in phases)
+        glide = all(abs(math.remainder(phases[(2 - s) % n] - p, 2 * math.pi)) <= _SYMMETRY_TOL
+                    for s, p in enumerate(phases))
+        return time_reversal, glide
 
 
 def _in_first_zone(kappa, spec: LatticeSpec):
@@ -122,9 +122,10 @@ def potential(x, t: float, spec: LatticeSpec) -> np.ndarray:
     margin = _BARRIER_WINDOW_WIDTHS * spec.delta + spec.amplitude
     s_lo = int(math.ceil((xmin - margin) / spec.spacing))
     s_hi = int(math.floor((xmax + margin) / spec.spacing))
+    offsets = spec.offsets([t])[0]
     total = np.zeros_like(x)
     for s in range(s_lo, s_hi + 1):
-        y = (x - s * spec.spacing - spec.drive_offset(s, t)) / spec.delta
+        y = (x - s * spec.spacing - offsets[s % spec.sites_per_cell]) / spec.delta
         total += np.exp(-y * y)
     return spec.v0 * total
 

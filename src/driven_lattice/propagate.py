@@ -24,13 +24,13 @@ handed out at the end of each (`_split_step` is a generator; the
 stroboscopic direct trace reads every period, `evolve_ring` the last): a
 copy leaves the frame, and the pass goes on inside it.  The potential
 phases are then those of one period, and when the drive has time reversal
-(`LatticeSpec.drive_symmetries`, checked at the substep midpoint times)
-the substeps j and n - 1 - j of an n-substep period see the same
-potential, since their midpoint times add up to T.  Their phase is built
-once per call, in a table of the first ceil(n/2) substeps that serves both.
+(`LatticeSpec.drive_symmetries`, decided from the drive phases) the
+substeps j and n - 1 - j of an n-substep period see the same potential,
+since their midpoint times add up to T.  Their phase is built once per
+call, in a table of the first ceil(n/2) substeps that serves both.
 Without time reversal, and over a duration that is not whole periods,
-every substep evaluates its own phase; a static drive (amplitude 0) has
-one.
+every substep evaluates its own phase; a static lattice
+(`LatticeSpec.static`: v0 = 0 or amplitude 0) has one.
 """
 
 from __future__ import annotations
@@ -109,17 +109,16 @@ def _split_step(
         u = sfft.ifft(w * twiddle.conj(), axis=0).reshape(-1)
         return u if kappa == 0.0 else u * np.exp(1j * kappa * x)
 
-    # a static drive has one phase; with time reversal the substeps j and
+    # a static lattice has one phase; with time reversal the substeps j and
     # stride - 1 - j of every period see the same potential, so row j of a
     # half-period table serves both
-    times = (np.arange(stride) + 0.5) * dt
-    if spec.amplitude == 0:
+    if spec.static:
         table, rows = phase(0.0)[None], np.zeros(stride, dtype=int)
-    elif whole and spec.drive_symmetries(times)[0]:
+    elif whole and spec.drive_symmetries()[0]:
         rows = np.minimum(np.arange(stride), np.arange(stride)[::-1])
         table = np.empty((rows.max() + 1, points), dtype=complex)
         for j in range(len(table)):
-            table[j] = phase(times[j])
+            table[j] = phase((j + 0.5) * dt)
     else:
         table = None
     u = state.psi if kappa == 0.0 else state.psi * np.exp(-1j * kappa * x)

@@ -270,9 +270,9 @@ class TestDeterminism:
         # with workers the drive is checked only in the worker processes,
         # and the sidecar carries what they ran
         checks = []
-        drive_symmetries = floquet._drive_symmetries
-        monkeypatch.setattr(floquet, "_drive_symmetries",
-                            lambda *args: checks.append(args) or drive_symmetries(*args))
+        drive_symmetries = dl.LatticeSpec.drive_symmetries
+        monkeypatch.setattr(dl.LatticeSpec, "drive_symmetries",
+                            lambda self: checks.append(self) or drive_symmetries(self))
         numerics = {}
         for workers in (1, 2):
             checks.clear()

@@ -348,6 +348,16 @@ class TestDirectTrace:
         assert np.array_equal(trace.periods, np.arange(4))
         assert np.abs(trace.values - np.stack(expected, axis=1)).max() <= 1e-13
 
+    def test_traces_reject_negative_periods(self, dec_w1_supercell):
+        # the wording of stroboscopic_state's check, for both traces
+        state = dl.make_initial_state(dl.UniformState(), dec_w1_supercell.ring)
+        with pytest.raises(ValueError, match=r"periods must be >= 0"):
+            dl.stroboscopic_state(dec_w1_supercell, -1)
+        with pytest.raises(ValueError, match=r"periods must be >= 0"):
+            dl.population_trace(dec_w1_supercell, [-1, 2])
+        with pytest.raises(ValueError, match=r"periods must be >= 0"):
+            dl.direct_population_trace(state, REF, FAST, -1)
+
 
 class TestRingPacket:
     def test_central_sites_oscillate_near_seventy_five_periods(self, ring16_w1_dec):

@@ -233,14 +233,14 @@ ROUTE_PARAMS = dl.PropagationParams(3 * 172)  # 172 steps: whole quarters on eve
 def full_period_loop(spec, kappa, params, basis_size):
     """The monodromy's own jump loop over the whole period, no assembly."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(floquet, "_drive_symmetries", lambda *args: (False, False))
+        patch.setattr(dl.LatticeSpec, "drive_symmetries", lambda self: (False, False))
         assert floquet._monodromy_resolution(spec, params, basis_size).route == "full"
         return dl.monodromy_matrix(spec, kappa, params, basis_size)
 
 
 def coefficient_symmetries(spec, basis_size, steps, weights):
     """Test-local oracle, the check on the potential coefficients c_n(t) at
-    the substep midpoint times that the barrier-offset check replaced: time
+    the substep midpoint times that the phase rule replaced: time
     reversal c_n(T - t) = c_n(t), the glide c_{-n}(t + T/2) = exp(2i q_n L)
     c_n(t), each within 1e-12 of n_p * max(envelope)."""
     q, envelope = floquet._fourier_ladder(spec, basis_size)
@@ -302,7 +302,7 @@ class TestRoutes:
             ((1e-6, math.pi, 0.0), (False, False)),
         ]:
             spec = replace(REF, phases=phases)
-            assert floquet._drive_symmetries(spec, steps, floquet._WEIGHTS) == expected
+            assert spec.drive_symmetries() == expected
             assert coefficient_symmetries(spec, 41, steps, floquet._WEIGHTS) == expected
 
     @settings(max_examples=60, deadline=None)
@@ -317,8 +317,27 @@ class TestRoutes:
     def test_offset_check_agrees_with_the_coefficient_check(self, phases, half_steps, omega):
         spec = replace(REF, phases=tuple(phases), omega=omega)
         steps = 2 * half_steps  # the glide pairs steps half a period apart
-        assert (floquet._drive_symmetries(spec, steps, floquet._WEIGHTS)
-                == coefficient_symmetries(spec, 41, steps, floquet._WEIGHTS))
+        assert spec.drive_symmetries() == coefficient_symmetries(spec, 41, steps,
+                                                                 floquet._WEIGHTS)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        phases=st.sampled_from(((0.0, math.pi, 0.0), (0.0, math.pi / 2, 0.0), (0.3, 1.1, -2.0))),
+        omega=st.sampled_from((1.0, 2.8)),
+        fraction=st.one_of(st.sampled_from((0.0, 0.37, -0.8)), st.floats(-1.0, 1.0)),
+    )
+    def test_time_reversal_maps_the_monodromy_to_its_flipped_transpose(
+            self, phases, omega, fraction):
+        # negated phases run the drive backwards, H'(t) = H(T - t); with a
+        # real potential the position-basis transpose reverses time, and in
+        # the plane-wave basis it takes kappa to -kappa and index a to -a:
+        # U'_{-k} = P U_k^T P, on the quarter, half and full routes alike
+        spec = replace(REF, omega=omega, phases=phases)
+        kappa = fraction * spec.brillouin_edge
+        U = dl.monodromy_matrix(spec, kappa, ROUTE_PARAMS, basis_size=53)
+        backwards = replace(spec, phases=tuple(-p for p in phases))
+        U_back = dl.monodromy_matrix(backwards, -kappa, ROUTE_PARAMS, basis_size=53)
+        assert np.abs(U_back - U.T[::-1, ::-1]).max() < 1e-12
 
     @settings(max_examples=8, deadline=None)
     @given(st.floats(-1.0, 1.0))

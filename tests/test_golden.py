@@ -34,6 +34,9 @@ CASES = {
     # a 3-cell ring exercises the kappa ladder, band matching and the cell DFT
     "evolve": [["evolve", *FAST, "--horizon", "3", "--domain", "ring",
                 "--supercells", "3", "--sigma", "8"]],
+    # the direct split step: lattice.potential and the half-period phase table
+    "evolve_direct": [["evolve", *FAST, "--horizon", "3", "--domain", "ring",
+                       "--supercells", "3", "--sigma", "8", "--method", "direct"]],
     "spectrum": [["spectrum", *FAST, *GRID]],
     "sweep": [["sweep", *FAST, "--horizon", "3", *GRID]],
     "modes": [["modes", *FAST, "--omega", "2.74", "--kappa", "0.1", "--count", "5"]],
@@ -49,6 +52,12 @@ DIGESTS = {
             "b958c93994c3351d81057c612d4e25147d418684917e5fd724c639dde3ac8e77",
         "evolve.csv.meta.json":
             "57b00e5c117de1ce71ad3e8b83621715623ddf9e1354662e7bff0a5979b21320",
+    },
+    "evolve_direct": {
+        "evolve.csv":
+            "395c309122f65e2f68277d0b03dc886ee0156dc2da4c5e3df20d943689d805d9",
+        "evolve.csv.meta.json":
+            "51165c588fd9406b5cbe9160689a58c31ac5e28f1d7f3e6893e579acafb485ab",
     },
     "spectrum": {
         "spectrum.csv":

@@ -9,6 +9,11 @@ import driven_lattice as dl
 REF = dl.LatticeSpec()
 
 
+def offset(spec, s, t):
+    """Test-local lateral displacement of barrier s at time t."""
+    return spec.amplitude * math.cos(spec.omega * t + spec.phases[s % spec.sites_per_cell])
+
+
 def wide_window_potential(x, t, spec, extra=3):
     """Test-local barrier sum over a window `extra` barriers wider on each
     side than every barrier within 8 widths plus the amplitude of `x`."""
@@ -18,7 +23,7 @@ def wide_window_potential(x, t, spec, extra=3):
     hi = math.ceil((x.max() + margin) / spec.spacing) + extra
     total = np.zeros_like(x)
     for s in range(lo, hi + 1):
-        y = (x - s * spec.spacing - spec.drive_offset(s, t)) / spec.delta
+        y = (x - s * spec.spacing - offset(spec, s, t)) / spec.delta
         total += np.exp(-y * y)
     return spec.v0 * total
 
@@ -31,9 +36,21 @@ class TestSpec:
         assert REF.brillouin_edge == pytest.approx(math.pi / 30)
 
     def test_phase_list_wraps(self):
+        # offsets() gives a cell's n_p sites; barrier s moves with phase
+        # s mod n_p, so sites 4 and -1 are displaced as sites 1 and 2 are
         t = 0.7
-        assert REF.drive_offset(4, t) == REF.drive_offset(1, t)
-        assert REF.drive_offset(-1, t) == REF.drive_offset(2, t)
+        d = REF.offsets([t])[0]
+        assert d.tolist() == [offset(REF, s, t) for s in range(3)]
+        for s, site in ((4, 1), (-1, 2)):
+            x = s * REF.spacing + d[site]
+            assert dl.potential(x, t, REF) == pytest.approx(REF.v0, rel=1e-12)
+
+    def test_static_lattices(self):
+        assert not REF.static
+        assert dl.LatticeSpec(v0=0.0).static and dl.LatticeSpec(amplitude=0.0).static
+        # an undriven lattice has both drive symmetries whatever its phases
+        undriven = dl.LatticeSpec(amplitude=0.0, phases=(0.0, 1.0, 2.0))
+        assert undriven.drive_symmetries() == (True, True)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -65,7 +82,7 @@ class TestPotential:
         # neighbours sit >= L - 2A = 8 widths*16 away: tails ~ exp(-256)
         t = 0.37
         for s in (-3, 0, 1, 2, 5):
-            x = s * REF.spacing + REF.drive_offset(s, t)
+            x = s * REF.spacing + offset(REF, s, t)
             assert dl.potential(x, t, REF) == pytest.approx(REF.v0, rel=1e-12)
 
     def test_static_midpoint_nearly_zero(self):

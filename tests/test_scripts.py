@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from driven_lattice import cli
+from driven_lattice import analysis, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -162,3 +162,11 @@ def test_readme_command_lines_parse():
     for words in lines:
         args = cli.build_parser().parse_args(words[1:])  # exits 2 on an unknown flag
         assert args.command == words[1]
+
+
+def test_readme_lists_every_config_key_and_subcommand():
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    keys = re.search(r"Recognized keys: `([^`]*)`", readme).group(1)
+    assert [key.strip() for key in keys.split(",")] == list(analysis._CONFIG_KEYS)
+    commands = re.search(r"Subcommands: ((?:`\w+`(?:, )?)+)\.", readme).group(1)
+    assert re.findall(r"`(\w+)`", commands) == list(cli._COMMANDS)
