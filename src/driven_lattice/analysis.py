@@ -11,13 +11,14 @@ files regardless of worker count.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -40,7 +41,6 @@ from .floquet import (
     labeled_spectrum,
     predict_resonances,
     REPORTED_MODES,
-    _monodromy_resolution,
 )
 from .lattice import (
     ComplexState,
@@ -253,7 +253,8 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Per-frequency summary; population fields are NaN in spectra-only sweeps."""
+    """Per-frequency summary; population fields are NaN in spectra-only sweeps,
+    and ``numerics`` (the spectrum's) is None for a failed frequency."""
 
     omega: float
     n_max: float
@@ -263,16 +264,20 @@ class SweepRecord:
     eps_fgs: float
     gap: float
     error: str | None = None
+    numerics: dict | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """The records in omega order, and the resolution (substeps, basis size,
-    route) the monodromy of each computed frequency ran with."""
+    """The records in omega order."""
 
     records: tuple[SweepRecord, ...]
     config: ExperimentConfig
-    numerics: tuple[dict, ...] = ()
+
+    @property
+    def numerics(self) -> tuple[dict, ...]:
+        """The resolution each computed frequency ran with, in omega order."""
+        return tuple(r.numerics for r in self.records if r.numerics is not None)
 
     @property
     def failures(self) -> tuple[tuple[float, str], ...]:
@@ -295,22 +300,6 @@ def spectrum_at(config: ExperimentConfig, omega: float, kappa: float = 0.0) -> F
     )
 
 
-def _monodromy_numerics(config: ExperimentConfig, omegas, basis_size: int | None = None):
-    """The substeps, basis size and route (full, half or quarter period)
-    each frequency's monodromy runs with (``basis_size`` overrides the
-    config's), for the sidecar.  Read in the process that ran the monodromy,
-    this is what it ran, by the same rule (`_monodromy_resolution`, whose
-    drive check is cheap enough to repeat)."""
-    basis_size = basis_size if basis_size is not None else config.basis_size
-    numerics = []
-    for omega in omegas:
-        spec = replace(config.lattice, omega=float(omega))
-        resolution = _monodromy_resolution(spec, config.params, basis_size)
-        numerics.append({"omega": float(omega), "substeps": resolution.substeps,
-                         "basis_size": resolution.basis_size, "route": resolution.route})
-    return numerics
-
-
 def _sweep_point(config: ExperimentConfig, omega: float, with_populations: bool) -> SweepRecord:
     spectrum = spectrum_at(config, omega)
     weights = spectrum.uniform_weights()
@@ -326,6 +315,7 @@ def _sweep_point(config: ExperimentConfig, omega: float, with_populations: bool)
     return SweepRecord(
         omega=omega, n_max=n_max, argmax_site=arg_site, argmax_m=arg_m,
         overlap=float(weights[0]), eps_fgs=float(eps[0]), gap=float(gap),
+        numerics=spectrum.numerics,
     )
 
 
@@ -334,17 +324,15 @@ def _guarded(task):
     try:
         result = point(config, omega)
     except (ConfigError, ToleranceError, np.linalg.LinAlgError) as exc:
-        return omega, None, str(exc), None
-    return omega, result, None, _monodromy_numerics(config, [omega])[0]
+        return omega, None, str(exc)
+    return omega, result, None
 
 
 def _run_points(config: ExperimentConfig, omegas, point) -> list[tuple]:
     """``point(config, omega)`` at every frequency, on ``config.workers``
-    processes, as (omega, result, error, numerics) in the order given, with
-    numerics the sidecar entry of the monodromy the point ran, read in the
-    worker that ran it.  Invalid input and numerical trouble at one
-    frequency give result and numerics None and the error message; any
-    other exception propagates."""
+    processes, as (omega, result, error) in the order given.  Invalid input
+    and numerical trouble at one frequency give result None and the error
+    message; any other exception propagates."""
     tasks = [(point, config, float(w)) for w in omegas]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -352,27 +340,27 @@ def _run_points(config: ExperimentConfig, omegas, point) -> list[tuple]:
     return [_guarded(task) for task in tasks]
 
 
-def _sweep_records(config: ExperimentConfig, omegas, with_populations: bool) -> list[tuple]:
-    """(record, numerics) at every frequency; see `_run_points`."""
+def _sweep_records(config: ExperimentConfig, omegas, with_populations: bool) -> list[SweepRecord]:
+    """The record of every frequency; see `_run_points`."""
     point = partial(_sweep_point, with_populations=with_populations)
     return [
-        (record if error is None else SweepRecord(
+        record if error is None else SweepRecord(
             omega=omega, n_max=math.nan, argmax_site=-1, argmax_m=-1,
             overlap=math.nan, eps_fgs=math.nan, gap=math.nan, error=error,
-        ), numerics)
-        for omega, record, error, numerics in _run_points(config, omegas, point)
+        )
+        for omega, record, error in _run_points(config, omegas, point)
     ]
 
 
-def _refine_peaks(config: ExperimentConfig, points: list[tuple]) -> list[tuple]:
-    """Bisect the grid of (record, numerics) points around strong n_max
-    peaks down to REFINE_MIN_STEP."""
+def _refine_peaks(config: ExperimentConfig, records: list[SweepRecord]) -> list[SweepRecord]:
+    """Bisect the grid of records around strong n_max peaks down to
+    REFINE_MIN_STEP."""
     import scipy.signal  # its import is slow, and only refinement and dips use it
 
     while True:
-        points.sort(key=lambda p: p[0].omega)
-        omegas = [record.omega for record, _ in points]
-        values = np.nan_to_num([record.n_max for record, _ in points], nan=-1.0)
+        records.sort(key=lambda r: r.omega)
+        omegas = [r.omega for r in records]
+        values = np.nan_to_num([r.n_max for r in records], nan=-1.0)
         peaks, _ = scipy.signal.find_peaks(values, prominence=PEAK_PROMINENCE)
         inserts = []
         for i in peaks:
@@ -382,21 +370,18 @@ def _refine_peaks(config: ExperimentConfig, points: list[tuple]) -> list[tuple]:
                 if omegas[b] - omegas[a] > REFINE_MIN_STEP:
                     inserts.append(0.5 * (omegas[a] + omegas[b]))
         if not inserts:
-            return points
-        points.extend(_sweep_records(config, inserts, True))
+            return records
+        records.extend(_sweep_records(config, inserts, True))
 
 
 def _sweep(config: ExperimentConfig, with_populations: bool) -> SweepResult:
     if config.domain != "supercell":
         raise ConfigError("sweeps run on the supercell (kappa = 0) domain")
-    points = _sweep_records(config, config.omega_grid(), with_populations)
+    records = _sweep_records(config, config.omega_grid(), with_populations)
     if with_populations and config.refine_peaks:
-        points = _refine_peaks(config, points)
-    points.sort(key=lambda p: p[0].omega)
-    return SweepResult(
-        records=tuple(record for record, _ in points), config=config,
-        numerics=tuple(numerics for _, numerics in points if numerics is not None),
-    )
+        records = _refine_peaks(config, records)
+    records.sort(key=lambda r: r.omega)
+    return SweepResult(records=tuple(records), config=config)
 
 
 def run_nmax_sweep(config: ExperimentConfig) -> SweepResult:
@@ -415,18 +400,6 @@ def run_overlap_sweep(config: ExperimentConfig) -> SweepResult:
     return _sweep(config, False)
 
 
-def _grid_params(config: ExperimentConfig) -> PropagationParams:
-    """Resolution of the direct route of `run_evolution`."""
-    return config.params or default_params(config.lattice)
-
-
-def _evolution_basis(config: ExperimentConfig) -> int:
-    """Basis of the floquet route of `run_evolution`."""
-    if config.basis_size is not None:
-        return config.basis_size
-    return dynamics_basis_size(config.lattice)
-
-
 def run_evolution(config: ExperimentConfig, bands=None, method: str = "floquet"):
     """Population trace of every site of the configured initial state over
     the horizon.
@@ -441,11 +414,11 @@ def run_evolution(config: ExperimentConfig, bands=None, method: str = "floquet")
         if bands is not None:
             raise ConfigError("band selections require the floquet method")
         return direct_population_trace(
-            state, spec, _grid_params(config), config.horizon
+            state, spec, config.params or default_params(spec), config.horizon
         )
     if method != "floquet":
         raise ConfigError(f"unknown evolution method {method!r}")
-    basis = _evolution_basis(config)
+    basis = config.basis_size if config.basis_size is not None else dynamics_basis_size(spec)
     if bands is not None and not (len(bands) and all(0 <= b < basis for b in bands)):
         raise ConfigError(f"need band labels in [0, {basis}) for basis size {basis}")
     spectra, _ = ring_spectra(spec, state.grid, params=config.params, basis_size=basis)
@@ -539,34 +512,24 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _header_lines(config: ExperimentConfig, kind: str) -> list[str]:
-    lines = [
-        f"# driven-lattice {__version__} {kind}",
-        f"# config_hash: {config.config_hash()}",
-    ]
-    for key, value in sorted(config.as_dict().items()):
-        lines.append(f"# {key}: {value}")
-    return lines
-
-
 def _write_csv(path: Path, config: ExperimentConfig, kind: str,
                columns: list[str], rows, failures=(), numerics=()) -> Path:
     """The CSV and its sidecar; ``numerics`` lists the resolution each
-    computed frequency ran with (see `_monodromy_numerics`)."""
+    written object carries, None (not recorded) where it was built outside."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = _header_lines(config, kind)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    echo, config_hash = config.as_dict(), config.config_hash()
+    lines = [f"# driven-lattice {__version__} {kind}", f"# config_hash: {config_hash}",
+             *(f"# {key}: {value}" for key, value in sorted(echo.items())), ",".join(columns)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     sidecar = {
         "kind": kind,
         "version": __version__,
-        "config_hash": config.config_hash(),
-        "config": config.as_dict(),
+        "config_hash": config_hash,
+        "config": echo,
         "failures": [{"omega": w, "error": e} for w, e in failures],
-        "numerics": list(numerics),
+        "numerics": [n for n in numerics if n is not None],
     }
     path.with_suffix(path.suffix + ".meta.json").write_text(
         json.dumps(sidecar, indent=2, sort_keys=True, default=str) + "\n",
@@ -575,13 +538,7 @@ def _write_csv(path: Path, config: ExperimentConfig, kind: str,
     return path
 
 
-def write_evolution_csv(path, config: ExperimentConfig, trace, method: str = "floquet") -> Path:
-    omega = config.lattice.omega
-    if method == "direct":
-        numerics = [{"omega": omega, "substeps": _grid_params(config).substeps_per_period,
-                     "basis_size": None, "route": None}]
-    else:
-        numerics = _monodromy_numerics(config, [omega], _evolution_basis(config))
+def write_evolution_csv(path, config: ExperimentConfig, trace) -> Path:
     period = config.lattice.period
     rows = (
         (int(m), m * period, s, trace.values[s, j])
@@ -589,7 +546,7 @@ def write_evolution_csv(path, config: ExperimentConfig, trace, method: str = "fl
         for s in range(len(trace.values))
     )
     return _write_csv(path, config, "evolve", ["m", "t", "s", "n_s"], rows,
-                      numerics=numerics)
+                      numerics=[trace.numerics])
 
 
 def write_sweep_csv(path, sweep: SweepResult) -> Path:
@@ -622,7 +579,7 @@ def write_modes_csv(path, config: ExperimentConfig, spectrum: FloquetSpectrum,
     return _write_csv(
         path, config, "modes",
         ["kappa", "alpha", "eps", "x", "re_phi", "im_phi"], rows,
-        numerics=_monodromy_numerics(config, [spectrum.spec.omega]),
+        numerics=[spectrum.numerics],
     )
 
 
@@ -656,6 +613,23 @@ def read_sweep_csv(path) -> tuple[np.ndarray, np.ndarray]:
         return tuple(np.array([float(row[c]) for row in rows]) for c in columns)
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"{path} has no readable omega and overlap columns: {exc}") from exc
+
+
+def _check_sweep_lattice(path, lattice: LatticeSpec) -> None:
+    """ConfigError unless the lattice echoed in a sweep CSV's header has the
+    mass, hbar, spacing and phase count of `lattice`: what `predict_resonances`
+    reads."""
+    with open(path, encoding="utf-8") as handle:
+        echo = next((line.partition(": ")[2] for line in handle
+                     if line.startswith("# lattice: ")), "")
+    try:
+        swept = LatticeSpec(**ast.literal_eval(echo))
+    except (ValueError, SyntaxError, TypeError) as exc:
+        raise ConfigError(f"{path} echoes no readable lattice") from exc
+    for name in ("mass", "hbar", "spacing", "sites_per_cell"):
+        if getattr(swept, name) != getattr(lattice, name):
+            raise ConfigError(f"{path} was swept at {name} = {getattr(swept, name)!r}, "
+                              f"not the configured {getattr(lattice, name)!r}")
 
 
 def output_path(config: ExperimentConfig, name: str) -> Path:

@@ -29,6 +29,7 @@ from .analysis import (
     write_modes_csv,
     write_resonances_csv,
     write_sweep_csv,
+    _check_sweep_lattice,
     _run_points,
     _write_csv,
 )
@@ -114,16 +115,17 @@ def _cmd_evolve(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"--bands expects integer labels, got {args.bands!r}") from exc
     trace = run_evolution(config, bands=bands, method=args.method)
-    path = write_evolution_csv(output_path(config, args.output), config, trace, args.method)
+    path = write_evolution_csv(output_path(config, args.output), config, trace)
     print(path)
     return 0
 
 
-def _spectrum_rows(config: ExperimentConfig, omega: float) -> list[tuple]:
+def _spectrum_rows(config: ExperimentConfig, omega: float) -> tuple[list[tuple], dict]:
     spectrum = spectrum_at(config, omega)
     weights = spectrum.uniform_weights()
-    return [(omega, alpha, eps, weights[alpha])
+    rows = [(omega, alpha, eps, weights[alpha])
             for alpha, eps in enumerate(spectrum.quasienergies)]
+    return rows, spectrum.numerics
 
 
 def _finish(path, failures) -> int:
@@ -136,12 +138,12 @@ def _finish(path, failures) -> int:
 def _cmd_spectrum(args) -> int:
     config = _build_config(args)
     points = _run_points(config, config.omega_grid(), _spectrum_rows)
-    rows = [row for _, point_rows, _, _ in points if point_rows for row in point_rows]
-    failures = [(omega, error) for omega, _, error, _ in points if error is not None]
+    computed = [result for _, result, _ in points if result is not None]
+    failures = [(omega, error) for omega, _, error in points if error is not None]
     path = _write_csv(
         output_path(config, args.output), config, "spectrum",
-        ["omega", "alpha", "eps", "overlap"], rows, failures=failures,
-        numerics=[numerics for _, _, _, numerics in points if numerics is not None],
+        ["omega", "alpha", "eps", "overlap"], [row for rows, _ in computed for row in rows],
+        failures=failures, numerics=[numerics for _, numerics in computed],
     )
     return _finish(path, failures)
 
@@ -164,6 +166,7 @@ def _cmd_modes(args) -> int:
 def _cmd_resonances(args) -> int:
     config = _build_config(args)
     omegas, overlaps = read_sweep_csv(args.sweep_csv)
+    _check_sweep_lattice(args.sweep_csv, config.lattice)
     rows = pair_resonances(config.lattice, omegas, overlaps,
                            alpha_max=args.alpha_max, max_folds=args.folds)
     path = write_resonances_csv(output_path(config, args.output), config, rows)

@@ -27,6 +27,7 @@ import scipy.fft as sfft
 from .errors import CompletenessError, DegenerateModeError, GridMismatchError
 from .floquet import (
     FloquetSpectrum,
+    _numerics,
     _one_blas_thread,
     circle_gap,
     default_basis_size,
@@ -85,7 +86,9 @@ def ring_spectra(
     basis_size = basis_size if basis_size is not None else dynamics_basis_size(spec)
     kappas = ring_kappas(spec, ring.supercells)
     monodromies = monodromy_matrix(spec, kappas, params=params, basis_size=basis_size)
-    spectra = [diagonalize_monodromy(U, spec, float(kappa), grid=ring.cell)
+    numerics = _numerics(spec, params, basis_size)
+    spectra = [replace(diagonalize_monodromy(U, spec, float(kappa), grid=ring.cell),
+                       numerics=numerics)
                for U, kappa in zip(monodromies, kappas)]
     # match_band_labels carries the labels of kappa = 0 (ring_kappas[0]) to the rest
     spectra[0] = label_by_overlap(spectra[0])
@@ -268,10 +271,12 @@ def site_populations(state: ComplexState, spec: LatticeSpec) -> np.ndarray:
 @dataclass(frozen=True)
 class PopulationTrace:
     """Site populations n_s at stroboscopic times m T, shape (sites, times),
-    one row for every site of the ring."""
+    one row for every site of the ring, and the numerics (omega, substeps,
+    basis size, route) of the run that computed them."""
 
     periods: np.ndarray
     values: np.ndarray
+    numerics: dict | None = None
 
     @property
     def site_indices(self) -> np.ndarray:
@@ -310,7 +315,7 @@ def population_trace(dec: SpectralDecomposition, periods) -> PopulationTrace:
     for start, states in zip(range(0, len(periods), _TRACE_CHUNK),
                              _reconstruct(dec, periods, _TRACE_CHUNK)):
         values[:, start:start + _TRACE_CHUNK] = weights @ (np.abs(states) ** 2)
-    return PopulationTrace(periods=periods, values=values)
+    return PopulationTrace(periods=periods, values=values, numerics=dec.spectra[0].numerics)
 
 
 def direct_population_trace(
@@ -336,7 +341,9 @@ def direct_population_trace(
         states = _split_step(initial, spec, params, max_period * spec.period)
         for m, psi in enumerate(states, start=1):
             values[:, m] = weights @ (np.abs(psi) ** 2)
-    return PopulationTrace(periods=periods, values=values)
+    return PopulationTrace(periods=periods, values=values, numerics={
+        "omega": float(spec.omega), "substeps": params.substeps_per_period,
+        "basis_size": None, "route": None})
 
 
 def interference_period(eps_a: float, eps_b: float, spec: LatticeSpec) -> float:

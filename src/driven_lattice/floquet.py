@@ -338,6 +338,12 @@ def _monodromy_resolution(
     return _Resolution(stages * 4 * -(-steps // 4), B, "quarter" if quarter else "half")
 
 
+def _numerics(spec: LatticeSpec, params=None, basis_size=None) -> dict:
+    """The sidecar entry of a monodromy: omega, substeps, basis size, route."""
+    resolution = _monodromy_resolution(spec, params, basis_size)
+    return {"omega": float(spec.omega), **resolution._asdict()}
+
+
 def _kappa_stack(kappas: list[float], paired: bool) -> list[float]:
     """The kappas the loop runs: each distinct requested kappa, then, when
     the route pairs them, every -kappa not among those (of a `ring_kappas`
@@ -472,7 +478,9 @@ class FloquetSpectrum:
     Column ``i`` of ``coefficients`` (plane-wave ladder amplitudes, B x B)
     and of ``samples`` (the mode on the supercell grid, points x B) is the
     mode with quasienergy ``quasienergies[i]``; ``near_degenerate`` holds
-    label pairs whose quasienergies nearly coincide.
+    label pairs whose quasienergies nearly coincide.  ``numerics`` is the
+    resolution of the monodromy (omega, substeps, basis size, route) when
+    this package built it, None for a monodromy from outside.
     """
 
     spec: LatticeSpec
@@ -482,6 +490,7 @@ class FloquetSpectrum:
     coefficients: np.ndarray
     samples: np.ndarray
     near_degenerate: tuple[tuple[int, int], ...] = ()
+    numerics: dict | None = None
 
     def __post_init__(self):
         # read-only, in C order: products over the columns then round the
@@ -607,7 +616,8 @@ def labeled_spectrum(
 ) -> FloquetSpectrum:
     """Build, diagonalize and overlap-label the spectrum at one (spec, kappa)."""
     U = monodromy_matrix(spec, kappa, params=params, basis_size=basis_size)
-    return label_by_overlap(diagonalize_monodromy(U, spec, kappa, grid=grid))
+    spectrum = label_by_overlap(diagonalize_monodromy(U, spec, kappa, grid=grid))
+    return replace(spectrum, numerics=_numerics(spec, params, basis_size))
 
 
 @_one_blas_thread

@@ -258,8 +258,8 @@ def make_initial_state(state_spec: InitialStateSpec, domain: RingDomain) -> Comp
     A Gaussian is rejected when it is narrower than the grid spacing, when
     its amplitude at the domain seam (the point identified with 0 on the
     ring) exceeds 1e-3 of the peak, since the sampled state would carry a
-    visible wrap-around kink, and when its width overflows or its samples
-    have no finite, positive norm.
+    visible wrap-around kink, and when its width or center overflows or its
+    samples have no finite, positive norm.
     """
     x = domain.positions()
     if isinstance(state_spec, UniformState):
@@ -270,19 +270,20 @@ def make_initial_state(state_spec: InitialStateSpec, domain: RingDomain) -> Comp
         raise ValueError(f"gaussian width {sigma:.4g} is below the grid spacing {domain.dx:.4g}")
     try:
         scale = (math.pi * sigma**2) ** -0.25
-    except ArithmeticError as exc:  # sigma^2 overflows
-        raise ValueError(f"gaussian width {sigma:.4g} is out of range") from exc
-    psi = scale * np.exp(-((x - state_spec.center) ** 2) / (2.0 * sigma**2))
-    edge = max(
-        math.exp(-(state_spec.center**2) / (2 * sigma**2)),
-        math.exp(-((domain.length - state_spec.center) ** 2) / (2 * sigma**2)),
-    )
+        edge = max(
+            math.exp(-(state_spec.center**2) / (2 * sigma**2)),
+            math.exp(-((domain.length - state_spec.center) ** 2) / (2 * sigma**2)),
+        )
+    except ArithmeticError as exc:  # sigma^2 or center^2 overflows
+        raise ValueError(f"gaussian (sigma={sigma:.4g}, center={state_spec.center:.4g}) "
+                         "is out of range") from exc
     if edge > _SEAM_TOL:
         raise ValueError(
             f"gaussian (sigma={sigma:.4g}, center={state_spec.center:.4g}) has "
             f"relative boundary amplitude {edge:.2e} > {_SEAM_TOL:.1e}; "
             "domain too small"
         )
+    psi = scale * np.exp(-((x - state_spec.center) ** 2) / (2.0 * sigma**2))
     state = ComplexState(psi.astype(complex), domain)
     norm = state.norm()
     if not 0.0 < norm < math.inf:

@@ -440,6 +440,9 @@ class TestCli:
              "--center", "100000"],
             ["evolve", "--domain", "ring", "--supercells", "2", "--sigma", "5",
              "--center", "100000", "--method", "direct"],
+            # a center whose square overflows a float
+            ["evolve", "--domain", "ring", "--supercells", "2", "--sigma", "5",
+             "--center", "1e308"],
             ["evolve", "--sigma", "1e-200"],
             ["evolve", "--sigma", "1e200"],
             # a Gaussian narrower than the grid spacing (0.0625) is not sampled
@@ -574,6 +577,28 @@ class TestCli:
             assert meta["config"]["substeps"] is None
             assert meta["numerics"] == [numerics]
 
+        # the library writers record what the written object ran with, not
+        # what the config they are handed would have run: a default-resolution
+        # spectrum (41 modes, 200 triple jumps at omega = 1) under a config of
+        # 512 substeps and 61 modes, a direct trace without a method argument,
+        # and nothing for a monodromy built outside the package
+        def written(write, config, result):
+            path = write(tmp_path / "library.csv", config, result)
+            return json.loads(path.with_suffix(".csv.meta.json").read_text())["numerics"]
+
+        spec = dl.LatticeSpec()
+        grid = dl.SupercellGrid.for_spec(spec, 480)
+        config = tiny_config(basis_size=61)
+        spectrum = dl.labeled_spectrum(spec, 0.0, grid=grid)
+        assert written(dl.write_modes_csv, config, spectrum) == [
+            {"omega": 1.0, "substeps": 600, "basis_size": 41, "route": "quarter"}]
+        outside = dl.diagonalize_monodromy(dl.monodromy_matrix(spec, 0.0), spec, grid=grid)
+        assert written(dl.write_modes_csv, config, outside) == []
+        ring = tiny_config(domain="ring", supercells=1, horizon=1, substeps=None)
+        trace = dl.run_evolution(ring, method="direct")
+        assert written(dl.write_evolution_csv, ring, trace) == [
+            {"omega": 1.0, "substeps": 2048, "basis_size": None, "route": None}]
+
     @pytest.mark.parametrize(
         "phases, route",
         [("0,pi,0", "quarter"), ("0,0.5pi,0", "half"), ("0,0,pi", "full"), ("0,1,2", "full")])
@@ -595,6 +620,27 @@ class TestCli:
         assert numerics["route"] == route
         pieces = {"full": 1, "half": 2, "quarter": 4}[route]
         assert sum(ran) * pieces == numerics["substeps"]
+
+    def test_resonances_reject_a_sweep_of_another_lattice(self, tmp_path, capsys):
+        # the predictions read mass, hbar, spacing and the phase count, so
+        # they must be those the sweep ran with
+        sweep = tmp_path / "sweep.csv"
+        lattice = ["--spacing", "12", "--grid-points", "576"]
+        assert cli.main([
+            "sweep", "--overlap-only", *lattice, "--substeps", "512",
+            "--omega-start", "1.0", "--omega-stop", "1.1", "--omega-step", "0.1",
+            "--outdir", str(tmp_path),
+        ]) == 0
+        reso = ["resonances", "--sweep-csv", str(sweep), "--outdir", str(tmp_path)]
+        assert cli.main([*reso, *lattice]) == 0
+        capsys.readouterr()
+        for field, argv in (("spacing", []), ("mass", [*lattice, "--mass", "2"]),
+                            ("hbar", [*lattice, "--hbar", "0.5"]),
+                            ("sites_per_cell", [*lattice, "--phases", "0,pi"])):
+            assert cli.main([*reso, *argv]) == 2, field
+            assert f"swept at {field} = " in capsys.readouterr().err, field
+        # a field the predictions do not read may differ
+        assert cli.main([*reso, *lattice, "--v0", "2"]) == 0
 
     def test_basis_below_cutoff_exit_code(self, tmp_path):
         code = cli.main([

@@ -12,10 +12,14 @@ one thread, because the last bits of a matrix product depend on the thread
 count (the digests differ between one and two OpenBLAS threads).
 ``--outdir out`` under a fresh working directory keeps ``outdir`` and so
 ``config_hash`` constant.
+
+The same outputs tie README's table of output columns to the writers: the
+column line of every CSV must be its kind's row there.
 """
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -90,16 +94,49 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(CASES))
-def test_outputs_match_golden_digests(command, tmp_path):
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """The output directory of a case, its commands run once per module."""
     src = str(Path(driven_lattice.__file__).resolve().parents[1])
     env = {**os.environ, **ONE_THREAD, "PYTHONPATH": src}
-    for argv in CASES[command]:
-        run = subprocess.run([sys.executable, "-c", RUN_CLI, *argv], cwd=tmp_path,
-                             env=env, capture_output=True, text=True)
-        assert run.returncode == 0, run.stderr
+    done = {}
+
+    def run_case(command):
+        if command not in done:
+            workdir = tmp_path_factory.mktemp(command)
+            for argv in CASES[command]:
+                run = subprocess.run([sys.executable, "-c", RUN_CLI, *argv], cwd=workdir,
+                                     env=env, capture_output=True, text=True)
+                assert run.returncode == 0, run.stderr
+            done[command] = workdir / "out"
+        return done[command]
+
+    return run_case
+
+
+@pytest.mark.parametrize("command", sorted(CASES))
+def test_outputs_match_golden_digests(command, outputs):
     digests = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted((tmp_path / "out").iterdir())
+        for path in sorted(outputs(command).iterdir())
     }
     assert digests == DIGESTS[command]
+
+
+def readme_columns() -> dict[str, str]:
+    """The README's `| kind | columns |` table: kind -> the CSV column line."""
+    rows = re.findall(r"^\| (\w+) \| `([^`]*)`", README.read_text(), flags=re.MULTILINE)
+    return {kind: columns.replace(", ", ",") for kind, columns in rows}
+
+
+@pytest.mark.parametrize("command", sorted(CASES))
+def test_csv_columns_match_the_readme_table(command, outputs):
+    documented = readme_columns()
+    for path in sorted(outputs(command).glob("*.csv")):
+        lines = path.read_text().splitlines()
+        kind = lines[0].split()[-1]  # "# driven-lattice <version> <kind>"
+        columns = next(line for line in lines if not line.startswith("#"))
+        assert columns == documented.get(kind), (path.name, kind)

@@ -173,6 +173,13 @@ class TestStates:
         with pytest.raises(ValueError, match="boundary"):
             dl.make_initial_state(dl.GaussianState(60.0, 20 * math.pi), ring)
 
+    @pytest.mark.parametrize("center", [1e308, -1e308, 1e200])
+    def test_gaussian_center_out_of_range_is_rejected(self, center):
+        # the seam check squares the center, which overflows a float here
+        ring = dl.RingDomain(dl.SupercellGrid.for_spec(REF, 480), 2)
+        with pytest.raises(ValueError, match="center"):
+            dl.make_initial_state(dl.GaussianState(center, 5.0), ring)
+
     def test_gaussian_momentum_spread(self):
         # oracle: the Fourier transform of the Gaussian is Gaussian with
         # |psi~|^2 standard deviation 1 / (sigma sqrt(2))
