@@ -73,6 +73,7 @@ from .analysis import (
     write_evolution_csv,
     write_modes_csv,
     write_resonances_csv,
+    write_spectrum_csv,
     write_sweep_csv,
 )
 

@@ -1,6 +1,7 @@
-"""Batch experiment driver: configs, frequency sweeps, population traces,
-resonance reports and CSV emission.  `detect_dips` finds the local minima of
-any sweep column: the overlap dips of the resonance report and the gap minima.
+"""Batch experiment driver: configs, frequency sweeps (the one engine behind
+both ``sweep`` and ``spectrum``), population traces, resonance reports and CSV
+emission.  `detect_dips` finds the local minima of any sweep column: the
+overlap dips of the resonance report and the gap minima.
 
 Output files are plain CSV (UTF-8, '.' decimal, 17 significant digits) with
 a '#'-prefixed header block carrying the package version, a hash of the
@@ -19,7 +20,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +57,8 @@ DIP_PROMINENCE = 0.01       # smallest overlap dip counted as detected
 PEAK_PROMINENCE = 0.02      # smallest n_max peak considered for refinement
 REFINE_ABOVE = 0.4          # only refine n_max peaks above this level
 REFINE_MIN_STEP = 1e-3
+# the most float64 elements numpy allocates in one array
+_MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,9 @@ class ExperimentConfig:
             if not (all(map(math.isfinite, grid)) and self.omega_step > 0
                     and self.omega_start <= self.omega_stop):
                 raise ConfigError("omega grid must be finite and monotone increasing")
+            count = (self.omega_stop - self.omega_start) / self.omega_step
+            if not count < _MAX_GRID_POINTS:
+                raise ConfigError(f"omega grid of {count + 1:.3g} points cannot be built")
         # constructing the domain objects validates every module invariant
         try:
             if self.substeps is not None:
@@ -253,8 +258,9 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Per-frequency summary; population fields are NaN in spectra-only sweeps,
-    and ``numerics`` (the spectrum's) is None for a failed frequency."""
+    """Per-frequency summary; population fields are NaN in spectra-only sweeps.
+    ``numerics``, ``quasienergies`` and ``overlaps`` (the spectrum's, in label
+    order) are None for a failed frequency."""
 
     omega: float
     n_max: float
@@ -265,6 +271,8 @@ class SweepRecord:
     gap: float
     error: str | None = None
     numerics: dict | None = field(default=None, compare=False)
+    quasienergies: np.ndarray | None = field(default=None, compare=False, repr=False)
+    overlaps: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -315,41 +323,28 @@ def _sweep_point(config: ExperimentConfig, omega: float, with_populations: bool)
     return SweepRecord(
         omega=omega, n_max=n_max, argmax_site=arg_site, argmax_m=arg_m,
         overlap=float(weights[0]), eps_fgs=float(eps[0]), gap=float(gap),
-        numerics=spectrum.numerics,
+        numerics=spectrum.numerics, quasienergies=eps, overlaps=weights,
     )
 
 
-def _guarded(task):
-    point, config, omega = task
+def _guarded(task) -> SweepRecord:
+    config, omega, with_populations = task
     try:
-        result = point(config, omega)
+        return _sweep_point(config, omega, with_populations)
     except (ConfigError, ToleranceError, np.linalg.LinAlgError) as exc:
-        return omega, None, str(exc)
-    return omega, result, None
+        return SweepRecord(omega=omega, n_max=math.nan, argmax_site=-1, argmax_m=-1,
+                           overlap=math.nan, eps_fgs=math.nan, gap=math.nan, error=str(exc))
 
 
-def _run_points(config: ExperimentConfig, omegas, point) -> list[tuple]:
-    """``point(config, omega)`` at every frequency, on ``config.workers``
-    processes, as (omega, result, error) in the order given.  Invalid input
-    and numerical trouble at one frequency give result None and the error
-    message; any other exception propagates."""
-    tasks = [(point, config, float(w)) for w in omegas]
+def _sweep_records(config: ExperimentConfig, omegas, with_populations: bool) -> list[SweepRecord]:
+    """The record of every frequency, on ``config.workers`` processes, in the
+    order given.  Invalid input and numerical trouble at one frequency give a
+    NaN record with the error message; any other exception propagates."""
+    tasks = [(config, float(w), with_populations) for w in omegas]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             return list(pool.map(_guarded, tasks))
     return [_guarded(task) for task in tasks]
-
-
-def _sweep_records(config: ExperimentConfig, omegas, with_populations: bool) -> list[SweepRecord]:
-    """The record of every frequency; see `_run_points`."""
-    point = partial(_sweep_point, with_populations=with_populations)
-    return [
-        record if error is None else SweepRecord(
-            omega=omega, n_max=math.nan, argmax_site=-1, argmax_m=-1,
-            overlap=math.nan, eps_fgs=math.nan, gap=math.nan, error=error,
-        )
-        for omega, record, error in _run_points(config, omegas, point)
-    ]
 
 
 def _refine_peaks(config: ExperimentConfig, records: list[SweepRecord]) -> list[SweepRecord]:
@@ -396,7 +391,7 @@ def run_nmax_sweep(config: ExperimentConfig) -> SweepResult:
 
 
 def run_overlap_sweep(config: ExperimentConfig) -> SweepResult:
-    """Ground-mode uniform overlap (and gap) per frequency; no populations."""
+    """Every mode's quasienergy and uniform overlap, and the gap, per frequency."""
     return _sweep(config, False)
 
 
@@ -562,6 +557,17 @@ def write_sweep_csv(path, sweep: SweepResult) -> Path:
     )
 
 
+def write_spectrum_csv(path, sweep: SweepResult) -> Path:
+    """One row per mode of every computed frequency; a failed one writes none."""
+    rows = (
+        (r.omega, alpha, eps, overlap)
+        for r in sweep.records if r.quasienergies is not None
+        for alpha, (eps, overlap) in enumerate(zip(r.quasienergies, r.overlaps))
+    )
+    return _write_csv(path, sweep.config, "spectrum", ["omega", "alpha", "eps", "overlap"],
+                      rows, failures=sweep.failures, numerics=sweep.numerics)
+
+
 def write_modes_csv(path, config: ExperimentConfig, spectrum: FloquetSpectrum,
                     count: int = REPORTED_MODES) -> Path:
     """Sampled mode profiles; only the best-converged (lowest mean kinetic
@@ -595,9 +601,11 @@ def write_resonances_csv(path, config: ExperimentConfig, rows) -> Path:
     )
 
 
-def read_sweep_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """(omega, overlap) columns back from a sweep CSV; any other file,
-    another kind of output included, is a ConfigError."""
+def read_sweep_csv(path, lattice: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(omega, overlap) columns back from a sweep CSV of `lattice`: the lattice
+    its header echoes must have the mass, hbar, spacing and phase count of
+    `lattice`, what `predict_resonances` reads.  Any other file, another kind
+    of output or a sweep of another lattice included, is a ConfigError."""
     with open(path, encoding="utf-8") as handle:
         lines = [line.strip() for line in handle]
     # the first line names the kind: "# driven-lattice <version> <kind>"
@@ -610,18 +618,11 @@ def read_sweep_csv(path) -> tuple[np.ndarray, np.ndarray]:
     header, *rows = table
     try:
         columns = [header.index("omega"), header.index("overlap")]
-        return tuple(np.array([float(row[c]) for row in rows]) for c in columns)
+        omegas, overlaps = (np.array([float(row[c]) for row in rows]) for c in columns)
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"{path} has no readable omega and overlap columns: {exc}") from exc
-
-
-def _check_sweep_lattice(path, lattice: LatticeSpec) -> None:
-    """ConfigError unless the lattice echoed in a sweep CSV's header has the
-    mass, hbar, spacing and phase count of `lattice`: what `predict_resonances`
-    reads."""
-    with open(path, encoding="utf-8") as handle:
-        echo = next((line.partition(": ")[2] for line in handle
-                     if line.startswith("# lattice: ")), "")
+    echo = next((line.partition(": ")[2] for line in lines
+                 if line.startswith("# lattice: ")), "")
     try:
         swept = LatticeSpec(**ast.literal_eval(echo))
     except (ValueError, SyntaxError, TypeError) as exc:
@@ -630,6 +631,7 @@ def _check_sweep_lattice(path, lattice: LatticeSpec) -> None:
         if getattr(swept, name) != getattr(lattice, name):
             raise ConfigError(f"{path} was swept at {name} = {getattr(swept, name)!r}, "
                               f"not the configured {getattr(lattice, name)!r}")
+    return omegas, overlaps
 
 
 def output_path(config: ExperimentConfig, name: str) -> Path:

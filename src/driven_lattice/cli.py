@@ -2,6 +2,8 @@
 
 Subcommands: evolve, spectrum, sweep, modes, resonances.  A config file
 (``--config``, flat key = value text) supplies defaults; flags override.
+Each subcommand calls public `analysis` functions only, a run and its
+writer; ``spectrum`` is the overlap sweep written one row per mode.
 Exit codes: 0 success, 2 invalid configuration, 3 numerical-tolerance
 violation, 4 ``sweep`` or ``spectrum`` completed with per-frequency failures
 (each failed frequency is listed in the sidecar's ``failures`` and on
@@ -28,10 +30,8 @@ from .analysis import (
     write_evolution_csv,
     write_modes_csv,
     write_resonances_csv,
+    write_spectrum_csv,
     write_sweep_csv,
-    _check_sweep_lattice,
-    _run_points,
-    _write_csv,
 )
 from .errors import ConfigError, ToleranceError
 from .floquet import REPORTED_MODES
@@ -120,14 +120,6 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
-def _spectrum_rows(config: ExperimentConfig, omega: float) -> tuple[list[tuple], dict]:
-    spectrum = spectrum_at(config, omega)
-    weights = spectrum.uniform_weights()
-    rows = [(omega, alpha, eps, weights[alpha])
-            for alpha, eps in enumerate(spectrum.quasienergies)]
-    return rows, spectrum.numerics
-
-
 def _finish(path, failures) -> int:
     print(path)
     for omega, error in failures:
@@ -137,15 +129,8 @@ def _finish(path, failures) -> int:
 
 def _cmd_spectrum(args) -> int:
     config = _build_config(args)
-    points = _run_points(config, config.omega_grid(), _spectrum_rows)
-    computed = [result for _, result, _ in points if result is not None]
-    failures = [(omega, error) for omega, _, error in points if error is not None]
-    path = _write_csv(
-        output_path(config, args.output), config, "spectrum",
-        ["omega", "alpha", "eps", "overlap"], [row for rows, _ in computed for row in rows],
-        failures=failures, numerics=[numerics for _, numerics in computed],
-    )
-    return _finish(path, failures)
+    sweep = run_overlap_sweep(config)
+    return _finish(write_spectrum_csv(output_path(config, args.output), sweep), sweep.failures)
 
 
 def _cmd_sweep(args) -> int:
@@ -165,8 +150,7 @@ def _cmd_modes(args) -> int:
 
 def _cmd_resonances(args) -> int:
     config = _build_config(args)
-    omegas, overlaps = read_sweep_csv(args.sweep_csv)
-    _check_sweep_lattice(args.sweep_csv, config.lattice)
+    omegas, overlaps = read_sweep_csv(args.sweep_csv, config.lattice)
     rows = pair_resonances(config.lattice, omegas, overlaps,
                            alpha_max=args.alpha_max, max_folds=args.folds)
     path = write_resonances_csv(output_path(config, args.output), config, rows)

@@ -256,10 +256,11 @@ def make_initial_state(state_spec: InitialStateSpec, domain: RingDomain) -> Comp
     """Sample and normalize an initial state on `domain`.
 
     A Gaussian is rejected when it is narrower than the grid spacing, when
-    its amplitude at the domain seam (the point identified with 0 on the
-    ring) exceeds 1e-3 of the peak, since the sampled state would carry a
-    visible wrap-around kink, and when its width or center overflows or its
-    samples have no finite, positive norm.
+    its center lies off the ring [0, length), when its amplitude at the
+    domain seam (the point identified with 0 on the ring) exceeds 1e-3 of the
+    peak, since the sampled state would carry a visible wrap-around kink, and
+    when its width or center overflows or its samples have no finite,
+    positive norm.
     """
     x = domain.positions()
     if isinstance(state_spec, UniformState):
@@ -268,6 +269,10 @@ def make_initial_state(state_spec: InitialStateSpec, domain: RingDomain) -> Comp
     sigma = state_spec.width
     if sigma < domain.dx:
         raise ValueError(f"gaussian width {sigma:.4g} is below the grid spacing {domain.dx:.4g}")
+    if not 0.0 <= state_spec.center < domain.length:
+        # the seam check below measures against a peak that must lie on the ring
+        raise ValueError(f"gaussian center {state_spec.center:.4g} lies off the ring "
+                         f"[0, {domain.length:.4g})")
     try:
         scale = (math.pi * sigma**2) ** -0.25
         edge = max(

@@ -210,6 +210,13 @@ class TestSweeps:
         assert sweep.failures[0][0] == pytest.approx(1.1)
         failed = [r for r in sweep.records if r.error]
         assert len(failed) == 1 and math.isnan(failed[0].n_max)
+        assert failed[0].quasienergies is None and failed[0].overlaps is None
+        # a computed record carries its spectrum's label-ordered arrays
+        for record in sweep.records:
+            if record.error is None:
+                spectrum = real(config, record.omega)
+                np.testing.assert_array_equal(record.quasienergies, spectrum.quasienergies)
+                np.testing.assert_array_equal(record.overlaps, spectrum.uniform_weights())
 
     @pytest.mark.parametrize("error", [IndexError, ValueError])
     def test_programming_errors_propagate(self, monkeypatch, error):
@@ -315,7 +322,7 @@ class TestCsvEmission:
         config = tiny_config(omega_start=1.0, omega_stop=1.0, omega_step=0.1)
         sweep = dl.run_nmax_sweep(config)
         path = dl.write_sweep_csv(tmp_path / "sweep.csv", sweep)
-        omegas, overlaps = analysis.read_sweep_csv(path)
+        omegas, overlaps = analysis.read_sweep_csv(path, config.lattice)
         assert omegas[0] == sweep.records[0].omega
         assert overlaps[0] == sweep.records[0].overlap
 
@@ -435,14 +442,23 @@ class TestCli:
             ["evolve", "--sigma", "nan"],
             # only sigma = 0 selects the uniform state
             ["evolve", "--sigma", "-5"],
-            # a Gaussian whose samples underflow to nothing, or whose width does
+            # a Gaussian centred off the ring, far enough that its samples
+            # would underflow to nothing or its square overflow a float
             ["evolve", "--domain", "ring", "--supercells", "2", "--sigma", "5",
              "--center", "100000"],
             ["evolve", "--domain", "ring", "--supercells", "2", "--sigma", "5",
              "--center", "100000", "--method", "direct"],
-            # a center whose square overflows a float
             ["evolve", "--domain", "ring", "--supercells", "2", "--sigma", "5",
              "--center", "1e308"],
+            # or just off the 60-long ring, where it would sample to a one-sided tail
+            *(["evolve", "--domain", "ring", "--supercells", "2", "--horizon", "2",
+                "--sigma", "1", "--center", center, "--method", method]
+              for center in ("-5", "70") for method in ("floquet", "direct")),
+            # an omega grid whose point count overflows an array or a float
+            ["spectrum", "--omega-start", "2.4", "--omega-stop", "3.2",
+             "--omega-step", "1e-300"],
+            ["sweep", "--omega-start", "1e308", "--omega-stop", "1.7e308",
+             "--omega-step", "1e-5"],
             ["evolve", "--sigma", "1e-200"],
             ["evolve", "--sigma", "1e200"],
             # a Gaussian narrower than the grid spacing (0.0625) is not sampled
@@ -648,9 +664,11 @@ class TestCli:
         ])
         assert code == 2
 
-    def test_ring_overlap_sweep_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", [["sweep", "--overlap-only"], ["spectrum"]],
+                             ids=lambda argv: argv[0])
+    def test_ring_overlap_sweep_exit_code(self, tmp_path, capsys, command):
         code = cli.main([
-            "sweep", "--overlap-only", "--domain", "ring", "--substeps", "512",
+            *command, "--domain", "ring", "--substeps", "512",
             "--omega-start", "1.0", "--omega-stop", "1.1", "--omega-step", "0.1",
             "--outdir", str(tmp_path),
         ])

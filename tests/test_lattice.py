@@ -173,12 +173,15 @@ class TestStates:
         with pytest.raises(ValueError, match="boundary"):
             dl.make_initial_state(dl.GaussianState(60.0, 20 * math.pi), ring)
 
-    @pytest.mark.parametrize("center", [1e308, -1e308, 1e200])
+    @pytest.mark.parametrize("center", [1e308, -1e308, 1e200, -5.0, 70.0])
     def test_gaussian_center_out_of_range_is_rejected(self, center):
-        # the seam check squares the center, which overflows a float here
+        # off the 60-long ring: far enough that the seam check would square
+        # the center past a float's range, or near enough that a narrow
+        # packet passes it against its off-ring peak yet samples to a
+        # one-sided tail
         ring = dl.RingDomain(dl.SupercellGrid.for_spec(REF, 480), 2)
         with pytest.raises(ValueError, match="center"):
-            dl.make_initial_state(dl.GaussianState(center, 5.0), ring)
+            dl.make_initial_state(dl.GaussianState(center, 1.0), ring)
 
     def test_gaussian_momentum_spread(self):
         # oracle: the Fourier transform of the Gaussian is Gaussian with

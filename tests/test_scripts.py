@@ -6,7 +6,8 @@ other scripts take minutes, so they are only checked statically: every
 package name they use must exist and every ``dl.<name>(...)`` call must bind
 to the signature of what it calls, which catches a script left calling a
 removed name or keyword.  The benchmark's child process and the functions
-its per-layer metrics name are checked the same way.
+its per-layer metrics name are checked the same way, and the CLI must reach
+the analysis layer through its public names.
 """
 
 import ast
@@ -130,6 +131,17 @@ def test_benchmark_spans_name_public_functions(span):
                    and callable(getattr(module, name)) for name in vars(module))
     else:
         assert not function.startswith("_") and callable(getattr(module, function, None))
+
+
+def test_cli_imports_only_public_analysis_names():
+    # the CLI runs public analysis functions; _CONFIG_KEYS builds its flags
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and (node.level, node.module) in ((1, "analysis"), (0, "driven_lattice.analysis"))
+                for alias in node.names]
+    assert imported
+    private = [name for name in imported if name.startswith("_") and name != "_CONFIG_KEYS"]
+    assert not private, f"cli.py imports private analysis names: {private}"
 
 
 def test_single_cell_modes_runs(tmp_path, monkeypatch, capsys):
