@@ -101,10 +101,13 @@ class ExperimentConfig:
             count = (self.omega_stop - self.omega_start) / self.omega_step
             if not count < _MAX_GRID_POINTS:
                 raise ConfigError(f"omega grid of {count + 1:.3g} points cannot be built")
-        # constructing the domain objects validates every module invariant
+        # constructing the domain objects validates every module invariant;
+        # the grid ascends, so its start is its smallest frequency
         try:
             if self.substeps is not None:
                 PropagationParams(substeps_per_period=self.substeps)
+            if self.omega_start is not None:
+                replace(self.lattice, omega=self.omega_start)
             self.make_domain()
             if isinstance(self.initial, GaussianState):
                 make_initial_state(self.initial, self.make_domain())
@@ -249,8 +252,16 @@ def config_from_values(values: dict, overrides: dict | None = None) -> Experimen
     return config
 
 
+def _read_text(path) -> str:
+    """The text of a UTF-8 input file; one that cannot be read is a ConfigError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    return config_from_values(parse_config_text(Path(path).read_text()), overrides)
+    return config_from_values(parse_config_text(_read_text(path)), overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +617,7 @@ def read_sweep_csv(path, lattice: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     its header echoes must have the mass, hbar, spacing and phase count of
     `lattice`, what `predict_resonances` reads.  Any other file, another kind
     of output or a sweep of another lattice included, is a ConfigError."""
-    with open(path, encoding="utf-8") as handle:
-        lines = [line.strip() for line in handle]
+    lines = [line.strip() for line in _read_text(path).splitlines()]
     # the first line names the kind: "# driven-lattice <version> <kind>"
     first = lines[0].split() if lines else []
     if first[:2] != ["#", "driven-lattice"] or first[-1:] != ["sweep"]:

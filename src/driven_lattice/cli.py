@@ -47,12 +47,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         elif key == "substeps":
             parser.add_argument(
                 "--substeps", dest=key,
-                help="substeps per driving period (>= 256); the monodromy rounds them up "
-                     "to whole 4th-order steps of one substep per composition weight, and "
-                     "the steps to a multiple of 4 when the phases have the glide, "
-                     "phi[(2-s) mod np] = phi[s] (the quarter- and half-period "
-                     "routes); the direct integrator runs n "
-                     "2nd-order steps; default: each own rule")
+                help="substeps per driving period (>= 256; default: each integrator's "
+                     "own rule); how each route uses them: README 'Numerical scheme'")
         else:
             parser.add_argument(f"--{key.replace('_', '-')}", dest=key)
 
@@ -171,7 +167,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     except ToleranceError as exc:

@@ -27,7 +27,8 @@ import scipy.fft as sfft
 from .errors import CompletenessError, DegenerateModeError, GridMismatchError
 from .floquet import (
     FloquetSpectrum,
-    _numerics,
+    _Resolution,
+    _monodromy_resolution,
     _one_blas_thread,
     circle_gap,
     default_basis_size,
@@ -86,7 +87,7 @@ def ring_spectra(
     basis_size = basis_size if basis_size is not None else dynamics_basis_size(spec)
     kappas = ring_kappas(spec, ring.supercells)
     monodromies = monodromy_matrix(spec, kappas, params=params, basis_size=basis_size)
-    numerics = _numerics(spec, params, basis_size)
+    numerics = _monodromy_resolution(spec, params, basis_size)._asdict()
     spectra = [replace(diagonalize_monodromy(U, spec, float(kappa), grid=ring.cell),
                        numerics=numerics)
                for U, kappa in zip(monodromies, kappas)]
@@ -341,9 +342,8 @@ def direct_population_trace(
         states = _split_step(initial, spec, params, max_period * spec.period)
         for m, psi in enumerate(states, start=1):
             values[:, m] = weights @ (np.abs(psi) ** 2)
-    return PopulationTrace(periods=periods, values=values, numerics={
-        "omega": float(spec.omega), "substeps": params.substeps_per_period,
-        "basis_size": None, "route": None})
+    numerics = _Resolution(float(spec.omega), params.substeps_per_period, None, None)
+    return PopulationTrace(periods=periods, values=values, numerics=numerics._asdict())
 
 
 def interference_period(eps_a: float, eps_b: float, spec: LatticeSpec) -> float:

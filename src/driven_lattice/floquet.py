@@ -20,7 +20,7 @@ the truncated space to roundoff and the product is unitary regardless of
 basis size; basis adequacy is checked separately through the kinetic-energy
 cutoff and the grid-propagator consistency tests.  The time-independent
 Hamiltonian of a static lattice (`LatticeSpec.static`: undriven, or a free
-particle with v0 = 0) is exponentiated exactly instead.
+particle with v0 = 0) is exponentiated exactly instead: the exact route.
 
 The potential matrix ``W_ba = c_{b-a}(t)`` does not depend on kappa; only
 the kinetic diagonal does.  A whole kappa ladder therefore shares one stack
@@ -289,16 +289,18 @@ def _default_steps(spec: LatticeSpec, basis_size: int) -> int:
 
 
 class _Resolution(NamedTuple):
-    """What `monodromy_matrix` runs: potential substeps per period, basis
-    size, and the route, the fraction of the period its loop runs."""
+    """What a run used, the record behind every sidecar ``numerics`` entry.
+    The route alone tells `monodromy_matrix` what to run; a direct trace
+    has no basis or route, the exact route no substeps."""
 
-    substeps: int
-    basis_size: int
-    route: str = "full"
+    omega: float
+    substeps: int | None
+    basis_size: int | None
+    route: str | None
 
 
-# the number of pieces each route assembles the period from
-_PIECES = {"full": 1, "half": 2, "quarter": 4}
+# the number of pieces each route assembles the period from (exact: one eigh)
+_PIECES = {"exact": 1, "full": 1, "half": 2, "quarter": 4}
 
 
 def _midpoint_times(spec: LatticeSpec, steps: int, weights: tuple) -> np.ndarray:
@@ -312,36 +314,33 @@ def _monodromy_resolution(
     params: PropagationParams | None = None,
     basis_size: int | None = None,
 ) -> _Resolution:
-    """The substeps, basis size and route that `monodromy_matrix` runs.
+    """The omega, substeps, basis size and route that `monodromy_matrix` runs.
 
-    Steps have one substep per weight: ceil(n / len(_WEIGHTS)) of them for
+    A static lattice takes the exact route, with no substeps.  Otherwise
+    steps have one substep per weight: ceil(n / len(_WEIGHTS)) of them for
     an explicit n, the basis-aware default rule otherwise.  A drive with
     the glide (`LatticeSpec.drive_symmetries`, decided from the phases)
     runs the quarter route when it also has time reversal and the weights
     are palindromic, so that the factor at T - t mirrors the one at t, and
     the half route otherwise, both at the step count rounded up to a
     multiple of 4 so that the quarter and half periods end between steps;
-    any other drive, and a static lattice, runs the full period unrounded.
+    any other drive runs the full period unrounded.
     """
     B = basis_size if basis_size is not None else default_basis_size(spec)
     if B % 2 == 0 or B < 1:
         raise ConfigError("basis_size must be odd and positive")
+    if spec.static:
+        return _Resolution(float(spec.omega), None, B, "exact")
     if params is not None:
         steps = math.ceil(params.substeps_per_period / len(_WEIGHTS))
     else:
         steps = _default_steps(spec, B)
     stages = len(_WEIGHTS)
     time_reversal, glide = spec.drive_symmetries()
-    if spec.static or not glide:
-        return _Resolution(stages * steps, B)
-    quarter = time_reversal and _WEIGHTS == _WEIGHTS[::-1]
-    return _Resolution(stages * 4 * -(-steps // 4), B, "quarter" if quarter else "half")
-
-
-def _numerics(spec: LatticeSpec, params=None, basis_size=None) -> dict:
-    """The sidecar entry of a monodromy: omega, substeps, basis size, route."""
-    resolution = _monodromy_resolution(spec, params, basis_size)
-    return {"omega": float(spec.omega), **resolution._asdict()}
+    if not glide:
+        return _Resolution(float(spec.omega), stages * steps, B, "full")
+    route = "quarter" if time_reversal and _WEIGHTS == _WEIGHTS[::-1] else "half"
+    return _Resolution(float(spec.omega), stages * 4 * -(-steps // 4), B, route)
 
 
 def _kappa_stack(kappas: list[float], paired: bool) -> list[float]:
@@ -371,14 +370,14 @@ def monodromy_matrix(
     the basis's kinetic edge (`_monodromy_resolution`).
     """
     resolution = _monodromy_resolution(spec, params, basis_size)
-    B = resolution.basis_size
+    B, exact = resolution.basis_size, resolution.route == "exact"
     kappas = np.asarray(kappa, dtype=float)
     if kappas.ndim > 1 or kappas.size == 0:
         raise ConfigError("kappa must be a number or a non-empty 1-D array")
     if not np.all(_in_first_zone(kappas, spec)):
         raise ConfigError("kappa outside the first Brillouin zone")
     # an undriven lattice absorbs no drive quanta, so only v0 sets the scale
-    demand = _CUTOFF_FACTOR * max(spec.v0, 0.0 if spec.static else spec.hbar * spec.omega)
+    demand = _CUTOFF_FACTOR * max(spec.v0, 0.0 if exact else spec.hbar * spec.omega)
     edge_kinetic = _edge_kinetic(spec, B)
     if spec.v0 > 0 and edge_kinetic < demand:
         raise ConfigError(
@@ -398,7 +397,7 @@ def monodromy_matrix(
     q, envelope = _fourier_ladder(spec, B)
     idx = (B - 1) + np.arange(B)[:, None] - np.arange(B)[None, :]  # Toeplitz gather
 
-    if spec.static:
+    if exact:
         # static lattice (a free particle when v0 = 0 and W vanishes):
         # exponentiate the full Hamiltonian matrix exactly
         w = _potential_coefficients(spec, q, envelope, [0.0])[0][idx]
@@ -617,7 +616,7 @@ def labeled_spectrum(
     """Build, diagonalize and overlap-label the spectrum at one (spec, kappa)."""
     U = monodromy_matrix(spec, kappa, params=params, basis_size=basis_size)
     spectrum = label_by_overlap(diagonalize_monodromy(U, spec, kappa, grid=grid))
-    return replace(spectrum, numerics=_numerics(spec, params, basis_size))
+    return replace(spectrum, numerics=_monodromy_resolution(spec, params, basis_size)._asdict())
 
 
 @_one_blas_thread

@@ -81,8 +81,8 @@ def _split_step(
         )
     if state.grid.cell.length != spec.cell_length:
         raise GridMismatchError("ring cell length does not match the lattice supercell")
-    if not duration > 0:  # a NaN duration fails too
-        raise ValueError("duration must be positive")
+    if not 0 < duration < math.inf:  # a NaN duration fails too
+        raise ValueError("duration must be positive and finite")
     ring = state.grid
     n = max(1, int(round(params.substeps_per_period * duration / spec.period)))
     dt = duration / n

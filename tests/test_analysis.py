@@ -459,6 +459,10 @@ class TestCli:
              "--omega-step", "1e-300"],
             ["sweep", "--omega-start", "1e308", "--omega-stop", "1.7e308",
              "--omega-step", "1e-5"],
+            # an omega grid that starts at or below zero frequency
+            ["sweep", "--overlap-only", "--omega-start", "0", "--omega-stop", "0.1",
+             "--omega-step", "0.05"],
+            ["spectrum", "--omega-start", "-0.1", "--omega-stop", "0.0", "--omega-step", "0.05"],
             ["evolve", "--sigma", "1e-200"],
             ["evolve", "--sigma", "1e200"],
             # a Gaussian narrower than the grid spacing (0.0625) is not sampled
@@ -527,6 +531,14 @@ class TestCli:
             code = cli.main(["resonances", "--outdir", str(tmp_path), "--sweep-csv", str(path)])
             assert code == 2, name
             assert f"{name}.csv" in capsys.readouterr().err, name
+        # a config or sweep file that is a directory or not UTF-8 text
+        latin = tmp_path / "latin.txt"
+        latin.write_bytes("omega = 1.0  # \xe9\n".encode("latin-1"))
+        for path in (tmp_path, latin):
+            for argv in (["--config", str(path), "--sweep-csv", "unread.csv"],
+                         ["--sweep-csv", str(path)]):
+                assert cli.main(["resonances", "--outdir", str(tmp_path), *argv]) == 2, argv
+                assert f"cannot read {path}" in capsys.readouterr().err, argv
 
     def test_tolerance_violation_exit_code(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
@@ -576,12 +588,16 @@ class TestCli:
         # substeps unset: the monodromy's own rule (300 triple jumps at
         # omega = 2.8 on its 53-mode basis, 200 at omega = 1 on 61 modes)
         # and the grid integrator's default_params, while the config echo
-        # keeps null
+        # keeps null; a static lattice is exponentiated exactly, no substeps
         grid = ["--omega-start", "2.8", "--omega-stop", "2.8", "--omega-step", "0.1"]
         ring = ["--domain", "ring", "--supercells", "1", "--horizon", "1"]
         expected = {
             ("sweep", "--overlap-only", *grid):
                 {"omega": 2.8, "substeps": 900, "basis_size": 53, "route": "quarter"},
+            ("sweep", "--overlap-only", *grid, "--amplitude", "0"):
+                {"omega": 2.8, "substeps": None, "basis_size": 53, "route": "exact"},
+            ("modes", "--amplitude", "0"):
+                {"omega": 1.0, "substeps": None, "basis_size": 41, "route": "exact"},
             ("evolve", *ring):
                 {"omega": 1.0, "substeps": 600, "basis_size": 61, "route": "quarter"},
             ("evolve", "--method", "direct", *ring):
@@ -610,6 +626,8 @@ class TestCli:
             {"omega": 1.0, "substeps": 600, "basis_size": 41, "route": "quarter"}]
         outside = dl.diagonalize_monodromy(dl.monodromy_matrix(spec, 0.0), spec, grid=grid)
         assert written(dl.write_modes_csv, config, outside) == []
+        assert dl.labeled_spectrum(dl.LatticeSpec(amplitude=0.0), 0.0).numerics == {
+            "omega": 1.0, "substeps": None, "basis_size": 41, "route": "exact"}
         ring = tiny_config(domain="ring", supercells=1, horizon=1, substeps=None)
         trace = dl.run_evolution(ring, method="direct")
         assert written(dl.write_evolution_csv, ring, trace) == [

@@ -134,7 +134,7 @@ class TestMonodromy:
         # loop holds nothing of the triple jump
         monkeypatch.setattr(floquet, "_WEIGHTS", weights)
         kappa = 0.3 * REF.brillouin_edge
-        assert floquet._monodromy_resolution(REF, FAST)[0] % len(weights) == 0
+        assert floquet._monodromy_resolution(REF, FAST).substeps % len(weights) == 0
         U = dl.monodromy_matrix(REF, kappa, FAST, basis_size=41)
         steps = run_steps(REF, FAST, 41)
         assert np.abs(U - eigh_monodromy(REF, kappa, steps, 41, weights)).max() < 1e-12
@@ -157,15 +157,15 @@ class TestMonodromy:
         # 88 for the quarter route of the reference phases and the half
         # route of the glide alone; the full route keeps 86
         params = dl.PropagationParams(substeps_per_period=256)
-        assert floquet._monodromy_resolution(REF, params) == (264, 41, "quarter")
+        assert floquet._monodromy_resolution(REF, params) == (1.0, 264, 41, "quarter")
         glide_only = replace(REF, phases=(0.0, math.pi / 2, 0.0))
-        assert floquet._monodromy_resolution(glide_only, params) == (264, 41, "half")
+        assert floquet._monodromy_resolution(glide_only, params) == (1.0, 264, 41, "half")
         for phases in [(0.0, 0.0, math.pi), (0.0, 1.0, 2.0)]:  # time reversal alone, neither
             asymmetric = replace(REF, phases=phases)
-            assert floquet._monodromy_resolution(asymmetric, params) == (258, 41, "full")
+            assert floquet._monodromy_resolution(asymmetric, params) == (1.0, 258, 41, "full")
         resolution = floquet._monodromy_resolution(REF, None, 131)
         steps = 4 * math.ceil(floquet._default_steps(REF, 131) / 4)
-        assert resolution == (3 * steps, 131, "quarter")
+        assert resolution == (1.0, 3 * steps, 131, "quarter")
         assert resolution.substeps > floquet._monodromy_resolution(REF).substeps
 
     @pytest.mark.parametrize(

@@ -44,6 +44,8 @@ CASES = {
     "spectrum": [["spectrum", *FAST, *GRID]],
     "sweep": [["sweep", *FAST, "--horizon", "3", *GRID]],
     "modes": [["modes", *FAST, "--omega", "2.74", "--kappa", "0.1", "--count", "5"]],
+    # an undriven lattice: the exact route, whose sidecar records no substeps
+    "modes_static": [["modes", *FAST, "--amplitude", "0", "--omega", "1.0", "--count", "3"]],
     "resonances": [
         ["sweep", *FAST, "--horizon", "3", *GRID, "--overlap-only"],
         ["resonances", *FAST, "--sweep-csv", "out/sweep.csv", "--alpha-max", "12"],
@@ -80,6 +82,12 @@ DIGESTS = {
             "b6b095ac469451c2db2c532ee6268d48d4e241a84c19bc224e3041874f77a291",
         "modes.csv.meta.json":
             "a0b1b9885771483108e2688c00f4d64a3ca53edd25d6ca3c4b41c232a1a1edb0",
+    },
+    "modes_static": {
+        "modes.csv":
+            "e76b94bddab52e8c21b42635c08da2bc1705dee20b03275b436cfa3fde562595",
+        "modes.csv.meta.json":
+            "3e219dd349a6e8a8cc6c3f71c2aac66445b65cabd469ec1463fe7ce7903959e3",
     },
     "resonances": {
         "resonances.csv":

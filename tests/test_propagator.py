@@ -111,7 +111,7 @@ class TestTwisted:
         state = dl.make_initial_state(dl.UniformState(), dl.RingDomain(grid, 1))
         with pytest.raises(ValueError, match="Brillouin"):
             dl.evolve_ring(state, REF, FAST, 1.0, kappa=2 * REF.brillouin_edge)
-        for duration in (0.0, math.nan):
+        for duration in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="duration"):
                 dl.evolve_ring(state, REF, FAST, duration)
         # a state lives on a ring, and the ring's cell must be the lattice's

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from driven_lattice import analysis, cli
+from driven_lattice import analysis, cli, floquet
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -182,3 +182,10 @@ def test_readme_lists_every_config_key_and_subcommand():
     assert [key.strip() for key in keys.split(",")] == list(analysis._CONFIG_KEYS)
     commands = re.search(r"Subcommands: ((?:`\w+`(?:, )?)+)\.", readme).group(1)
     assert re.findall(r"`(\w+)`", commands) == list(cli._COMMANDS)
+
+
+def test_readme_lists_every_monodromy_route():
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    section = readme.split("### Output files", 1)[1]
+    routes = re.search(r"monodromy route \(((?:`\w+`(?:, | or )?)+);", section).group(1)
+    assert re.findall(r"`(\w+)`", routes) == list(floquet._PIECES)
