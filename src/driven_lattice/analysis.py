@@ -83,8 +83,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.domain not in ("supercell", "ring"):
             raise ConfigError(f"unknown domain {self.domain!r}")
-        if self.domain == "ring" and self.supercells < 1:
-            raise ConfigError("ring domain needs at least one supercell")
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         if self.workers < 1:
@@ -348,12 +346,14 @@ def _guarded(task) -> SweepRecord:
 
 
 def _sweep_records(config: ExperimentConfig, omegas, with_populations: bool) -> list[SweepRecord]:
-    """The record of every frequency, on ``config.workers`` processes, in the
+    """The record of every frequency, on ``config.workers`` processes but
+    never more than frequencies (a pool forks them all at once), in the
     order given.  Invalid input and numerical trouble at one frequency give a
     NaN record with the error message; any other exception propagates."""
     tasks = [(config, float(w), with_populations) for w in omegas]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    workers = min(config.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_guarded, tasks))
     return [_guarded(task) for task in tasks]
 
@@ -447,12 +447,13 @@ class Dip:
 
 
 def _parabolic_vertex(x, y) -> float:
-    """Vertex abscissa of the parabola through three equispaced points (x, y),
-    clipped to [x[0], x[2]]."""
-    denom = y[0] - 2.0 * y[1] + y[2]
+    """Vertex abscissa of the parabola through three points (x, y), spaced
+    evenly or not (a refined sweep is not), clipped to [x[0], x[2]]."""
+    a, b, u, v = x[0] - x[1], x[2] - x[1], y[0] - y[1], y[2] - y[1]
+    denom = u * b - v * a
     if denom == 0:
         return x[1]
-    return float(min(max(x[1] + 0.5 * (x[2] - x[1]) * (y[0] - y[2]) / denom, x[0]), x[2]))
+    return float(min(max(x[1] + 0.5 * (u * b * b - v * a * a) / denom, x[0]), x[2]))
 
 
 def detect_dips(omegas, values, prominence: float = DIP_PROMINENCE) -> tuple[Dip, ...]:
@@ -645,4 +646,12 @@ def read_sweep_csv(path, lattice: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def output_path(config: ExperimentConfig, name: str) -> Path:
-    return Path(os.path.expanduser(config.outdir)) / name
+    """Output `name` in the configured directory; a ConfigError if it is a
+    directory or its nearest existing parent is not one."""
+    path = Path(os.path.expanduser(config.outdir)) / name
+    parent = next(p for p in path.parents if p.exists())
+    if path.is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    if not parent.is_dir():
+        raise ConfigError(f"cannot write {path}: {parent} is not a directory")
+    return path

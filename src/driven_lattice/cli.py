@@ -4,16 +4,18 @@ Subcommands: evolve, spectrum, sweep, modes, resonances.  A config file
 (``--config``, flat key = value text) supplies defaults; flags override.
 Each subcommand calls public `analysis` functions only, a run and its
 writer; ``spectrum`` is the overlap sweep written one row per mode.
-Exit codes: 0 success, 2 invalid configuration, 3 numerical-tolerance
-violation, 4 ``sweep`` or ``spectrum`` completed with per-frequency failures
-(each failed frequency is listed in the sidecar's ``failures`` and on
-stderr; ``spectrum`` writes no rows for it).
+Exit codes: 0 success, 2 invalid configuration or an unwritable output path
+(checked before the run), 3 numerical-tolerance violation, 4 ``sweep`` or
+``spectrum`` completed with per-frequency failures (each failed frequency
+is listed in the sidecar's ``failures`` and on stderr; ``spectrum`` writes
+no rows for it).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .analysis import (
     _CONFIG_KEYS,
@@ -53,11 +55,12 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
             parser.add_argument(f"--{key.replace('_', '-')}", dest=key)
 
 
-def _build_config(args) -> ExperimentConfig:
+def _configure(args) -> tuple[ExperimentConfig, Path]:
+    """The run's configuration and its output path, checked before the run."""
     overrides = {key: getattr(args, key) for key in _CONFIG_KEYS}
-    if args.config:
-        return load_config(args.config, overrides)
-    return config_from_values({}, overrides)
+    config = (load_config(args.config, overrides) if args.config
+              else config_from_values({}, overrides))
+    return config, output_path(config, args.output)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_evolve(args) -> int:
-    config = _build_config(args)
+    config, path = _configure(args)
     bands = None
     if args.bands is not None:
         try:
@@ -111,12 +114,10 @@ def _cmd_evolve(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"--bands expects integer labels, got {args.bands!r}") from exc
     trace = run_evolution(config, bands=bands, method=args.method)
-    path = write_evolution_csv(output_path(config, args.output), config, trace)
-    print(path)
-    return 0
+    return _finish(write_evolution_csv(path, config, trace))
 
 
-def _finish(path, failures) -> int:
+def _finish(path, failures=()) -> int:
     print(path)
     for omega, error in failures:
         print(f"failed omega={omega:g}: {error}", file=sys.stderr)
@@ -124,34 +125,29 @@ def _finish(path, failures) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    config = _build_config(args)
+    config, path = _configure(args)
     sweep = run_overlap_sweep(config)
-    return _finish(write_spectrum_csv(output_path(config, args.output), sweep), sweep.failures)
+    return _finish(write_spectrum_csv(path, sweep), sweep.failures)
 
 
 def _cmd_sweep(args) -> int:
-    config = _build_config(args)
+    config, path = _configure(args)
     sweep = run_overlap_sweep(config) if args.overlap_only else run_nmax_sweep(config)
-    return _finish(write_sweep_csv(output_path(config, args.output), sweep), sweep.failures)
+    return _finish(write_sweep_csv(path, sweep), sweep.failures)
 
 
 def _cmd_modes(args) -> int:
-    config = _build_config(args)
+    config, path = _configure(args)
     spectrum = spectrum_at(config, config.lattice.omega, args.kappa)
-    path = write_modes_csv(output_path(config, args.output), config, spectrum,
-                           count=args.count)
-    print(path)
-    return 0
+    return _finish(write_modes_csv(path, config, spectrum, count=args.count))
 
 
 def _cmd_resonances(args) -> int:
-    config = _build_config(args)
+    config, path = _configure(args)
     omegas, overlaps = read_sweep_csv(args.sweep_csv, config.lattice)
     rows = pair_resonances(config.lattice, omegas, overlaps,
                            alpha_max=args.alpha_max, max_folds=args.folds)
-    path = write_resonances_csv(output_path(config, args.output), config, rows)
-    print(path)
-    return 0
+    return _finish(write_resonances_csv(path, config, rows))
 
 
 _COMMANDS = {

@@ -28,14 +28,10 @@ from .errors import CompletenessError, DegenerateModeError, GridMismatchError
 from .floquet import (
     FloquetSpectrum,
     _Resolution,
-    _monodromy_resolution,
+    _labeled_spectra,
     _one_blas_thread,
     circle_gap,
     default_basis_size,
-    diagonalize_monodromy,
-    label_by_overlap,
-    match_band_labels,
-    monodromy_matrix,
 )
 from .lattice import ComplexState, LatticeSpec, RingDomain
 from .propagate import PropagationParams, _split_step
@@ -48,13 +44,10 @@ _TRACE_CHUNK = 128
 
 
 def dynamics_basis_size(spec: LatticeSpec) -> int:
-    """Default basis for reconstruction dynamics.
-
-    Larger than the spectral default: quasienergy truncation errors enter
-    stroboscopic phases multiplied by the horizon, and 61 modes keep the
-    reconstruction within ~1e-4 of direct integration over 400 periods for
-    the reference lattice.
-    """
+    """Default basis of `ring_spectra`, so of ring and supercell evolution;
+    a sweep's populations use `default_basis_size`.  At least 61 modes, as
+    quasienergy errors enter stroboscopic phases times the horizon: 61 keep
+    the reference lattice within ~1e-4 of direct integration over 400 periods."""
     return max(default_basis_size(spec), 61)
 
 
@@ -75,25 +68,15 @@ def ring_spectra(
     params: PropagationParams | None = None,
     basis_size: int | None = None,
 ) -> tuple[tuple[FloquetSpectrum, ...], tuple[tuple[int, int], ...]]:
-    """Labeled spectra at every ring quasimomentum.
-
-    The monodromies of all M kappas are built in one pass over the shared
-    potential factors.  The kappa = 0 spectrum is ordered by overlap with
-    the uniform state; the others continue those labels by maximal overlap
-    of periodic parts.  Returns (spectra, ambiguity flags).
-    """
+    """Labeled spectra at every ring quasimomentum, from one pass over the
+    shared potential factors: kappa = 0 ordered by uniform-state overlap,
+    the others continuing its labels by maximal overlap of periodic parts.
+    Returns (spectra, ambiguity flags)."""
     if ring.cell.length != spec.cell_length:
         raise GridMismatchError("ring cell length does not match the lattice supercell")
     basis_size = basis_size if basis_size is not None else dynamics_basis_size(spec)
-    kappas = ring_kappas(spec, ring.supercells)
-    monodromies = monodromy_matrix(spec, kappas, params=params, basis_size=basis_size)
-    numerics = _monodromy_resolution(spec, params, basis_size)._asdict()
-    spectra = [replace(diagonalize_monodromy(U, spec, float(kappa), grid=ring.cell),
-                       numerics=numerics)
-               for U, kappa in zip(monodromies, kappas)]
-    # match_band_labels carries the labels of kappa = 0 (ring_kappas[0]) to the rest
-    spectra[0] = label_by_overlap(spectra[0])
-    return match_band_labels(spectra)
+    kappas = ring_kappas(spec, ring.supercells).tolist()  # kappa = 0 first
+    return _labeled_spectra(spec, kappas, ring.cell, params, basis_size)
 
 
 @dataclass(frozen=True)

@@ -605,6 +605,20 @@ def label_by_overlap(spectrum: FloquetSpectrum) -> FloquetSpectrum:
     return spectrum.relabeled(order)
 
 
+def _labeled_spectra(spec: LatticeSpec, kappas: list, grid: SupercellGrid | None,
+                     params: PropagationParams | None, basis_size: int | None):
+    """The one path to labeled spectra: (spectra, band-matching flags) at
+    ``kappas``, a list led by its smallest |kappa|, from one monodromy call.
+    The first is labeled by uniform overlap, `match_band_labels` carries its
+    labels to the rest, and each records the resolution it was built at."""
+    monodromies = monodromy_matrix(spec, kappas, params=params, basis_size=basis_size)
+    numerics = _monodromy_resolution(spec, params, basis_size)._asdict()
+    spectra = [replace(diagonalize_monodromy(U, spec, kappa, grid=grid), numerics=numerics)
+               for U, kappa in zip(monodromies, kappas)]
+    spectra[0] = label_by_overlap(spectra[0])
+    return match_band_labels(spectra)
+
+
 def labeled_spectrum(
     spec: LatticeSpec,
     kappa: float = 0.0,
@@ -614,9 +628,7 @@ def labeled_spectrum(
     basis_size: int | None = None,
 ) -> FloquetSpectrum:
     """Build, diagonalize and overlap-label the spectrum at one (spec, kappa)."""
-    U = monodromy_matrix(spec, kappa, params=params, basis_size=basis_size)
-    spectrum = label_by_overlap(diagonalize_monodromy(U, spec, kappa, grid=grid))
-    return replace(spectrum, numerics=_monodromy_resolution(spec, params, basis_size)._asdict())
+    return _labeled_spectra(spec, [kappa], grid, params, basis_size)[0][0]
 
 
 @_one_blas_thread
@@ -631,8 +643,6 @@ def match_band_labels(
     tuple of ``(spectrum_index, label)`` flags for assignments whose best
     and runner-up overlaps differ by less than 1e-3.
     """
-    from scipy.optimize import linear_sum_assignment  # its import is slow
-
     spectra = list(spectra)
     ref_idx = int(np.argmin([abs(s.kappa) for s in spectra]))
     ref = spectra[ref_idx]
@@ -645,6 +655,8 @@ def match_band_labels(
         if j == ref_idx:
             out.append(spectrum)
             continue
+        # imported only here, so that a lone spectrum never loads it (slow, large)
+        from scipy.optimize import linear_sum_assignment
         overlap = np.abs(ref.coefficients.conj().T @ spectrum.coefficients) ** 2
         row, col = linear_sum_assignment(-overlap)
         order = np.empty(basis, dtype=int)

@@ -249,6 +249,43 @@ class TestSweeps:
         omegas = sweep.column("omega")
         assert np.all(np.diff(omegas) > 0)
 
+    def test_pool_forks_no_more_workers_than_frequencies(self, monkeypatch):
+        # a process pool forks all max_workers at its first submit, so a
+        # sweep asks for no more than it has frequencies; this pool forks none
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                pools.append((self.max_workers, len(tasks)))
+                return map(fn, tasks)
+
+        def peaked(config, omega, with_populations):
+            n_max = 0.9 - 5.0 * abs(omega - 2.731)
+            return dl.SweepRecord(omega=omega, n_max=n_max, argmax_site=0, argmax_m=0,
+                                  overlap=0.5, eps_fgs=0.0, gap=0.1)
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(analysis, "_sweep_point", peaked)
+        config = tiny_config(omega_start=2.70, omega_stop=2.76, omega_step=0.02,
+                             refine_peaks=True, workers=8)
+        dl.run_nmax_sweep(config)
+        # the grid's four frequencies, then refinement rounds of two
+        assert pools[0] == (4, 4)
+        assert pools[1:] and all(pool == (2, 2) for pool in pools[1:])
+        pools.clear()
+        sweep = dl.run_nmax_sweep(dataclasses.replace(config, omega_stop=2.70))
+        assert len(sweep.records) == 1 and pools == []  # one frequency runs in process
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("command", ["sweep", "spectrum"])
@@ -294,16 +331,25 @@ class TestDeterminism:
         assert numerics[1] == numerics[2]
         assert [n["route"] for n in numerics[1]] == ["quarter", "quarter"]
 
-    def test_import_leaves_out_scipy_signal_and_optimize(self):
+    def test_import_leaves_out_scipy_signal_and_optimize(self, tmp_path):
         # only dip detection, peak refinement and band matching need them,
-        # so they are imported there and a run that does none never pays
+        # so they are imported there and a run that does none never pays,
+        # neither on import nor in a lone spectrum's labeling
         src = str(Path(dl.__file__).resolve().parents[1])
-        code = ("import sys, driven_lattice.cli; "
-                "print([m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules])")
+        runs = [["sweep", "--overlap-only", "--no-refine", "--substeps", "256",
+                 "--omega-start", "2.8", "--omega-stop", "2.8", "--omega-step", "0.1"],
+                ["modes", "--count", "1"]]
+        code = ("import sys, driven_lattice.cli as cli\n"
+                "loaded = lambda: [m for m in ('scipy.signal', 'scipy.optimize') "
+                "if m in sys.modules]\n"
+                "print(loaded())\n"
+                f"for argv in {runs!r}:\n"
+                f"    assert cli.main(argv + ['--outdir', {str(tmp_path)!r}]) == 0\n"
+                "print(loaded())\n")
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src})
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "[]"
+        assert run.stdout.splitlines()[0] == run.stdout.splitlines()[-1] == "[]", run.stdout
 
 
 class TestCsvEmission:
@@ -379,6 +425,15 @@ class TestResonanceReport:
         rows = resonance_rows(sweep)
         assert rows and all(math.isnan(r.residual) for r in rows)
 
+    def test_dip_is_the_vertex_of_unequally_spaced_samples(self):
+        # a refined sweep is not equispaced: the dip at 2.4905 has neighbours
+        # 0.0005 and 0.0095 away
+        omegas = np.array([2.48, 2.49, 2.4905, 2.50, 2.51])
+        overlaps = 0.2 + 3.0 * (omegas - 2.4903) ** 2
+        (dip,) = dl.detect_dips(omegas, overlaps, prominence=0.0)
+        assert dip.omega == pytest.approx(2.4903, abs=1e-12)
+        assert dip.depth == overlaps[2]
+
     def test_rows_cover_predictions_in_window(self, sweep_window):
         rows = resonance_rows(sweep_window)
         keys = {(r.prediction.band_index, r.prediction.fold_count) for r in rows}
@@ -430,6 +485,7 @@ class TestCli:
             ["evolve", "--bands", "0,999"],
             ["evolve", "--bands", "0,1,-1"],
             ["evolve", "--bands", ""],
+            ["evolve", "--domain", "ring", "--supercells", "0"],
             ["modes", "--count", "-1"],
             # non-finite values fail every check instead of passing them
             ["modes", "--kappa", "nan"],
@@ -476,6 +532,30 @@ class TestCli:
             code = cli.main([*argv, "--substeps", "512", "--outdir", str(tmp_path)])
             assert code == 2, argv
             assert "invalid configuration:" in capsys.readouterr().err, argv
+
+    def test_unwritable_output_exit_code_before_the_run(self, tmp_path, monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("output paths must be checked before the run")
+
+        for module, name in ((analysis, "spectrum_at"), (analysis, "ring_spectra"),
+                             (analysis, "direct_population_trace"), (cli, "spectrum_at")):
+            monkeypatch.setattr(module, name, no_run)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        (tmp_path / "taken.csv").mkdir()
+        sweep_csv = tmp_path / "sweep.csv"
+        sweep_csv.write_text("# driven-lattice 0.1.0 sweep\nomega,overlap\n2.5,0.1\n")
+        grid = ["--omega-start", "2.8", "--omega-stop", "2.8", "--omega-step", "0.1"]
+        commands = (["evolve"], ["evolve", "--method", "direct"], ["spectrum", *grid],
+                    ["sweep", *grid], ["modes", "--count", "1"],
+                    ["resonances", "--sweep-csv", str(sweep_csv)])
+        # an existing file as the directory or its parent, an existing directory as the file
+        for where in (["--outdir", str(blocker)], ["--outdir", str(blocker / "sub")],
+                      ["--outdir", str(tmp_path), "--output", "taken.csv"]):
+            for argv in commands:
+                code = cli.main([*argv, "--substeps", "512", *where])
+                assert code == 2, (argv, where)
+                assert "cannot write" in capsys.readouterr().err, (argv, where)
 
     def test_missing_omega_grid_exit_code(self):
         assert cli.main(["sweep", "--substeps", "512"]) == 2

@@ -6,8 +6,9 @@ other scripts take minutes, so they are only checked statically: every
 package name they use must exist and every ``dl.<name>(...)`` call must bind
 to the signature of what it calls, which catches a script left calling a
 removed name or keyword.  The benchmark's child process and the functions
-its per-layer metrics name are checked the same way, and the CLI must reach
-the analysis layer through its public names.
+its per-layer metrics name are checked the same way, the CLI must reach
+the analysis layer through its public names, and `dynamics` must take its
+labeled spectra from floquet's `_labeled_spectra`.
 """
 
 import ast
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from driven_lattice import analysis, cli, floquet
+from driven_lattice import analysis, cli, dynamics, floquet
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -142,6 +143,18 @@ def test_cli_imports_only_public_analysis_names():
     assert imported
     private = [name for name in imported if name.startswith("_") and name != "_CONFIG_KEYS"]
     assert not private, f"cli.py imports private analysis names: {private}"
+
+
+def test_dynamics_imports_no_spectrum_assembly_from_floquet():
+    # every labeled spectrum comes from floquet's `_labeled_spectra`
+    tree = ast.parse(Path(dynamics.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and (node.level, node.module) in ((1, "floquet"), (0, "driven_lattice.floquet"))
+                for alias in node.names}
+    assert imported
+    assembly = {"monodromy_matrix", "diagonalize_monodromy", "label_by_overlap",
+                "match_band_labels", "_monodromy_resolution"}
+    assert not imported & assembly, f"dynamics.py imports {sorted(imported & assembly)}"
 
 
 def test_single_cell_modes_runs(tmp_path, monkeypatch, capsys):
