@@ -519,6 +519,11 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+def _sidecar(path: Path) -> Path:
+    """The ``.meta.json`` written beside the CSV at `path`."""
+    return path.with_suffix(path.suffix + ".meta.json")
+
+
 def _write_csv(path: Path, config: ExperimentConfig, kind: str,
                columns: list[str], rows, failures=(), numerics=()) -> Path:
     """The CSV and its sidecar; ``numerics`` lists the resolution each
@@ -538,7 +543,7 @@ def _write_csv(path: Path, config: ExperimentConfig, kind: str,
         "failures": [{"omega": w, "error": e} for w, e in failures],
         "numerics": [n for n in numerics if n is not None],
     }
-    path.with_suffix(path.suffix + ".meta.json").write_text(
+    _sidecar(path).write_text(
         json.dumps(sidecar, indent=2, sort_keys=True, default=str) + "\n",
         encoding="utf-8",
     )
@@ -646,12 +651,13 @@ def read_sweep_csv(path, lattice: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def output_path(config: ExperimentConfig, name: str) -> Path:
-    """Output `name` in the configured directory; a ConfigError if it is a
-    directory or its nearest existing parent is not one."""
+    """Output `name` in the configured directory; a ConfigError if it or its
+    sidecar is a directory or their nearest existing parent is not one."""
     path = Path(os.path.expanduser(config.outdir)) / name
     parent = next(p for p in path.parents if p.exists())
-    if path.is_dir():
-        raise ConfigError(f"cannot write {path}: it is a directory")
+    for target in (path, _sidecar(path)):
+        if target.is_dir():
+            raise ConfigError(f"cannot write {target}: it is a directory")
     if not parent.is_dir():
         raise ConfigError(f"cannot write {path}: {parent} is not a directory")
     return path

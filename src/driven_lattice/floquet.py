@@ -5,22 +5,24 @@ The monodromy is integrated directly in a truncated plane-wave basis
 represented by its exact Fourier-coefficient (Toeplitz) matrix.  A time step
 h is ``S(w_1 h) ... S(w_r h)`` over the r weights of ``_WEIGHTS`` (summing to
 one) of the midpoint Strang substep S the grid propagators use (2nd order),
-kinetic halves of adjacent substeps merged; Yoshida's triple jump makes it
-4th order.  An explicit ``substeps_per_period = n`` means n potential factors
-in ceil(n/r) steps; unset, the step count follows omega and the basis's
-kinetic edge (`_monodromy_resolution`); either is rounded up to a multiple
-of 4 steps on the quarter and half routes below.
+kinetic halves of adjacent substeps merged; Suzuki's 5-stage composition
+makes it 4th order.  An explicit ``substeps_per_period = n`` means n
+potential factors in ceil(n/r) steps; unset, the step count follows omega
+and the basis's kinetic edge (`_monodromy_resolution`); either is rounded
+up to a multiple of 4 steps on the quarter and half routes below.
 
 Each potential factor ``exp(-i W tau / hbar)`` is its Taylor polynomial, of
-the smallest degree whose remainder bound ``theta^(m+1) / (m+1)!`` (theta
-bounds ``||W|| |tau| / hbar``) is below roundoff, evaluated in
-Paterson-Stockmeyer form; when theta reaches 1 the polynomial of
-``x / 2^k`` is squared k times instead.  Every factor is thus unitary on
-the truncated space to roundoff and the product is unitary regardless of
-basis size; basis adequacy is checked separately through the kinetic-energy
-cutoff and the grid-propagator consistency tests.  The time-independent
-Hamiltonian of a static lattice (`LatticeSpec.static`: undriven, or a free
-particle with v0 = 0) is exponentiated exactly instead: the exact route.
+the smallest degree whose remainder bound ``theta^(m+1) / (m+1)!`` is below
+roundoff, evaluated in Paterson-Stockmeyer form.  Theta, the largest column
+sum ``sum_n |c_n(t)|`` of W over the factors the loop runs times
+``max |w| h / hbar``, bounds every ``||W|| |tau| / hbar``; when it reaches 1
+the polynomial of ``x / 2^k`` is squared k times instead.  Every factor is
+thus unitary on the truncated space to roundoff and the product is unitary
+regardless of basis size; basis adequacy is checked separately through the
+kinetic-energy cutoff and the grid-propagator consistency tests.  The
+time-independent Hamiltonian of a static lattice (`LatticeSpec.static`:
+undriven, or a free particle with v0 = 0) is exponentiated exactly instead:
+the exact route.
 
 The potential matrix ``W_ba = c_{b-a}(t)`` does not depend on kappa; only
 the kinetic diagonal does.  A whole kappa ladder therefore shares one stack
@@ -86,13 +88,17 @@ _MIN_BASIS_SIZE = 41
 _CUTOFF_FACTOR = 5.0
 
 # One step h of the monodromy is S(w h) for each weight w in turn, S the
-# time-symmetric 2nd-order substep.  Yoshida's triple jump (w1, 1 - 2 w1, w1),
-# w1 = 1 / (2 - 2^(1/3)), is 4th order (Phys. Lett. A 150, 262, 1990).
-_WEIGHTS = (1.3512071919596578, -1.7024143839193155, 1.3512071919596578)
+# time-symmetric 2nd-order substep.  Suzuki's 5-stage composition
+# (p, p, 1 - 4p, p, p), p = 1 / (4 - 4^(1/3)), is 4th order (Phys. Lett. A
+# 146, 319, 1990); its one negative weight is small, so its error constant
+# is several times below that of Yoshida's triple jump, and at equal error
+# it takes 1.4-1.7 times fewer potential factors.
+_WEIGHTS = (0.4144907717943757, 0.4144907717943757, -0.6579630871775028,
+            0.4144907717943757, 0.4144907717943757)
 # default composition steps per period (`_default_steps`)
-_MIN_STEPS = 200
-_STEPS_PER_OMEGA = 100.0
-_STEPS_PER_EDGE_PHASE = 0.6
+_MIN_STEPS = 72
+_STEPS_PER_OMEGA = 44.0
+_STEPS_PER_EDGE_PHASE = 0.22
 
 # The eigenvalue accuracy of a truncated-basis monodromy degrades near the
 # basis edge; reports keep only this many best-converged modes.
@@ -279,9 +285,11 @@ def _default_steps(spec: LatticeSpec, basis_size: int) -> int:
     A floor, plus a share for the drive (omega) and one for the kinetic
     phase the basis's edge plane wave gathers in a period, whose commutator
     with the potential dominates the splitting error on large bases.  The
-    constants make max |U - U_ref| no larger than that of the 2nd-order
-    Strang default (2048 max(1, omega) substeps) at omega = 1, 2.4, 2.74,
-    2.8 and 3.2 on default bases and at omega = 1 on B = 131.
+    constants make max |U - U_ref| no larger than that of the triple-jump
+    default it replaced (max(200, ceil(100 omega + 0.6 E_edge T / hbar))
+    Yoshida steps), and so of the 2nd-order Strang default before it, at
+    omega = 1, 2.4, 2.74, 2.8 and 3.2 on default bases and at omega = 1 on
+    B = 131 (`BENCH_suzuki.json`).
     """
     edge_phase = _edge_kinetic(spec, basis_size) * spec.period / spec.hbar
     return max(_MIN_STEPS,
@@ -423,9 +431,12 @@ def monodromy_matrix(
     kin = [np.exp(-1j * kinetic * (w * h / 2) / spec.hbar)[:, :, None] for w in halves]
     kin_after = kin[1:-1] + [kin[-1] * kin[0]]  # by position in the step
 
-    # ||W|| <= sum_n |c_n| <= n_p * sum(envelope) for the Toeplitz matrix W;
-    # scaling by 2^squarings keeps theta below 1 and so the degree small
-    theta = spec.sites_per_cell * envelope.sum() * np.abs(weights).max() * h / spec.hbar
+    # The Toeplitz matrix W(t) has ||W(t)|| <= sum_n |c_n(t)| (its largest
+    # column sum), so theta, the largest of these over the factors the loop
+    # runs times max|w| h / hbar, bounds every ||W tau|| / hbar; scaling by
+    # 2^squarings keeps theta below 1 and so the degree small
+    coeffs = _potential_coefficients(spec, q, envelope, times[:factors])  # (factors, 2B-1)
+    theta = np.abs(coeffs).sum(axis=1).max() * np.abs(weights).max() * h / spec.hbar
     squarings = max(0, math.frexp(theta)[1])
     degree = _taylor_degree(theta / 2**squarings)
     chunk = max(1, _CHUNK_BYTES // (16 * B * B))
@@ -434,11 +445,11 @@ def monodromy_matrix(
     U = np.stack([np.diag(kh) for kh in kin[0][:, :, 0]])  # (M, B, B)
     for start in range(0, factors, chunk):
         stop = min(start + chunk, factors)
-        coeffs = _potential_coefficients(spec, q, envelope, times[start:stop])
         scale = (-1j / (spec.hbar * 2**squarings)) * taus[start:stop, None]
         # x = -i W tau / (hbar 2^squarings), shared by every kappa; "clip"
         # (the indices are in range) lets take write straight into `work`
-        x = np.take(coeffs * scale, idx, axis=1, out=work[0, : stop - start], mode="clip")
+        x = np.take(coeffs[start:stop] * scale, idx, axis=1, out=work[0, : stop - start],
+                    mode="clip")
         exp_w = _taylor_exp(x, degree, squarings, work[1:])
         for j in range(stop - start):
             # one (B, B) product per kappa, then that kappa's kinetic row scaling

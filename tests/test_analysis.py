@@ -543,19 +543,23 @@ class TestCli:
         blocker = tmp_path / "file"
         blocker.write_text("")
         (tmp_path / "taken.csv").mkdir()
+        (tmp_path / "meta.csv.meta.json").mkdir()
         sweep_csv = tmp_path / "sweep.csv"
         sweep_csv.write_text("# driven-lattice 0.1.0 sweep\nomega,overlap\n2.5,0.1\n")
         grid = ["--omega-start", "2.8", "--omega-stop", "2.8", "--omega-step", "0.1"]
         commands = (["evolve"], ["evolve", "--method", "direct"], ["spectrum", *grid],
                     ["sweep", *grid], ["modes", "--count", "1"],
                     ["resonances", "--sweep-csv", str(sweep_csv)])
-        # an existing file as the directory or its parent, an existing directory as the file
+        # an existing file as the directory or its parent, an existing
+        # directory as the file or as its sidecar
         for where in (["--outdir", str(blocker)], ["--outdir", str(blocker / "sub")],
-                      ["--outdir", str(tmp_path), "--output", "taken.csv"]):
+                      ["--outdir", str(tmp_path), "--output", "taken.csv"],
+                      ["--outdir", str(tmp_path), "--output", "meta.csv"]):
             for argv in commands:
                 code = cli.main([*argv, "--substeps", "512", *where])
                 assert code == 2, (argv, where)
                 assert "cannot write" in capsys.readouterr().err, (argv, where)
+        assert not (tmp_path / "meta.csv").exists()
 
     def test_missing_omega_grid_exit_code(self):
         assert cli.main(["sweep", "--substeps", "512"]) == 2
@@ -665,21 +669,21 @@ class TestCli:
             assert data and {r.split(",")[0] for r in data} == {"1.7"}
 
     def test_sidecar_records_the_resolution_each_integrator_ran_with(self, tmp_path):
-        # substeps unset: the monodromy's own rule (300 triple jumps at
-        # omega = 2.8 on its 53-mode basis, 200 at omega = 1 on 61 modes)
+        # substeps unset: the monodromy's own rule (132 five-stage steps at
+        # omega = 2.8 on its 53-mode basis, 72 at omega = 1 on 61 modes)
         # and the grid integrator's default_params, while the config echo
         # keeps null; a static lattice is exponentiated exactly, no substeps
         grid = ["--omega-start", "2.8", "--omega-stop", "2.8", "--omega-step", "0.1"]
         ring = ["--domain", "ring", "--supercells", "1", "--horizon", "1"]
         expected = {
             ("sweep", "--overlap-only", *grid):
-                {"omega": 2.8, "substeps": 900, "basis_size": 53, "route": "quarter"},
+                {"omega": 2.8, "substeps": 660, "basis_size": 53, "route": "quarter"},
             ("sweep", "--overlap-only", *grid, "--amplitude", "0"):
                 {"omega": 2.8, "substeps": None, "basis_size": 53, "route": "exact"},
             ("modes", "--amplitude", "0"):
                 {"omega": 1.0, "substeps": None, "basis_size": 41, "route": "exact"},
             ("evolve", *ring):
-                {"omega": 1.0, "substeps": 600, "basis_size": 61, "route": "quarter"},
+                {"omega": 1.0, "substeps": 360, "basis_size": 61, "route": "quarter"},
             ("evolve", "--method", "direct", *ring):
                 {"omega": 1.0, "substeps": 2048, "basis_size": None, "route": None},
         }
@@ -691,7 +695,7 @@ class TestCli:
 
         # the library writers record what the written object ran with, not
         # what the config they are handed would have run: a default-resolution
-        # spectrum (41 modes, 200 triple jumps at omega = 1) under a config of
+        # spectrum (41 modes, 72 five-stage steps at omega = 1) under a config of
         # 512 substeps and 61 modes, a direct trace without a method argument,
         # and nothing for a monodromy built outside the package
         def written(write, config, result):
@@ -703,7 +707,7 @@ class TestCli:
         config = tiny_config(basis_size=61)
         spectrum = dl.labeled_spectrum(spec, 0.0, grid=grid)
         assert written(dl.write_modes_csv, config, spectrum) == [
-            {"omega": 1.0, "substeps": 600, "basis_size": 41, "route": "quarter"}]
+            {"omega": 1.0, "substeps": 360, "basis_size": 41, "route": "quarter"}]
         outside = dl.diagonalize_monodromy(dl.monodromy_matrix(spec, 0.0), spec, grid=grid)
         assert written(dl.write_modes_csv, config, outside) == []
         assert dl.labeled_spectrum(dl.LatticeSpec(amplitude=0.0), 0.0).numerics == {
@@ -718,7 +722,7 @@ class TestCli:
         [("0,pi,0", "quarter"), ("0,0.5pi,0", "half"), ("0,0,pi", "full"), ("0,1,2", "full")])
     def test_sidecar_route_and_substeps_are_what_the_monodromy_ran(
             self, tmp_path, monkeypatch, phases, route):
-        # count the potential factors the jump loop exponentiates: a route
+        # count the potential factors the step loop exponentiates: a route
         # over 1/pieces of the period runs substeps / pieces of them
         ran = []
         taylor_exp = floquet._taylor_exp

@@ -34,7 +34,7 @@ def run_steps(spec, params, basis_size):
     return floquet._monodromy_resolution(spec, params, basis_size).substeps // len(floquet._WEIGHTS)
 
 
-def eigh_monodromy(spec, kappa, steps, basis_size, weights=YOSHIDA):
+def eigh_monodromy(spec, kappa, steps, basis_size, weights=floquet._WEIGHTS):
     """Reference monodromy: `steps` steps S(w_1 h) ... S(w_r h) of the
     midpoint Strang substep over the r weights, over the whole period,
     unmerged kinetic halves and every potential factor exponentiated by
@@ -53,6 +53,12 @@ def eigh_monodromy(spec, kappa, steps, basis_size, weights=YOSHIDA):
             U = half * (_eigh_factor(spec, q, envelope, idx, t + tau / 2, tau) @ (half * U))
             t += tau
     return U
+
+
+def converged_monodromy(spec, basis_size):
+    """The kappa = 0 monodromy at 1232 five-stage steps (6160 potential
+    factors), converged far below the error of any default rule."""
+    return dl.monodromy_matrix(spec, 0.0, dl.PropagationParams(3 * 2048), basis_size)
 
 
 def _halving_ratio(spec, kappa, exact_steps):
@@ -105,8 +111,8 @@ class TestMonodromy:
         "spec, kappa, params, B",
         [
             (REF, 0.3 * REF.brillouin_edge, FAST, 41),
-            # theta = n_p sum|c_n| |w0| h / hbar ~ 18.2 (88 steps): scaled and
-            # squared 5 times; 215 is the smallest basis that clears the 5 v0 cutoff
+            # theta = max_t sum|c_n(t)| max|w| h / hbar ~ 6.2 (52 steps): scaled
+            # and squared 3 times; 215 is the smallest basis that clears the 5 v0 cutoff
             (dl.LatticeSpec(v0=50.0), 0.0, dl.PropagationParams(substeps_per_period=256), 215),
         ],
         ids=["kappa0.3-B41", "v0-50"],
@@ -121,51 +127,105 @@ class TestMonodromy:
         assert np.array_equal(stacked[0], U)
         assert np.abs(stacked[1] - eigh_monodromy(spec, kappas[1], steps, B)).max() < 1e-12
 
-    def test_weights_are_yoshidas_triple_jump(self):
-        assert floquet._WEIGHTS == YOSHIDA
+    @pytest.mark.parametrize(
+        "spec, params, B, squarings",
+        [(REF, None, 41, 0), (dl.LatticeSpec(v0=50.0), dl.PropagationParams(256), 215, 3)],
+        ids=["reference", "v0-50"],
+    )
+    def test_theta_bounds_every_factor(self, monkeypatch, spec, params, B, squarings):
+        # theta, the Taylor degree's argument times 2^squarings, must bound
+        # ||W(t_j)||_2 max|w| h / hbar for every factor the loop exponentiates
+        seen = {"factors": 0}
+        taylor_degree, taylor_exp = floquet._taylor_degree, floquet._taylor_exp
+
+        def spy_degree(scaled_theta):
+            seen["scaled_theta"] = scaled_theta
+            return taylor_degree(scaled_theta)
+
+        def spy_exp(x, degree, k, work):
+            seen["factors"] += len(x)
+            seen["squarings"] = k
+            return taylor_exp(x, degree, k, work)
+
+        monkeypatch.setattr(floquet, "_taylor_degree", spy_degree)
+        monkeypatch.setattr(floquet, "_taylor_exp", spy_exp)
+        dl.monodromy_matrix(spec, 0.0, params, basis_size=B)
+        resolution = floquet._monodromy_resolution(spec, params, B)
+        steps = resolution.substeps // len(floquet._WEIGHTS)
+        factors = resolution.substeps // floquet._PIECES[resolution.route]
+        assert seen["factors"] == factors and seen["squarings"] == squarings
+        theta = seen["scaled_theta"] * 2**squarings
+        q, envelope = floquet._fourier_ladder(spec, B)
+        idx = (B - 1) + np.arange(B)[:, None] - np.arange(B)[None, :]
+        times = floquet._midpoint_times(spec, steps, floquet._WEIGHTS)[:factors]
+        norms = [np.linalg.norm(c[idx], 2)
+                 for c in floquet._potential_coefficients(spec, q, envelope, times)]
+        h = spec.period / steps
+        assert theta >= max(norms) * np.abs(floquet._WEIGHTS).max() * h / spec.hbar
+
+    def test_weights_are_suzukis_five_stage_composition(self):
+        assert floquet._WEIGHTS == SUZUKI
 
     def test_fourth_order_in_the_step(self):
         # halving the step divides the error by about 2^4
         assert 12.0 <= _halving_ratio(REF, 0.3 * REF.brillouin_edge, 1600) <= 20.0
 
-    @pytest.mark.parametrize("weights", [STRANG, SUZUKI], ids=["strang", "suzuki"])
+    @pytest.mark.parametrize("weights", [STRANG, YOSHIDA], ids=["strang", "yoshida"])
     def test_weights_tuple_alone_defines_the_composition(self, monkeypatch, weights):
         # another tuple runs its own scheme through the same loop, so the
-        # loop holds nothing of the triple jump
+        # loop holds nothing of the five-stage composition
         monkeypatch.setattr(floquet, "_WEIGHTS", weights)
         kappa = 0.3 * REF.brillouin_edge
         assert floquet._monodromy_resolution(REF, FAST).substeps % len(weights) == 0
         U = dl.monodromy_matrix(REF, kappa, FAST, basis_size=41)
         steps = run_steps(REF, FAST, 41)
         assert np.abs(U - eigh_monodromy(REF, kappa, steps, 41, weights)).max() < 1e-12
-        if weights is SUZUKI:
+        if weights is YOSHIDA:
             assert 12.0 <= _halving_ratio(REF, kappa, 800) <= 20.0
 
     @pytest.mark.parametrize("omega, B", [(1.0, 41), (2.8, 53)])
     def test_default_resolution_no_worse_than_strang_default(self, omega, B):
-        # the default triple jumps must match the accuracy of the 2nd-order
-        # default they replaced (2048 max(1, omega) substeps); the exact
-        # monodromy is a converged 2048-jump one
+        # the default steps must match the accuracy of the 2nd-order default
+        # (2048 max(1, omega) substeps)
         spec = replace(REF, omega=omega)
-        exact = dl.monodromy_matrix(spec, 0.0, dl.PropagationParams(3 * 2048), B)
+        exact = converged_monodromy(spec, B)
         strang = eigh_monodromy(spec, 0.0, dl.default_params(spec).substeps_per_period, B, STRANG)
         default = dl.monodromy_matrix(spec, 0.0, basis_size=B)
         assert np.abs(default - exact).max() <= np.abs(strang - exact).max()
 
-    def test_explicit_substeps_make_whole_triple_jumps(self):
-        # 256 substeps are ceil(256 / 3) = 86 triple jumps, rounded up to
-        # 88 for the quarter route of the reference phases and the half
-        # route of the glide alone; the full route keeps 86
+    @pytest.mark.parametrize("omega, B", [(1.0, 41), (2.8, 53)])
+    def test_default_resolution_no_worse_than_yoshida_default(self, monkeypatch, omega, B):
+        # the default rule must match the accuracy of the triple-jump default
+        # it replaced, max(200, ceil(100 omega + 0.6 E_edge T / hbar)) jumps
+        # rounded up to a multiple of 4, in fewer potential factors
+        spec = replace(REF, omega=omega)
+        exact = converged_monodromy(spec, B)
+        edge_phase = floquet._edge_kinetic(spec, B) * spec.period / spec.hbar
+        jumps = 4 * math.ceil(max(200, math.ceil(100.0 * omega + 0.6 * edge_phase)) / 4)
+        assert floquet._monodromy_resolution(spec, None, B).substeps < 3 * jumps
+        default = dl.monodromy_matrix(spec, 0.0, basis_size=B)
+        monkeypatch.setattr(floquet, "_WEIGHTS", YOSHIDA)
+        yoshida = dl.monodromy_matrix(spec, 0.0, dl.PropagationParams(3 * jumps), B)
+        assert np.abs(default - exact).max() <= np.abs(yoshida - exact).max()
+
+    def test_explicit_substeps_make_whole_steps(self):
+        # 256 substeps are ceil(256 / 5) = 52 five-stage steps, already a
+        # multiple of 4, so the quarter route of the reference phases, the
+        # half route of the glide alone and the full route all run 260
         params = dl.PropagationParams(substeps_per_period=256)
-        assert floquet._monodromy_resolution(REF, params) == (1.0, 264, 41, "quarter")
+        assert floquet._monodromy_resolution(REF, params) == (1.0, 260, 41, "quarter")
         glide_only = replace(REF, phases=(0.0, math.pi / 2, 0.0))
-        assert floquet._monodromy_resolution(glide_only, params) == (1.0, 264, 41, "half")
+        assert floquet._monodromy_resolution(glide_only, params) == (1.0, 260, 41, "half")
         for phases in [(0.0, 0.0, math.pi), (0.0, 1.0, 2.0)]:  # time reversal alone, neither
             asymmetric = replace(REF, phases=phases)
-            assert floquet._monodromy_resolution(asymmetric, params) == (1.0, 258, 41, "full")
+            assert floquet._monodromy_resolution(asymmetric, params) == (1.0, 260, 41, "full")
+        # 261 substeps are 53 steps, rounded up to 56 on the quarter route only
+        params = dl.PropagationParams(substeps_per_period=261)
+        assert floquet._monodromy_resolution(REF, params) == (1.0, 280, 41, "quarter")
+        assert floquet._monodromy_resolution(asymmetric, params) == (1.0, 265, 41, "full")
         resolution = floquet._monodromy_resolution(REF, None, 131)
         steps = 4 * math.ceil(floquet._default_steps(REF, 131) / 4)
-        assert resolution == (1.0, 3 * steps, 131, "quarter")
+        assert resolution == (1.0, 5 * steps, 131, "quarter")
         assert resolution.substeps > floquet._monodromy_resolution(REF).substeps
 
     @pytest.mark.parametrize(
@@ -227,11 +287,11 @@ class TestMonodromy:
         assert dl.default_basis_size(replace(REF, omega=4.6)) == 67
 
 
-ROUTE_PARAMS = dl.PropagationParams(3 * 172)  # 172 steps: whole quarters on every route
+ROUTE_PARAMS = dl.PropagationParams(5 * 104)  # 104 steps: whole quarters on every route
 
 
 def full_period_loop(spec, kappa, params, basis_size):
-    """The monodromy's own jump loop over the whole period, no assembly."""
+    """The monodromy's own step loop over the whole period, no assembly."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dl.LatticeSpec, "drive_symmetries", lambda self: (False, False))
         assert floquet._monodromy_resolution(spec, params, basis_size).route == "full"

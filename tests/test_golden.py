@@ -55,9 +55,9 @@ CASES = {
 DIGESTS = {
     "evolve": {
         "evolve.csv":
-            "b958c93994c3351d81057c612d4e25147d418684917e5fd724c639dde3ac8e77",
+            "dfaf3d8b81260d1e2d4142c406b729cb58174642b070e85174ceaa477b23937b",
         "evolve.csv.meta.json":
-            "57b00e5c117de1ce71ad3e8b83621715623ddf9e1354662e7bff0a5979b21320",
+            "a26d71864eea4936d184289e250939547905adca0070d3d92c8feb2ac40104fc",
     },
     "evolve_direct": {
         "evolve.csv":
@@ -67,21 +67,21 @@ DIGESTS = {
     },
     "spectrum": {
         "spectrum.csv":
-            "7d95430e9e18e8e5eaddde40e1dbe628c8cdad4440118fd6e1921edbe3763d04",
+            "5791369aa7517a566664ed9617f0499b74f983aff477757729e6563c2ff92552",
         "spectrum.csv.meta.json":
-            "9bb4c2fc686b183b1aef8a504c80a7f4bfe2f2a2e2cea0a75bdb96ca2a13fb01",
+            "5b2fb9a760b65f77f5637810ac318a7243da14ee0a1d719f14c3b2c27d8e9612",
     },
     "sweep": {
         "sweep.csv":
-            "bd7f4be6724f37d3354adda9481226fc4cebfa92188f2bff679671741aca9d22",
+            "e1458b1e405b044ff63ee8cce08b7fbfa3bbd5ebe265195a1024aaa236fc9500",
         "sweep.csv.meta.json":
-            "da2eb639757737b094e01210b12cc9e1ab0b69ecfa7b5e713a18e0f5fd877a5a",
+            "d55c06a43471e407d317f5a7016a5472aa078d5c1023458a71abe9a9ce04715e",
     },
     "modes": {
         "modes.csv":
-            "b6b095ac469451c2db2c532ee6268d48d4e241a84c19bc224e3041874f77a291",
+            "0571f5a9dee69558a4591e9f84cac1160e5a1edcf1f1d9be46e31ce1dae44919",
         "modes.csv.meta.json":
-            "a0b1b9885771483108e2688c00f4d64a3ca53edd25d6ca3c4b41c232a1a1edb0",
+            "15a080c4a6bcd827445e50062a57d796917d7ba7a0cf474eb584e87a9008df63",
     },
     "modes_static": {
         "modes.csv":
@@ -95,9 +95,9 @@ DIGESTS = {
         "resonances.csv.meta.json":
             "32b789b4c535439324bd20292720bb5d627b908cfc5c7831206d53b4180e95d9",
         "sweep.csv":
-            "dfaf29fe7977cc64e5b56f16b8a66b6d40fe35e77e3424fe0815ea4345041098",
+            "7e8f6612fa8dc0f3509b43f89bfdd2ff67f93367f0b0aff16310af341c627850",
         "sweep.csv.meta.json":
-            "da2eb639757737b094e01210b12cc9e1ab0b69ecfa7b5e713a18e0f5fd877a5a",
+            "d55c06a43471e407d317f5a7016a5472aa078d5c1023458a71abe9a9ce04715e",
     },
 }
 
