@@ -14,6 +14,7 @@ no rows for it).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -63,7 +64,11 @@ def _configure(args) -> tuple[ExperimentConfig, Path]:
     return config, output_path(config, args.output)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every call:
+    parsing keeps nothing in the parser (each parse fills a new namespace),
+    so callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="driven-lattice",
         description="Floquet-Bloch spectra and stroboscopic dynamics of a "

@@ -3,26 +3,31 @@
 The monodromy is integrated directly in a truncated plane-wave basis
 ``exp(i (2 pi a / (n_p L) + kappa) x)``, |a| <= (B-1)/2, with the potential
 represented by its exact Fourier-coefficient (Toeplitz) matrix.  A time step
-h is ``S(w_1 h) ... S(w_r h)`` over the r weights of ``_WEIGHTS`` (summing to
-one) of the midpoint Strang substep S the grid propagators use (2nd order),
-kinetic halves of adjacent substeps merged; Suzuki's 5-stage composition
-makes it 4th order.  An explicit ``substeps_per_period = n`` means n
-potential factors in ceil(n/r) steps; unset, the step count follows omega
-and the basis's kinetic edge (`_monodromy_resolution`); either is rounded
-up to a multiple of 4 steps on the quarter and half routes below.
+h is the splitting pair (``_KINETIC``, ``_POTENTIAL``): kinetic factors
+``exp(-i K a_i h / hbar)`` between potential factors ``exp(-i W(t_i) b_i h
+/ hbar)``, potential first.  It holds Blanes & Moan's Runge-Kutta-Nystrom
+splitting SRKN_6^b, 4th order because [W, [W, [W, K]]] = 0 for a kinetic K
+quadratic in the momentum; its last potential factor and the next step's
+first fall at one time and merge (first same as last), so a step costs 6
+potential factors.  A Strang composition of weights w is the pair
+((w_1/2, (w_1+w_2)/2, ..., w_r/2), w) in the same loop.  An explicit
+``substeps_per_period = n`` means n potential factors in ceil(n/6) steps;
+unset, the step count follows omega and the basis's kinetic edge
+(`_monodromy_resolution`); either is rounded up to a multiple of 4 steps on
+the quarter and half routes below.
 
 Each potential factor ``exp(-i W tau / hbar)`` is its Taylor polynomial, of
 the smallest degree whose remainder bound ``theta^(m+1) / (m+1)!`` is below
-roundoff, evaluated in Paterson-Stockmeyer form.  Theta, the largest column
-sum ``sum_n |c_n(t)|`` of W over the factors the loop runs times
-``max |w| h / hbar``, bounds every ``||W|| |tau| / hbar``; when it reaches 1
-the polynomial of ``x / 2^k`` is squared k times instead.  Every factor is
-thus unitary on the truncated space to roundoff and the product is unitary
-regardless of basis size; basis adequacy is checked separately through the
-kinetic-energy cutoff and the grid-propagator consistency tests.  The
-time-independent Hamiltonian of a static lattice (`LatticeSpec.static`:
-undriven, or a free particle with v0 = 0) is exponentiated exactly instead:
-the exact route.
+roundoff, evaluated in Paterson-Stockmeyer form.  Theta, the largest
+``|tau| sum_n |c_n(t)| / hbar`` (``sum_n |c_n(t)|`` the largest column sum
+of W) over the factors the loop runs, bounds every ``||W|| |tau| / hbar``;
+when it reaches 1 the polynomial of ``x / 2^k`` is squared k times instead.
+Every factor is thus unitary on the truncated space to roundoff and the
+product is unitary regardless of basis size; basis adequacy is checked
+separately through the kinetic-energy cutoff and the grid-propagator
+consistency tests.  The time-independent Hamiltonian of a static lattice
+(`LatticeSpec.static`: undriven, or a free particle with v0 = 0) is
+exponentiated exactly instead: the exact route.
 
 The potential matrix ``W_ba = c_{b-a}(t)`` does not depend on kappa; only
 the kinetic diagonal does.  A whole kappa ladder therefore shares one stack
@@ -44,8 +49,8 @@ With the glide alone the half route runs Uh_k = U_k(T/2, 0) and assembles
 ``U_k = R_{-k} Uh_{-k} R_k Uh_k``; without the glide (time reversal alone
 included) the full route runs the whole period.  The quarter and half
 routes run the step count rounded up to a multiple of 4, so their fraction
-ends between steps; the assembled period matches the full-period loop at
-that count to roundoff.
+ends between steps, on an unmerged potential factor; the assembled period
+matches the full-period loop at that count to roundoff.
 Modes are labeled by their weight on the uniform state (`uniform_weights`).
 
 The monodromy loop, Schur, band matching and the complex products with the
@@ -87,18 +92,21 @@ _MIN_BASIS_SIZE = 41
 # the lattice's energy scale max(v0, hbar*omega)
 _CUTOFF_FACTOR = 5.0
 
-# One step h of the monodromy is S(w h) for each weight w in turn, S the
-# time-symmetric 2nd-order substep.  Suzuki's 5-stage composition
-# (p, p, 1 - 4p, p, p), p = 1 / (4 - 4^(1/3)), is 4th order (Phys. Lett. A
-# 146, 319, 1990); its one negative weight is small, so its error constant
-# is several times below that of Yoshida's triple jump, and at equal error
-# it takes 1.4-1.7 times fewer potential factors.
-_WEIGHTS = (0.4144907717943757, 0.4144907717943757, -0.6579630871775028,
-            0.4144907717943757, 0.4144907717943757)
-# default composition steps per period (`_default_steps`)
-_MIN_STEPS = 72
-_STEPS_PER_OMEGA = 44.0
-_STEPS_PER_EDGE_PHASE = 0.22
+# One step h of the monodromy is K(a_0 h) V(b_0 h) K(a_1 h) ... V(b_{r-1} h)
+# K(a_r h), K the kinetic and V the potential factor, potential factor i of
+# step j at time (j + a_0 + ... + a_i) h.  Blanes & Moan's SRKN_6^b (J.
+# Comput. Appl. Math. 142, 313, 2002, Table 3) is 4th order because
+# [V, [V, [V, K]]] = 0 for H = p^2/2m + V(x, t); it opens and closes on a
+# potential factor, so a step's last factor and the next one's first fall
+# at one time and merge: 6 potential factors per step.
+_a1, _a2 = 0.245298957184271, 0.604872665711080
+_b1, _b2, _b3 = 0.0829844064174052, 0.396309801498368, -0.0390563049223486
+_KINETIC = (0.0, _a1, _a2, 0.5 - _a1 - _a2, 0.5 - _a1 - _a2, _a2, _a1, 0.0)
+_POTENTIAL = (_b1, _b2, _b3, 1.0 - 2.0 * (_b1 + _b2 + _b3), _b3, _b2, _b1)
+# default steps per period (`_default_steps`)
+_MIN_STEPS = 32
+_STEPS_PER_OMEGA = 10.0
+_STEPS_PER_EDGE_PHASE = 0.15
 
 # The eigenvalue accuracy of a truncated-basis monodromy degrades near the
 # basis edge; reports keep only this many best-converged modes.
@@ -280,16 +288,16 @@ def _edge_kinetic(spec: LatticeSpec, basis_size: int) -> float:
 
 
 def _default_steps(spec: LatticeSpec, basis_size: int) -> int:
-    """Composition steps per period when no resolution is given.
+    """Steps per period when no resolution is given.
 
     A floor, plus a share for the drive (omega) and one for the kinetic
     phase the basis's edge plane wave gathers in a period, whose commutator
     with the potential dominates the splitting error on large bases.  The
-    constants make max |U - U_ref| no larger than that of the triple-jump
-    default it replaced (max(200, ceil(100 omega + 0.6 E_edge T / hbar))
-    Yoshida steps), and so of the 2nd-order Strang default before it, at
-    omega = 1, 2.4, 2.74, 2.8 and 3.2 on default bases and at omega = 1 on
-    B = 131 (`BENCH_suzuki.json`).
+    constants make max |U - U_ref| no larger than that of the Suzuki
+    5-stage default it replaced (max(72, ceil(44 omega + 0.22 E_edge T /
+    hbar)) steps), and so of the Yoshida and Strang defaults before it, at
+    omega = 1, 2.4, 2.74, 2.8, 2.85 and 3.2 on default bases, at omega = 1
+    on B = 131 and at 2.74 on B = 61 (`BENCH_srkn.json`).
     """
     edge_phase = _edge_kinetic(spec, basis_size) * spec.period / spec.hbar
     return max(_MIN_STEPS,
@@ -311,10 +319,27 @@ class _Resolution(NamedTuple):
 _PIECES = {"exact": 1, "full": 1, "half": 2, "quarter": 4}
 
 
-def _midpoint_times(spec: LatticeSpec, steps: int, weights: tuple) -> np.ndarray:
-    """Midpoint time of every substep of `steps` steps of `weights` over [0, T]."""
-    weights, h = np.array(weights), spec.period / steps
-    return ((np.arange(steps)[:, None] + (np.cumsum(weights) - weights / 2)) * h).reshape(-1)
+def _step_factors() -> int:
+    """Potential factors per step: one for each nonzero kinetic fraction
+    that follows a factor, a step's closing fraction joined to the next
+    step's opening one."""
+    return int(np.count_nonzero([*_KINETIC[1:-1], _KINETIC[-1] + _KINETIC[0]]))
+
+
+def _schedule(spec: LatticeSpec, steps: int, count: int):
+    """The first `count` of `steps` steps per period of (`_KINETIC`,
+    `_POTENTIAL`) in time order, K(gaps[0]) V(times[0], taus[0]) K(gaps[1])
+    ... V(times[-1], taus[-1]) K(gaps[-1]): (times, taus, gaps), each tau
+    and gap a duration.  Two potential factors with no kinetic fraction
+    between them fall at one time and merge into one, their taus added."""
+    kinetic, potential = np.array(_KINETIC), np.array(_POTENTIAL)
+    h, r = spec.period / steps, len(potential)
+    times = ((np.arange(count)[:, None] + np.cumsum(kinetic)[:r]) * h).reshape(-1)
+    taus = np.tile(potential * h, count)
+    gaps = np.append(np.tile(kinetic[:r], count), kinetic[r])  # before each factor, then after
+    gaps[r:-1:r] += kinetic[r]  # a step's closing fraction joins the next one's opening
+    starts = np.flatnonzero(np.append(True, gaps[1:-1] != 0))
+    return times[starts], np.add.reduceat(taus, starts), np.append(gaps[starts], gaps[-1]) * h
 
 
 def _monodromy_resolution(
@@ -325,30 +350,32 @@ def _monodromy_resolution(
     """The omega, substeps, basis size and route that `monodromy_matrix` runs.
 
     A static lattice takes the exact route, with no substeps.  Otherwise
-    steps have one substep per weight: ceil(n / len(_WEIGHTS)) of them for
-    an explicit n, the basis-aware default rule otherwise.  A drive with
-    the glide (`LatticeSpec.drive_symmetries`, decided from the phases)
-    runs the quarter route when it also has time reversal and the weights
-    are palindromic, so that the factor at T - t mirrors the one at t, and
-    the half route otherwise, both at the step count rounded up to a
-    multiple of 4 so that the quarter and half periods end between steps;
-    any other drive runs the full period unrounded.
+    substeps count `_step_factors()` per step: ceil(n / _step_factors())
+    steps for an explicit n, the basis-aware default rule otherwise.  A
+    drive with the glide (`LatticeSpec.drive_symmetries`, decided from the
+    phases) runs the quarter route when it also has time reversal and both
+    tuples of the scheme are palindromic, so that the factor at T - t
+    mirrors the one at t, and the half route otherwise, both at the step
+    count rounded up to a multiple of 4 so that the quarter and half
+    periods end between steps; any other drive runs the full period
+    unrounded.
     """
     B = basis_size if basis_size is not None else default_basis_size(spec)
     if B % 2 == 0 or B < 1:
         raise ConfigError("basis_size must be odd and positive")
     if spec.static:
         return _Resolution(float(spec.omega), None, B, "exact")
+    per_step = _step_factors()
     if params is not None:
-        steps = math.ceil(params.substeps_per_period / len(_WEIGHTS))
+        steps = math.ceil(params.substeps_per_period / per_step)
     else:
         steps = _default_steps(spec, B)
-    stages = len(_WEIGHTS)
     time_reversal, glide = spec.drive_symmetries()
     if not glide:
-        return _Resolution(float(spec.omega), stages * steps, B, "full")
-    route = "quarter" if time_reversal and _WEIGHTS == _WEIGHTS[::-1] else "half"
-    return _Resolution(float(spec.omega), stages * 4 * -(-steps // 4), B, route)
+        return _Resolution(float(spec.omega), per_step * steps, B, "full")
+    palindromic = _KINETIC == _KINETIC[::-1] and _POTENTIAL == _POTENTIAL[::-1]
+    route = "quarter" if time_reversal and palindromic else "half"
+    return _Resolution(float(spec.omega), per_step * 4 * -(-steps // 4), B, route)
 
 
 def _kappa_stack(kappas: list[float], paired: bool) -> list[float]:
@@ -416,33 +443,26 @@ def monodromy_matrix(
         U = U[wanted]
         return U if kappas.ndim else U[0]
 
-    # Step h: a substep of w h per weight, each potential factor at its own
-    # midpoint time; the kinetic halves between two substeps merge into one
-    # row scaling, and two steps meet in the last half times the first.
-    # The loop runs the first 1/pieces of the period, whole steps from 0,
-    # its first and last kinetic halves unmerged.
-    weights, stages = np.array(_WEIGHTS), len(_WEIGHTS)
-    steps = resolution.substeps // stages
-    h = spec.period / steps
-    factors = resolution.substeps // pieces
-    taus = np.tile(weights * h, steps)
-    times = _midpoint_times(spec, steps, _WEIGHTS)
-    halves = [weights[0], *(weights[:-1] + weights[1:]), weights[-1]]  # first, merged, last
-    kin = [np.exp(-1j * kinetic * (w * h / 2) / spec.hbar)[:, :, None] for w in halves]
-    kin_after = kin[1:-1] + [kin[-1] * kin[0]]  # by position in the step
+    # The loop runs the first 1/pieces of the period, whole steps from 0, in
+    # the order of `_schedule`: its factors at the fraction's ends unmerged
+    steps = resolution.substeps // _step_factors()
+    times, taus, gaps = _schedule(spec, steps, steps // pieces)
+    factors = len(taus)
+    durations, which = np.unique(gaps, return_inverse=True)
+    kin = np.exp(-1j * kinetic * durations[:, None, None] / spec.hbar)[..., None]
 
     # The Toeplitz matrix W(t) has ||W(t)|| <= sum_n |c_n(t)| (its largest
-    # column sum), so theta, the largest of these over the factors the loop
-    # runs times max|w| h / hbar, bounds every ||W tau|| / hbar; scaling by
+    # column sum), so theta, the largest of these times |tau| / hbar over the
+    # factors the loop runs, bounds every ||W tau|| / hbar; scaling by
     # 2^squarings keeps theta below 1 and so the degree small
-    coeffs = _potential_coefficients(spec, q, envelope, times[:factors])  # (factors, 2B-1)
-    theta = np.abs(coeffs).sum(axis=1).max() * np.abs(weights).max() * h / spec.hbar
+    coeffs = _potential_coefficients(spec, q, envelope, times)  # (factors, 2B-1)
+    theta = (np.abs(coeffs).sum(axis=1) * np.abs(taus)).max() / spec.hbar
     squarings = max(0, math.frexp(theta)[1])
     degree = _taylor_degree(theta / 2**squarings)
     chunk = max(1, _CHUNK_BYTES // (16 * B * B))
     # x and the Taylor work space, reused by every chunk
     work = np.empty((_block_size(degree) + 2, min(chunk, factors), B, B), dtype=complex)
-    U = np.stack([np.diag(kh) for kh in kin[0][:, :, 0]])  # (M, B, B)
+    U = np.stack([np.diag(kh) for kh in kin[which[0]][:, :, 0]])  # (M, B, B)
     for start in range(0, factors, chunk):
         stop = min(start + chunk, factors)
         scale = (-1j / (spec.hbar * 2**squarings)) * taus[start:stop, None]
@@ -453,8 +473,7 @@ def monodromy_matrix(
         exp_w = _taylor_exp(x, degree, squarings, work[1:])
         for j in range(stop - start):
             # one (B, B) product per kappa, then that kappa's kinetic row scaling
-            U = np.matmul(exp_w[j], U)
-            U = (kin_after[(start + j) % stages] if start + j < factors - 1 else kin[-1]) * U
+            U = kin[which[start + j + 1]] * np.matmul(exp_w[j], U)
 
     if pieces > 1:
         # P reverses the plane-wave index; the reflection R_k takes index a

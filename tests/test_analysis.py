@@ -669,21 +669,21 @@ class TestCli:
             assert data and {r.split(",")[0] for r in data} == {"1.7"}
 
     def test_sidecar_records_the_resolution_each_integrator_ran_with(self, tmp_path):
-        # substeps unset: the monodromy's own rule (132 five-stage steps at
-        # omega = 2.8 on its 53-mode basis, 72 at omega = 1 on 61 modes)
+        # substeps unset: the monodromy's own rule (33 steps, rounded up to
+        # 36, at omega = 2.8 on its 53-mode basis, 32 at omega = 1 on 61 modes)
         # and the grid integrator's default_params, while the config echo
         # keeps null; a static lattice is exponentiated exactly, no substeps
         grid = ["--omega-start", "2.8", "--omega-stop", "2.8", "--omega-step", "0.1"]
         ring = ["--domain", "ring", "--supercells", "1", "--horizon", "1"]
         expected = {
             ("sweep", "--overlap-only", *grid):
-                {"omega": 2.8, "substeps": 660, "basis_size": 53, "route": "quarter"},
+                {"omega": 2.8, "substeps": 216, "basis_size": 53, "route": "quarter"},
             ("sweep", "--overlap-only", *grid, "--amplitude", "0"):
                 {"omega": 2.8, "substeps": None, "basis_size": 53, "route": "exact"},
             ("modes", "--amplitude", "0"):
                 {"omega": 1.0, "substeps": None, "basis_size": 41, "route": "exact"},
             ("evolve", *ring):
-                {"omega": 1.0, "substeps": 360, "basis_size": 61, "route": "quarter"},
+                {"omega": 1.0, "substeps": 192, "basis_size": 61, "route": "quarter"},
             ("evolve", "--method", "direct", *ring):
                 {"omega": 1.0, "substeps": 2048, "basis_size": None, "route": None},
         }
@@ -695,7 +695,7 @@ class TestCli:
 
         # the library writers record what the written object ran with, not
         # what the config they are handed would have run: a default-resolution
-        # spectrum (41 modes, 72 five-stage steps at omega = 1) under a config of
+        # spectrum (41 modes, 32 steps at omega = 1) under a config of
         # 512 substeps and 61 modes, a direct trace without a method argument,
         # and nothing for a monodromy built outside the package
         def written(write, config, result):
@@ -707,7 +707,7 @@ class TestCli:
         config = tiny_config(basis_size=61)
         spectrum = dl.labeled_spectrum(spec, 0.0, grid=grid)
         assert written(dl.write_modes_csv, config, spectrum) == [
-            {"omega": 1.0, "substeps": 360, "basis_size": 41, "route": "quarter"}]
+            {"omega": 1.0, "substeps": 192, "basis_size": 41, "route": "quarter"}]
         outside = dl.diagonalize_monodromy(dl.monodromy_matrix(spec, 0.0), spec, grid=grid)
         assert written(dl.write_modes_csv, config, outside) == []
         assert dl.labeled_spectrum(dl.LatticeSpec(amplitude=0.0), 0.0).numerics == {
@@ -723,7 +723,8 @@ class TestCli:
     def test_sidecar_route_and_substeps_are_what_the_monodromy_ran(
             self, tmp_path, monkeypatch, phases, route):
         # count the potential factors the step loop exponentiates: a route
-        # over 1/pieces of the period runs substeps / pieces of them
+        # over 1/pieces of the period runs substeps / pieces of them, and the
+        # closing factor of its last step, which no next step merges with
         ran = []
         taylor_exp = floquet._taylor_exp
         monkeypatch.setattr(floquet, "_taylor_exp",
@@ -737,7 +738,7 @@ class TestCli:
         [numerics] = meta["numerics"]
         assert numerics["route"] == route
         pieces = {"full": 1, "half": 2, "quarter": 4}[route]
-        assert sum(ran) * pieces == numerics["substeps"]
+        assert (sum(ran) - 1) * pieces == numerics["substeps"]
 
     def test_resonances_reject_a_sweep_of_another_lattice(self, tmp_path, capsys):
         # the predictions read mass, hbar, spacing and the phase count, so
@@ -759,6 +760,28 @@ class TestCli:
             assert f"swept at {field} = " in capsys.readouterr().err, field
         # a field the predictions do not read may differ
         assert cli.main([*reso, *lattice, "--v0", "2"]) == 0
+
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path):
+        # one parser per process; a parse leaves nothing in it for the next,
+        # whichever subcommand ran before
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        modes = parser.parse_args(["modes", "--kappa", "0.1", "--count", "3", "--v0", "2"])
+        assert (modes.kappa, modes.count, modes.v0) == (0.1, 3, "2")
+        sweep = parser.parse_args(["sweep", "--overlap-only"])
+        assert sweep.overlap_only and sweep.v0 is None and not hasattr(sweep, "kappa")
+        again = parser.parse_args(["modes"])
+        assert (again.kappa, again.count, again.v0) == (0.0, floquet.REPORTED_MODES, None)
+        # two subcommands through main in one process, each with its own output
+        grid = ["--omega-start", "2.8", "--omega-stop", "2.8", "--omega-step", "0.1"]
+        assert cli.main(["modes", "--substeps", "256", "--count", "2",
+                         "--outdir", str(tmp_path)]) == 0
+        assert cli.main(["sweep", "--overlap-only", "--substeps", "256", *grid,
+                         "--outdir", str(tmp_path)]) == 0
+        modes_meta = json.loads((tmp_path / "modes.csv.meta.json").read_text())
+        sweep_meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+        assert modes_meta["numerics"][0]["omega"] == 1.0
+        assert sweep_meta["numerics"][0]["omega"] == 2.8
 
     def test_basis_below_cutoff_exit_code(self, tmp_path):
         code = cli.main([

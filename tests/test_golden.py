@@ -55,9 +55,9 @@ CASES = {
 DIGESTS = {
     "evolve": {
         "evolve.csv":
-            "dfaf3d8b81260d1e2d4142c406b729cb58174642b070e85174ceaa477b23937b",
+            "1594ceedd451c770c33f0d4ebf40a07036be4d8dd167769c978da916f66bb154",
         "evolve.csv.meta.json":
-            "a26d71864eea4936d184289e250939547905adca0070d3d92c8feb2ac40104fc",
+            "9637e11b8944f93d67c57dae7bd17a57ebd5323f70ad173c2bd97c3ff47dd7be",
     },
     "evolve_direct": {
         "evolve.csv":
@@ -67,21 +67,21 @@ DIGESTS = {
     },
     "spectrum": {
         "spectrum.csv":
-            "5791369aa7517a566664ed9617f0499b74f983aff477757729e6563c2ff92552",
+            "8bf7d51495f457c9c82d2c18926527e5388c89acaaabcdff53de096cb9241013",
         "spectrum.csv.meta.json":
-            "5b2fb9a760b65f77f5637810ac318a7243da14ee0a1d719f14c3b2c27d8e9612",
+            "207ecce368eda346f6117581585ba9ae34251e35ca66940261db1941047e45a5",
     },
     "sweep": {
         "sweep.csv":
-            "e1458b1e405b044ff63ee8cce08b7fbfa3bbd5ebe265195a1024aaa236fc9500",
+            "c384e4519546a293d051a95a9998326d965a2698ad4b48738c187c281ab1c04d",
         "sweep.csv.meta.json":
-            "d55c06a43471e407d317f5a7016a5472aa078d5c1023458a71abe9a9ce04715e",
+            "f84ae1e146fbe6b5f5d6f02e125f81da0a12a601402357b9d701d111c7e744de",
     },
     "modes": {
         "modes.csv":
-            "0571f5a9dee69558a4591e9f84cac1160e5a1edcf1f1d9be46e31ce1dae44919",
+            "80826f2e8452b395a7d01e7b0e2df1c426f18246e10556cbbc4f91f88fd393bb",
         "modes.csv.meta.json":
-            "15a080c4a6bcd827445e50062a57d796917d7ba7a0cf474eb584e87a9008df63",
+            "eef079529fcee5f15de341bdabe13cce65baa5f8580af8bb56b35e7dec7cf616",
     },
     "modes_static": {
         "modes.csv":
@@ -95,9 +95,9 @@ DIGESTS = {
         "resonances.csv.meta.json":
             "32b789b4c535439324bd20292720bb5d627b908cfc5c7831206d53b4180e95d9",
         "sweep.csv":
-            "7e8f6612fa8dc0f3509b43f89bfdd2ff67f93367f0b0aff16310af341c627850",
+            "9e65255edbd9a956289a560d7e7d7d435d4fd3b0c67e3f673bef45ecdb9f1a89",
         "sweep.csv.meta.json":
-            "d55c06a43471e407d317f5a7016a5472aa078d5c1023458a71abe9a9ce04715e",
+            "f84ae1e146fbe6b5f5d6f02e125f81da0a12a601402357b9d701d111c7e744de",
     },
 }
 
