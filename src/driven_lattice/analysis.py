@@ -43,6 +43,7 @@ from .floquet import (
     REPORTED_MODES,
 )
 from .lattice import (
+    DEFAULT_GRID_POINTS,
     ComplexState,
     GaussianState,
     LatticeSpec,
@@ -69,7 +70,7 @@ class ExperimentConfig:
     initial: GaussianState | UniformState
     domain: str = "supercell"            # "supercell" (kappa = 0) or "ring"
     supercells: int = 16
-    grid_points: int = 480               # per supercell; site edges may fall between samples
+    grid_points: int = DEFAULT_GRID_POINTS  # per supercell
     substeps: int | None = None          # None: each integrator's default
     horizon: int = 400
     omega_start: float | None = None

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft as sfft
@@ -84,19 +84,16 @@ class SpectralDecomposition:
     """Expansion of a ring state over Floquet-Bloch modes at time 0.
 
     ``coefficients[j, i]`` is the amplitude on mode ``i`` (in the spectrum's
-    label order) at ring quasimomentum ``spectra[j].kappa``.  ``modes[j]`` holds the
-    supercell samples of those modes (cell points x bands, Bloch phase
-    included) and ``quasienergies[j]`` their quasienergies.  ``residual`` is
-    the squared norm left outside the retained basis, measured by
-    reconstruction at zero periods.
+    label order) at ring quasimomentum ``spectra[j].kappa``, whose samples
+    and quasienergies the reconstruction reads from ``spectra[j]``.
+    ``residual`` is the squared norm left outside the retained basis,
+    measured by reconstruction at zero periods.
     """
 
     spec: LatticeSpec
     ring: RingDomain
     spectra: tuple[FloquetSpectrum, ...]
     coefficients: np.ndarray
-    modes: np.ndarray = field(repr=False)
-    quasienergies: np.ndarray = field(repr=False)
     residual: float
 
     def total_weight(self) -> float:
@@ -130,19 +127,11 @@ def decompose(initial: ComplexState, spectra) -> SpectralDecomposition:
         if spectrum.grid != ring.cell:
             raise GridMismatchError("spectrum grid does not match the ring cell")
 
-    modes = np.stack([spectrum.samples for spectrum in spectra])
     blocks = sfft.fft(initial.psi.reshape(ring.supercells, -1), axis=0, norm="ortho")
-    coeffs = np.stack([m.conj().T @ b for m, b in zip(modes, blocks)]) * ring.dx
+    coeffs = np.stack([s.samples.conj().T @ b for s, b in zip(spectra, blocks)]) * ring.dx
 
-    dec = SpectralDecomposition(
-        spec=spec,
-        ring=ring,
-        spectra=spectra,
-        coefficients=coeffs,
-        modes=modes,
-        quasienergies=np.stack([spectrum.quasienergies for spectrum in spectra]),
-        residual=0.0,
-    )
+    dec = SpectralDecomposition(spec=spec, ring=ring, spectra=spectra, coefficients=coeffs,
+                                residual=0.0)
     rebuilt = next(_reconstruct(dec, np.array([0]), 1))[:, 0]
     residual = float(np.sum(np.abs(initial.psi - rebuilt) ** 2) * ring.dx)
     if not residual <= _RESIDUAL_TOL:
@@ -157,17 +146,20 @@ def _reconstruct(dec: SpectralDecomposition, periods: np.ndarray, chunk: int):
     """States at the given period counts, yielded `chunk` counts at a time as
     columns (points x m).  Bands without a coefficient at any kappa are
     skipped."""
-    spec = dec.spec
+    spec, ring = dec.spec, dec.ring
     active = np.any(dec.coefficients != 0, axis=0)
-    # the gather copies the mode stack, so it is skipped when nothing is dropped
-    modes = dec.modes if active.all() else dec.modes[:, :, active]
+    # the gather copies the modes, so it is skipped when nothing is dropped
+    modes = [s.samples if active.all() else s.samples[:, active] for s in dec.spectra]
     coeffs = dec.coefficients[:, active, None]
-    eps = dec.quasienergies[:, active, None]
+    eps = np.stack([s.quasienergies[active] for s in dec.spectra])[:, :, None]
     for start in range(0, len(periods), chunk):
         times = periods[start:start + chunk].astype(float) * spec.period
         amp = coeffs * np.exp(-1j * (eps * times) / spec.hbar)
-        cells = sfft.ifft(modes @ amp, axis=0, norm="ortho", overwrite_x=True)
-        yield cells.reshape(dec.ring.points, -1)
+        cells = np.empty((ring.supercells, ring.cell.points, len(times)), dtype=complex)
+        for mode, a, out in zip(modes, amp, cells):
+            np.matmul(mode, a, out=out)
+        cells = sfft.ifft(cells, axis=0, norm="ortho", overwrite_x=True)
+        yield cells.reshape(ring.points, -1)
 
 
 @_one_blas_thread

@@ -51,7 +51,8 @@ included) the full route runs the whole period.  The quarter and half
 routes run the step count rounded up to a multiple of 4, so their fraction
 ends between steps, on an unmerged potential factor; the assembled period
 matches the full-period loop at that count to roundoff.
-Modes are labeled by their weight on the uniform state (`uniform_weights`).
+Labels are set at kappa = 0 by uniform-state weight (`uniform_weights`); any
+other kappa, alone or in a ring, continues them (`match_band_labels`).
 
 The monodromy loop, Schur, band matching and the complex products with the
 sampled modes (here and in `dynamics`) run on one BLAS thread
@@ -76,7 +77,7 @@ from scipy.linalg import schur
 from scipy.linalg.blas import zaxpy
 
 from .errors import ConfigError, UnitarityError
-from .lattice import LatticeSpec, RingDomain, SupercellGrid, UniformState, make_initial_state
+from .lattice import LatticeSpec, SupercellGrid
 from .lattice import _in_first_zone
 from .propagate import PropagationParams
 
@@ -533,11 +534,10 @@ class FloquetSpectrum:
     def basis_size(self) -> int:
         return self.quasienergies.shape[0]
 
-    @_one_blas_thread
     def uniform_weights(self) -> np.ndarray:
-        """Squared overlaps |<mode_i | uniform>|^2 with the uniform state."""
-        uniform = make_initial_state(UniformState(), RingDomain(self.grid, 1))
-        return np.abs((self.samples.conj().T @ uniform.psi) * self.grid.dx) ** 2
+        """Squared overlaps |<mode_i | u>|^2 with the ladder's centre plane wave
+        u = exp(i kappa x) / sqrt(n_p L), the uniform state at kappa = 0."""
+        return np.abs(self.coefficients[(self.basis_size - 1) // 2]) ** 2
 
     def mean_kinetic(self) -> np.ndarray:
         k = basis_wavenumbers(self.spec, self.basis_size, self.kappa)
@@ -575,18 +575,23 @@ def diagonalize_monodromy(
     Schur form is diagonal and the Schur basis is orthonormal to machine
     precision, so the sampled modes form a clean orthonormal set even near
     degeneracies.  Each mode's global phase is fixed by making its
-    largest-magnitude sample real positive.
+    largest-magnitude sample real positive.  The grid needs at least B
+    points, on which the B plane waves of the ladder sample orthonormally;
+    a coarser one aliases them and is a ConfigError.
     """
     U = np.asarray(U, dtype=complex)
     B = U.shape[0]
     if U.shape != (B, B):
         raise ValueError("monodromy must be square")
+    grid = grid if grid is not None else SupercellGrid.for_spec(spec)
+    if grid.points < B:
+        raise ConfigError(f"a grid of {grid.points} points cannot sample a basis of {B} "
+                          "plane waves; use at least as many points as the basis")
     deviation = np.abs(U.conj().T @ U - np.eye(B)).max()
     if not deviation <= _UNITARITY_TOL:  # not `>`: a NaN deviation must fail too
         raise UnitarityError(
             f"matrix is not unitary within {_UNITARITY_TOL:.0e} (got {deviation:.3e})"
         )
-    grid = grid if grid is not None else SupercellGrid.for_spec(spec)
 
     T, Q = schur(U, output="complex")
     eigenphases = np.diag(T)
@@ -623,7 +628,7 @@ def diagonalize_monodromy(
 
 
 def label_by_overlap(spectrum: FloquetSpectrum) -> FloquetSpectrum:
-    """Reorder modes by descending squared overlap with the uniform state.
+    """Label a kappa = 0 spectrum by descending squared uniform overlap.
 
     Index 0 becomes the Floquet ground state.  Overlaps equal within 1e-12
     are tie-broken by ascending quasienergy, then ascending mean kinetic
@@ -638,9 +643,9 @@ def label_by_overlap(spectrum: FloquetSpectrum) -> FloquetSpectrum:
 def _labeled_spectra(spec: LatticeSpec, kappas: list, grid: SupercellGrid | None,
                      params: PropagationParams | None, basis_size: int | None):
     """The one path to labeled spectra: (spectra, band-matching flags) at
-    ``kappas``, a list led by its smallest |kappa|, from one monodromy call.
-    The first is labeled by uniform overlap, `match_band_labels` carries its
-    labels to the rest, and each records the resolution it was built at."""
+    ``kappas``, a list led by kappa = 0, from one monodromy call.  The first
+    is labeled by uniform overlap, `match_band_labels` carries its labels to
+    the rest, and each records the resolution it was built at."""
     monodromies = monodromy_matrix(spec, kappas, params=params, basis_size=basis_size)
     numerics = _monodromy_resolution(spec, params, basis_size)._asdict()
     spectra = [replace(diagonalize_monodromy(U, spec, kappa, grid=grid), numerics=numerics)
@@ -657,8 +662,10 @@ def labeled_spectrum(
     params: PropagationParams | None = None,
     basis_size: int | None = None,
 ) -> FloquetSpectrum:
-    """Build, diagonalize and overlap-label the spectrum at one (spec, kappa)."""
-    return _labeled_spectra(spec, [kappa], grid, params, basis_size)[0][0]
+    """Build, diagonalize and label the spectrum at one (spec, kappa): the
+    one `ring_spectra` gives there, its labels carried from kappa = 0."""
+    kappas = [0.0, kappa] if kappa else [kappa]
+    return _labeled_spectra(spec, kappas, grid, params, basis_size)[0][-1]
 
 
 @_one_blas_thread

@@ -23,6 +23,8 @@ _BARRIER_WINDOW_WIDTHS = 8.0
 _SEAM_TOL = 1e-3
 # roundoff allowed in a drive-symmetry identity of the phases
 _SYMMETRY_TOL = 1e-12
+# samples per supercell of a grid, unless given (site edges may fall between them)
+DEFAULT_GRID_POINTS = 480
 
 
 @dataclass(frozen=True)
@@ -149,7 +151,7 @@ class SupercellGrid:
         return np.arange(self.points) * self.dx
 
     @classmethod
-    def for_spec(cls, spec: LatticeSpec, points: int = 512) -> "SupercellGrid":
+    def for_spec(cls, spec: LatticeSpec, points: int = DEFAULT_GRID_POINTS) -> "SupercellGrid":
         grid = cls(spec.cell_length, points)
         if grid.dx > spec.delta / 4:
             raise ValueError(

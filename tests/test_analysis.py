@@ -103,6 +103,11 @@ class TestConfigParsing:
             lattice=dl.LatticeSpec(), initial=dl.UniformState()
         )
 
+    def test_default_config_and_default_spectrum_share_one_grid(self):
+        config = dl.ExperimentConfig(lattice=dl.LatticeSpec(), initial=dl.UniformState())
+        dec = dl.decompose(config.make_initial_state(), [dl.labeled_spectrum(config.lattice)])
+        assert dec.residual <= 1e-4
+
     def test_reference_file_hash_is_pinned(self):
         # the hash every reference CSV header carries; any change in how a
         # key is read or defaulted moves it
@@ -528,6 +533,8 @@ class TestCli:
             *([command, "--basis-size", basis, "--omega-start", "2.8", "--omega-stop", "2.8",
                "--omega-step", "0.01"]
               for command in ("spectrum", "sweep") for basis in ("52", "0", "-3")),
+            # 40 points (the least delta = 4 allows is 30) alias the 41 plane waves
+            ["modes", "--delta", "4", "--grid-points", "40"],
         ):
             code = cli.main([*argv, "--substeps", "512", "--outdir", str(tmp_path)])
             assert code == 2, argv

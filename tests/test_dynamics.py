@@ -72,21 +72,28 @@ def packet_case(request):
 
 class TestRingSpectra:
     def test_shared_monodromies_equal_per_kappa_spectra(self):
-        # oracle: one labeled spectrum per kappa, each with its own monodromy
-        ring = dl.RingDomain(dl.SupercellGrid.for_spec(REF, 480), 3)
-        spectra, flags = dl.ring_spectra(REF, ring, params=FAST, basis_size=41)
-        expected, expected_flags = dl.match_band_labels([
-            dl.labeled_spectrum(REF, float(kappa), grid=ring.cell, params=FAST, basis_size=41)
-            for kappa in dl.ring_kappas(REF, 3)
-        ])
-        assert flags == expected_flags
-        assert len(spectra) == len(expected) == 3
-        for got, want in zip(spectra, expected):
-            assert got.kappa == want.kappa
-            assert np.array_equal(got.quasienergies, want.quasienergies)
-            assert np.array_equal(got.coefficients, want.coefficients)
-            assert np.array_equal(got.samples, want.samples)
-            assert got.near_degenerate == want.near_degenerate
+        # oracle: one labeled spectrum per kappa, each with its own monodromy;
+        # on the resonant ring most labels would differ if a lone kappa
+        # ranked its own overlaps
+        for omega, cells, substeps, basis, picked in ((1.0, 3, 512, 41, (0, 1, 2)),
+                                                      (2.74, 16, 256, 61, (0, 1, 5, 8, 11))):
+            spec = replace(REF, omega=omega)
+            params = dl.PropagationParams(substeps_per_period=substeps)
+            ring = dl.RingDomain(dl.SupercellGrid.for_spec(spec, 480), cells)
+            spectra, flags = dl.ring_spectra(spec, ring, params=params, basis_size=basis)
+            kappas = dl.ring_kappas(spec, cells)
+            expected = [dl.labeled_spectrum(spec, float(kappas[j]), grid=ring.cell,
+                                            params=params, basis_size=basis) for j in picked]
+            _, expected_flags = dl.match_band_labels(expected)
+            assert {(picked[i], label) for i, label in expected_flags} == {
+                (j, label) for j, label in flags if j in picked}
+            assert len(spectra) == cells
+            for got, want in zip([spectra[j] for j in picked], expected):
+                assert got.kappa == want.kappa
+                assert np.array_equal(got.quasienergies, want.quasienergies)
+                assert np.array_equal(got.coefficients, want.coefficients)
+                assert np.array_equal(got.samples, want.samples)
+                assert got.near_degenerate == want.near_degenerate
 
 
 class TestCellTransform:

@@ -530,6 +530,15 @@ class TestDiagonalize:
         norms = np.sum(np.abs(spectrum.samples) ** 2, axis=0) * spectrum.grid.dx
         assert np.abs(norms - 1.0).max() < 1e-12
 
+    def test_rejects_a_grid_coarser_than_the_basis(self):
+        U = np.diag(np.exp(1j * np.linspace(0.0, 3.0, 41)))
+        with pytest.raises(dl.ConfigError, match="40 points"):
+            dl.diagonalize_monodromy(U, REF, 0.0, grid=dl.SupercellGrid(REF.cell_length, 40))
+        # on as many points as plane waves the sampled modes are orthonormal
+        spectrum = dl.diagonalize_monodromy(U, REF, 0.0, grid=dl.SupercellGrid(REF.cell_length, 41))
+        gram = spectrum.samples.conj().T @ spectrum.samples * spectrum.grid.dx
+        assert np.abs(gram - np.eye(41)).max() < 1e-12
+
     def test_rejects_non_unitary(self):
         with pytest.raises(dl.UnitarityError):
             dl.diagonalize_monodromy(0.5 * np.eye(5), REF, 0.0)
@@ -613,6 +622,24 @@ class TestLabeling:
         weights = spectrum_w1.uniform_weights()
         assert weights.sum() == pytest.approx(1.0, abs=1e-8)
         assert weights[0] == weights.max()
+
+    @pytest.mark.parametrize("points", [41, 82, 480])
+    def test_uniform_weights_are_the_grid_overlap(self, points):
+        # at kappa = 0 the uniform state is the centre plane wave of the ladder
+        grid = dl.SupercellGrid(REF.cell_length, points)
+        U = dl.monodromy_matrix(REF, 0.0, FAST, basis_size=41)
+        spectrum = dl.diagonalize_monodromy(U, REF, 0.0, grid=grid)
+        uniform = dl.make_initial_state(dl.UniformState(), dl.RingDomain(grid, 1))
+        overlap = np.abs(spectrum.samples.conj().T @ uniform.psi * grid.dx) ** 2
+        assert np.abs(spectrum.uniform_weights() - overlap).max() < 1e-14
+
+    def test_lone_labels_do_not_depend_on_the_grid(self):
+        # labels are set at kappa = 0 and carried to a lone kappa by band matching
+        spec = replace(REF, omega=2.74)
+        eps = [dl.labeled_spectrum(spec, 0.1, grid=dl.SupercellGrid.for_spec(spec, points),
+                                   params=FAST).quasienergies
+               for points in (480, 512, 600)]
+        assert all(np.array_equal(e, eps[0]) for e in eps[1:])
 
     def test_vanishing_barrier_ground_mode_is_uniform(self, grid480):
         spectrum = dl.labeled_spectrum(

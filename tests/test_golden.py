@@ -13,6 +13,9 @@ count (the digests differ between one and two OpenBLAS threads).
 ``--outdir out`` under a fresh working directory keeps ``outdir`` and so
 ``config_hash`` constant.
 
+``python tests/test_golden.py`` runs every case the same way and prints the
+``DIGESTS`` literal, to paste here when a change re-records them.
+
 The same outputs tie README's table of output columns to the writers: the
 column line of every CSV must be its kind's row there.
 """
@@ -26,8 +29,7 @@ from pathlib import Path
 
 import pytest
 
-import driven_lattice
-
+SRC = Path(__file__).resolve().parents[1] / "src"
 RUN_CLI = "import sys; from driven_lattice import cli; sys.exit(cli.main(sys.argv[1:]))"
 ONE_THREAD = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -67,19 +69,19 @@ DIGESTS = {
     },
     "spectrum": {
         "spectrum.csv":
-            "8bf7d51495f457c9c82d2c18926527e5388c89acaaabcdff53de096cb9241013",
+            "7282a49618eb2a187af58f238ee635578a80d656ab03605d9bcfeaed37e2017d",
         "spectrum.csv.meta.json":
             "207ecce368eda346f6117581585ba9ae34251e35ca66940261db1941047e45a5",
     },
     "sweep": {
         "sweep.csv":
-            "c384e4519546a293d051a95a9998326d965a2698ad4b48738c187c281ab1c04d",
+            "51e3143535baa9f8e48d1ff6315fba06b1f328dedcd9aa0e379ec80cded413e6",
         "sweep.csv.meta.json":
             "f84ae1e146fbe6b5f5d6f02e125f81da0a12a601402357b9d701d111c7e744de",
     },
     "modes": {
         "modes.csv":
-            "80826f2e8452b395a7d01e7b0e2df1c426f18246e10556cbbc4f91f88fd393bb",
+            "31aab7b76b5d21ca610ed3ae42290ed74f7e7a361b9e834c5739c1e292239a9b",
         "modes.csv.meta.json":
             "eef079529fcee5f15de341bdabe13cce65baa5f8580af8bb56b35e7dec7cf616",
     },
@@ -95,7 +97,7 @@ DIGESTS = {
         "resonances.csv.meta.json":
             "32b789b4c535439324bd20292720bb5d627b908cfc5c7831206d53b4180e95d9",
         "sweep.csv":
-            "9e65255edbd9a956289a560d7e7d7d435d4fd3b0c67e3f673bef45ecdb9f1a89",
+            "1f5bc92ae8ed4a929262d54caebe7fbadb6e50a4ea9110923ee39b404e2e50ac",
         "sweep.csv.meta.json":
             "f84ae1e146fbe6b5f5d6f02e125f81da0a12a601402357b9d701d111c7e744de",
     },
@@ -105,33 +107,39 @@ DIGESTS = {
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def run_case(command: str, workdir: Path) -> Path:
+    """Run a case's commands in a child interpreter on one BLAS thread, in
+    the fresh directory `workdir`; the directory of its outputs."""
+    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(SRC)}
+    for argv in CASES[command]:
+        run = subprocess.run([sys.executable, "-c", RUN_CLI, *argv], cwd=workdir,
+                             env=env, capture_output=True, text=True)
+        if run.returncode != 0:
+            raise RuntimeError(f"{command}: exit {run.returncode}\n{run.stderr}")
+    return workdir / "out"
+
+
+def digests(outdir: Path) -> dict[str, str]:
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(outdir.iterdir())}
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     """The output directory of a case, its commands run once per module."""
-    src = str(Path(driven_lattice.__file__).resolve().parents[1])
-    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": src}
     done = {}
 
-    def run_case(command):
+    def case(command):
         if command not in done:
-            workdir = tmp_path_factory.mktemp(command)
-            for argv in CASES[command]:
-                run = subprocess.run([sys.executable, "-c", RUN_CLI, *argv], cwd=workdir,
-                                     env=env, capture_output=True, text=True)
-                assert run.returncode == 0, run.stderr
-            done[command] = workdir / "out"
+            done[command] = run_case(command, tmp_path_factory.mktemp(command))
         return done[command]
 
-    return run_case
+    return case
 
 
 @pytest.mark.parametrize("command", sorted(CASES))
 def test_outputs_match_golden_digests(command, outputs):
-    digests = {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(outputs(command).iterdir())
-    }
-    assert digests == DIGESTS[command]
+    assert digests(outputs(command)) == DIGESTS[command]
 
 
 def readme_columns() -> dict[str, str]:
@@ -148,3 +156,18 @@ def test_csv_columns_match_the_readme_table(command, outputs):
         kind = lines[0].split()[-1]  # "# driven-lattice <version> <kind>"
         columns = next(line for line in lines if not line.startswith("#"))
         assert columns == documented.get(kind), (path.name, kind)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    print("DIGESTS = {")
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in sorted(CASES):
+            workdir = Path(tmp) / command
+            workdir.mkdir()
+            print(f'    "{command}": {{')
+            for name, digest in digests(run_case(command, workdir)).items():
+                print(f'        "{name}":\n            "{digest}",')
+            print("    },")
+    print("}")
