@@ -308,14 +308,9 @@ class SweepResult:
 
 def spectrum_at(config: ExperimentConfig, omega: float, kappa: float = 0.0) -> FloquetSpectrum:
     """The labeled spectrum at one driving frequency and quasimomentum, built
-    with the config's grid, substeps and basis size."""
+    with the config's substeps and basis size."""
     spec = replace(config.lattice, omega=float(omega))
-    return labeled_spectrum(
-        spec, kappa,
-        grid=SupercellGrid.for_spec(spec, config.grid_points),
-        params=config.params,
-        basis_size=config.basis_size,
-    )
+    return labeled_spectrum(spec, kappa, params=config.params, basis_size=config.basis_size)
 
 
 def _sweep_point(config: ExperimentConfig, omega: float, with_populations: bool) -> SweepRecord:
@@ -588,17 +583,21 @@ def write_spectrum_csv(path, sweep: SweepResult) -> Path:
 
 def write_modes_csv(path, config: ExperimentConfig, spectrum: FloquetSpectrum,
                     count: int = REPORTED_MODES) -> Path:
-    """Sampled mode profiles; only the best-converged (lowest mean kinetic
-    energy) `count` modes are reported."""
+    """Mode profiles on the config's supercell grid; only the best-converged
+    (lowest mean kinetic energy) `count` modes are reported.  Each mode's
+    global phase makes its largest-magnitude sample real and positive."""
     if count < 1:
         raise ConfigError("mode count must be >= 1")
     keep = sorted(np.argsort(spectrum.mean_kinetic(), kind="stable")[:count])
-    x = spectrum.grid.positions()
+    grid = SupercellGrid.for_spec(spectrum.spec, config.grid_points)
+    modes = spectrum.sampled(grid)[:, keep]
+    gauge = modes[np.argmax(np.abs(modes), axis=0), np.arange(len(keep))]
+    modes = modes / (gauge / np.abs(gauge))
+    x = grid.positions()
     rows = (
-        (spectrum.kappa, int(i), spectrum.quasienergies[i],
-         x[j], spectrum.samples[j, i].real, spectrum.samples[j, i].imag)
-        for i in keep
-        for j in range(spectrum.grid.points)
+        (spectrum.kappa, int(i), spectrum.quasienergies[i], x[j], mode[j].real, mode[j].imag)
+        for i, mode in zip(keep, modes.T)
+        for j in range(grid.points)
     )
     return _write_csv(
         path, config, "modes",

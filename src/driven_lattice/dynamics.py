@@ -7,12 +7,13 @@ ring makes the quasimomentum integral an exact finite sum, so this route and
 direct split-step integration compute the same object and can be compared
 strictly.
 
-The ring is handled as M cells of P points.  By the Bloch theorem a mode at
-kappa_j = 2 pi j / (M n_p L) picks up the phase exp(2 pi i j c / M) in cell
-c, so summing over kappa is a length-M discrete Fourier transform across
-cells: the decomposition projects row j of the cell-axis DFT of the state
-onto the supercell modes of kappa_j, and the reconstruction combines the M
-supercell states by one inverse DFT.  No mode is ever extended to the ring.
+Plane wave a of the ladder at kappa_j = 2 pi j / (M n_p L) is bin
+(j + M a) mod MP of the FFT of the ring's MP samples, so modes held as
+plane-wave coefficients meet a ring state in one ring FFT: the
+decomposition projects each kappa's B bins with the conjugate coefficients,
+and the reconstruction scatters the evolved plane-wave amplitudes into
+their bins and runs one inverse FFT.  With at least B points per cell the
+M B bins are distinct, so this is the grid projection exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import CompletenessError, DegenerateModeError, GridMismatchError
+from .errors import CompletenessError, ConfigError, DegenerateModeError, GridMismatchError
 from .floquet import (
     FloquetSpectrum,
     _Resolution,
@@ -51,14 +52,20 @@ def dynamics_basis_size(spec: LatticeSpec) -> int:
     return max(default_basis_size(spec), 61)
 
 
+def _ring_waves(supercells: int, basis: int = 1) -> np.ndarray:
+    """(M, B) ring wavenumbers j + M a, in units of 2 pi / (M n_p L), of plane
+    wave a of the ladder at quasimomentum j, folded j -> j - M for 2j > M."""
+    j = np.arange(supercells)
+    j = np.where(2 * j > supercells, j - supercells, j)
+    return j[:, None] + supercells * (np.arange(basis) - (basis - 1) // 2)
+
+
 def ring_kappas(spec: LatticeSpec, supercells: int) -> np.ndarray:
     """Quasimomentum ladder 2 pi j / (M n_p L) folded into the first zone.
 
-    The fold is on the integer, j -> j - M for 2j > M, so -kappa is bitwise
-    in the ladder beside every kappa but the zone edge of an even ring."""
-    j = np.arange(supercells)
-    j = np.where(2 * j > supercells, j - supercells, j)
-    return 2.0 * math.pi * j / (supercells * spec.cell_length)
+    The fold is on the integer, so -kappa is bitwise in the ladder beside
+    every kappa but the zone edge of an even ring."""
+    return 2.0 * math.pi * _ring_waves(supercells)[:, 0] / (supercells * spec.cell_length)
 
 
 def ring_spectra(
@@ -76,7 +83,7 @@ def ring_spectra(
         raise GridMismatchError("ring cell length does not match the lattice supercell")
     basis_size = basis_size if basis_size is not None else dynamics_basis_size(spec)
     kappas = ring_kappas(spec, ring.supercells).tolist()  # kappa = 0 first
-    return _labeled_spectra(spec, kappas, ring.cell, params, basis_size)
+    return _labeled_spectra(spec, kappas, params, basis_size)
 
 
 @dataclass(frozen=True)
@@ -84,7 +91,7 @@ class SpectralDecomposition:
     """Expansion of a ring state over Floquet-Bloch modes at time 0.
 
     ``coefficients[j, i]`` is the amplitude on mode ``i`` (in the spectrum's
-    label order) at ring quasimomentum ``spectra[j].kappa``, whose samples
+    label order) at ring quasimomentum ``spectra[j].kappa``, whose coefficients
     and quasienergies the reconstruction reads from ``spectra[j]``.
     ``residual`` is the squared norm left outside the retained basis,
     measured by reconstruction at zero periods.
@@ -105,7 +112,8 @@ def decompose(initial: ComplexState, spectra) -> SpectralDecomposition:
     """Project a ring state onto the Floquet-Bloch modes of every ring kappa.
 
     Raises CompletenessError when more than 1e-4 of the squared norm falls
-    outside the retained basis (basis too small).
+    outside the retained basis (basis too small), and ConfigError for a cell
+    grid of fewer points than the basis, on which the plane waves alias.
     """
     ring = initial.grid
     spectra = tuple(spectra)
@@ -124,11 +132,15 @@ def decompose(initial: ComplexState, spectra) -> SpectralDecomposition:
             raise ValueError("spectra are not aligned with the ring kappa ladder")
         if spectrum.basis_size != basis:
             raise ValueError("spectra must share one basis size")
-        if spectrum.grid != ring.cell:
-            raise GridMismatchError("spectrum grid does not match the ring cell")
+    if ring.cell.length != spec.cell_length:
+        raise GridMismatchError("ring cell length does not match the lattice supercell")
+    if ring.cell.points < basis:
+        raise ConfigError(f"a cell grid of {ring.cell.points} points cannot resolve a basis "
+                          f"of {basis} plane waves; use at least as many points as the basis")
 
-    blocks = sfft.fft(initial.psi.reshape(ring.supercells, -1), axis=0, norm="ortho")
-    coeffs = np.stack([s.samples.conj().T @ b for s, b in zip(spectra, blocks)]) * ring.dx
+    bins = _ring_waves(ring.supercells, basis) % ring.points
+    waves = sfft.fft(initial.psi)[bins] * (ring.dx / math.sqrt(ring.length))
+    coeffs = np.stack([s.coefficients.conj().T @ w for s, w in zip(spectra, waves)])
 
     dec = SpectralDecomposition(spec=spec, ring=ring, spectra=spectra, coefficients=coeffs,
                                 residual=0.0)
@@ -148,18 +160,16 @@ def _reconstruct(dec: SpectralDecomposition, periods: np.ndarray, chunk: int):
     skipped."""
     spec, ring = dec.spec, dec.ring
     active = np.any(dec.coefficients != 0, axis=0)
-    # the gather copies the modes, so it is skipped when nothing is dropped
-    modes = [s.samples if active.all() else s.samples[:, active] for s in dec.spectra]
-    coeffs = dec.coefficients[:, active, None]
+    modes = np.stack([s.coefficients[:, active] for s in dec.spectra])
+    coeffs = dec.coefficients[:, active, None] / math.sqrt(ring.length)
     eps = np.stack([s.quasienergies[active] for s in dec.spectra])[:, :, None]
+    bins = (_ring_waves(ring.supercells, modes.shape[1]) % ring.points).ravel()
     for start in range(0, len(periods), chunk):
         times = periods[start:start + chunk].astype(float) * spec.period
         amp = coeffs * np.exp(-1j * (eps * times) / spec.hbar)
-        cells = np.empty((ring.supercells, ring.cell.points, len(times)), dtype=complex)
-        for mode, a, out in zip(modes, amp, cells):
-            np.matmul(mode, a, out=out)
-        cells = sfft.ifft(cells, axis=0, norm="ortho", overwrite_x=True)
-        yield cells.reshape(ring.points, -1)
+        waves = np.zeros((len(times), ring.points), dtype=complex)
+        waves[:, bins] = np.matmul(modes, amp).reshape(len(bins), -1).T
+        yield sfft.ifft(waves, norm="forward", overwrite_x=True).T
 
 
 @_one_blas_thread

@@ -54,10 +54,10 @@ matches the full-period loop at that count to roundoff.
 Labels are set at kappa = 0 by uniform-state weight (`uniform_weights`); any
 other kappa, alone or in a ring, continues them (`match_band_labels`).
 
-The monodromy loop, Schur, band matching and the complex products with the
-sampled modes (here and in `dynamics`) run on one BLAS thread
-(`_one_blas_thread`), whatever the caller's setting, so their last bits do
-not depend on it.
+A spectrum holds its modes as plane-wave coefficients only; its monodromy
+loop, Schur, band matching, mode sampling and the products of `dynamics`
+run on one BLAS thread (`_one_blas_thread`), whatever the caller's
+setting, so their last bits do not depend on it.
 """
 
 from __future__ import annotations
@@ -141,8 +141,8 @@ def _blas_thread_controls() -> tuple:
 class _OneBlasThread(contextlib.ContextDecorator):
     """Run with one BLAS thread, restoring the caller's counts after.
 
-    The library's products, (B, B) in the monodromy, Schur and band
-    matching and (P, B) against the sampled modes, are too small for a
+    The library's products, (B, B) in the monodromy, Schur, band matching
+    and the mode expansion and (P, B) in mode sampling, are too small for a
     second thread, whose waiting costs more than it gives, and one thread
     makes their last bits independent of the caller's setting.  Where no
     OpenBLAS setter is found nothing changes.  The count is the process's,
@@ -505,27 +505,25 @@ def monodromy_matrix(
 class FloquetSpectrum:
     """All monodromy eigenpairs at one quasimomentum, in label order.
 
-    Column ``i`` of ``coefficients`` (plane-wave ladder amplitudes, B x B)
-    and of ``samples`` (the mode on the supercell grid, points x B) is the
-    mode with quasienergy ``quasienergies[i]``; ``near_degenerate`` holds
-    label pairs whose quasienergies nearly coincide.  ``numerics`` is the
-    resolution of the monodromy (omega, substeps, basis size, route) when
-    this package built it, None for a monodromy from outside.
+    Column ``i`` of ``coefficients`` (plane-wave ladder amplitudes, B x B,
+    orthonormal, in the Schur decomposition's phase) is the mode with
+    quasienergy ``quasienergies[i]``; ``near_degenerate`` holds label pairs
+    whose quasienergies nearly coincide.  ``numerics`` is the resolution of
+    the monodromy (omega, substeps, basis size, route) when this package
+    built it, None for a monodromy from outside.
     """
 
     spec: LatticeSpec
     kappa: float
-    grid: SupercellGrid
     quasienergies: np.ndarray
     coefficients: np.ndarray
-    samples: np.ndarray
     near_degenerate: tuple[tuple[int, int], ...] = ()
     numerics: dict | None = None
 
     def __post_init__(self):
         # read-only, in C order: products over the columns then round the
         # same way whatever permutation produced them
-        for name in ("quasienergies", "coefficients", "samples"):
+        for name in ("quasienergies", "coefficients"):
             array = np.ascontiguousarray(getattr(self, name))
             array.flags.writeable = False
             object.__setattr__(self, name, array)
@@ -533,6 +531,18 @@ class FloquetSpectrum:
     @property
     def basis_size(self) -> int:
         return self.quasienergies.shape[0]
+
+    @_one_blas_thread
+    def sampled(self, grid: SupercellGrid) -> np.ndarray:
+        """The modes on a supercell grid, points x B.  The grid needs at least
+        B points, on which the B plane waves of the ladder sample
+        orthonormally; a coarser one aliases them and is a ConfigError."""
+        if grid.points < self.basis_size:
+            raise ConfigError(f"a grid of {grid.points} points cannot sample a basis of "
+                              f"{self.basis_size} plane waves; use at least as many points")
+        k = basis_wavenumbers(self.spec, self.basis_size, self.kappa)
+        waves = np.exp(1j * grid.positions()[:, None] * k) / math.sqrt(self.spec.cell_length)
+        return waves @ self.coefficients
 
     def uniform_weights(self) -> np.ndarray:
         """Squared overlaps |<mode_i | u>|^2 with the ladder's centre plane wave
@@ -557,7 +567,6 @@ class FloquetSpectrum:
             self,
             quasienergies=self.quasienergies[order],
             coefficients=self.coefficients[:, order],
-            samples=self.samples[:, order],
             near_degenerate=flags,
         )
 
@@ -567,26 +576,18 @@ def diagonalize_monodromy(
     U: np.ndarray,
     spec: LatticeSpec,
     kappa: float = 0.0,
-    grid: SupercellGrid | None = None,
 ) -> FloquetSpectrum:
-    """Eigenpairs of a monodromy matrix, sampled on a grid.
+    """Eigenpairs of a monodromy matrix in its plane-wave basis.
 
     Uses a complex Schur decomposition: for a unitary (normal) matrix the
     Schur form is diagonal and the Schur basis is orthonormal to machine
-    precision, so the sampled modes form a clean orthonormal set even near
-    degeneracies.  Each mode's global phase is fixed by making its
-    largest-magnitude sample real positive.  The grid needs at least B
-    points, on which the B plane waves of the ladder sample orthonormally;
-    a coarser one aliases them and is a ConfigError.
+    precision, so the modes form a clean orthonormal set even near
+    degeneracies.
     """
     U = np.asarray(U, dtype=complex)
     B = U.shape[0]
     if U.shape != (B, B):
         raise ValueError("monodromy must be square")
-    grid = grid if grid is not None else SupercellGrid.for_spec(spec)
-    if grid.points < B:
-        raise ConfigError(f"a grid of {grid.points} points cannot sample a basis of {B} "
-                          "plane waves; use at least as many points as the basis")
     deviation = np.abs(U.conj().T @ U - np.eye(B)).max()
     if not deviation <= _UNITARITY_TOL:  # not `>`: a NaN deviation must fail too
         raise UnitarityError(
@@ -602,18 +603,6 @@ def diagonalize_monodromy(
     order = np.argsort(quasi, kind="stable")
     quasi, Q = quasi[order], Q[:, order]
 
-    k = basis_wavenumbers(spec, B, kappa)
-    x = grid.positions()
-    plane_waves = np.exp(1j * x[:, None] * k[None, :]) / math.sqrt(spec.cell_length)
-    samples = plane_waves @ Q
-
-    peak = np.argmax(np.abs(samples), axis=0)
-    gauge = samples[peak, np.arange(B)]
-    gauge = gauge / np.abs(gauge)
-    norms = np.sqrt(np.sum(np.abs(samples) ** 2, axis=0) * grid.dx)
-    samples = samples / (gauge * norms)[None, :]
-    Q = Q / (gauge * norms)[None, :]
-
     tol = _DEGENERACY_REL_TOL * (spec.hbar * spec.omega)
     # adjacent labels, then the pair that wraps around the zone
     close = np.abs(fold_quasienergy(quasi[:-1] - quasi[1:], spec)) < tol
@@ -621,10 +610,8 @@ def diagonalize_monodromy(
     if B > 1 and circle_gap(quasi[0], quasi[-1], spec) < tol:
         flags.append((0, B - 1))
 
-    return FloquetSpectrum(
-        spec=spec, kappa=kappa, grid=grid, quasienergies=quasi,
-        coefficients=Q, samples=samples, near_degenerate=tuple(flags),
-    )
+    return FloquetSpectrum(spec=spec, kappa=kappa, quasienergies=quasi, coefficients=Q,
+                           near_degenerate=tuple(flags))
 
 
 def label_by_overlap(spectrum: FloquetSpectrum) -> FloquetSpectrum:
@@ -640,15 +627,15 @@ def label_by_overlap(spectrum: FloquetSpectrum) -> FloquetSpectrum:
     return spectrum.relabeled(order)
 
 
-def _labeled_spectra(spec: LatticeSpec, kappas: list, grid: SupercellGrid | None,
-                     params: PropagationParams | None, basis_size: int | None):
+def _labeled_spectra(spec: LatticeSpec, kappas: list, params: PropagationParams | None,
+                     basis_size: int | None):
     """The one path to labeled spectra: (spectra, band-matching flags) at
     ``kappas``, a list led by kappa = 0, from one monodromy call.  The first
     is labeled by uniform overlap, `match_band_labels` carries its labels to
     the rest, and each records the resolution it was built at."""
     monodromies = monodromy_matrix(spec, kappas, params=params, basis_size=basis_size)
     numerics = _monodromy_resolution(spec, params, basis_size)._asdict()
-    spectra = [replace(diagonalize_monodromy(U, spec, kappa, grid=grid), numerics=numerics)
+    spectra = [replace(diagonalize_monodromy(U, spec, kappa), numerics=numerics)
                for U, kappa in zip(monodromies, kappas)]
     spectra[0] = label_by_overlap(spectra[0])
     return match_band_labels(spectra)
@@ -658,14 +645,13 @@ def labeled_spectrum(
     spec: LatticeSpec,
     kappa: float = 0.0,
     *,
-    grid: SupercellGrid | None = None,
     params: PropagationParams | None = None,
     basis_size: int | None = None,
 ) -> FloquetSpectrum:
     """Build, diagonalize and label the spectrum at one (spec, kappa): the
     one `ring_spectra` gives there, its labels carried from kappa = 0."""
     kappas = [0.0, kappa] if kappa else [kappa]
-    return _labeled_spectra(spec, kappas, grid, params, basis_size)[0][-1]
+    return _labeled_spectra(spec, kappas, params, basis_size)[0][-1]
 
 
 @_one_blas_thread

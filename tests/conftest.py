@@ -24,9 +24,9 @@ def grid480(ref_spec):
 
 
 @pytest.fixture(scope="session")
-def spectrum_w1(ref_spec, grid480):
+def spectrum_w1(ref_spec):
     """Labeled kappa = 0 spectrum at omega = 1, default resolution."""
-    return dl.labeled_spectrum(ref_spec, 0.0, grid=grid480)
+    return dl.labeled_spectrum(ref_spec, 0.0)
 
 
 @pytest.fixture(scope="session")

@@ -41,10 +41,10 @@ def test_criterion_01_monodromy_unitarity(ref_spec):
     assert ok
 
 
-def test_criterion_02_free_particle_spectrum(ref_spec, grid480):
+def test_criterion_02_free_particle_spectrum(ref_spec):
     spec = replace(ref_spec, v0=0.0)
     U = dl.monodromy_matrix(spec, 0.0, basis_size=41)
-    computed = dl.diagonalize_monodromy(U, spec, 0.0, grid480).quasienergies
+    computed = dl.diagonalize_monodromy(U, spec, 0.0).quasienergies
     alphas = sorted(range(-10, 11), key=abs)[:20]
     worst = 0.0
     for alpha in alphas:
@@ -92,7 +92,7 @@ def test_criterion_05_oracle_equivalence(ring16_w1_dec, direct_trace_w1_100):
 def test_criterion_06_symmetry_baseline(ref_spec):
     spec = replace(ref_spec, phases=(0.0, 0.0, 0.0))
     grid = dl.SupercellGrid.for_spec(spec, 480)
-    spectrum = dl.labeled_spectrum(spec, 0.0, grid=grid)
+    spectrum = dl.labeled_spectrum(spec, 0.0)
     state = dl.make_initial_state(dl.UniformState(), dl.RingDomain(grid, 1))
     trace = dl.population_trace(dl.decompose(state, [spectrum]), range(401))
     worst = float(np.abs(trace.values - 1.0 / 3.0).max())
@@ -104,7 +104,7 @@ def test_criterion_06_symmetry_baseline(ref_spec):
 def test_criterion_07_high_frequency_equipartition(ref_spec):
     spec = replace(ref_spec, omega=4.6)
     grid = dl.SupercellGrid.for_spec(spec, 480)
-    spectrum = dl.labeled_spectrum(spec, 0.0, grid=grid)
+    spectrum = dl.labeled_spectrum(spec, 0.0)
     state = dl.make_initial_state(dl.UniformState(), dl.RingDomain(grid, 1))
     trace = dl.population_trace(dl.decompose(state, [spectrum]), range(401))
     deviation = abs(float(trace.values.max()) - 1.0 / 3.0)
@@ -209,7 +209,7 @@ def test_criterion_10_nonzero_quasimomentum_freezing(
     ring_amp = ring16_w274_trace.peak_to_peak(sites=(24, 25, 26), window=(500, 800))
 
     grid = dl.SupercellGrid.for_spec(spec_resonant, 480)
-    spectrum = dl.labeled_spectrum(spec_resonant, 0.0, grid=grid)
+    spectrum = dl.labeled_spectrum(spec_resonant, 0.0)
     state = dl.make_initial_state(dl.UniformState(), dl.RingDomain(grid, 1))
     zero_trace = dl.population_trace(dl.decompose(state, [spectrum]), range(500, 801))
     zero_amp = zero_trace.peak_to_peak(sites=(0, 1, 2))

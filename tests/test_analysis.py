@@ -390,7 +390,15 @@ class TestCsvEmission:
         path = dl.write_modes_csv(tmp_path / "modes.csv", config, spectrum_w1)
         rows = [l for l in path.read_text().splitlines() if not l.startswith("#")]
         assert rows[0] == "kappa,alpha,eps,x,re_phi,im_phi"
-        assert len(rows) - 1 == 20 * spectrum_w1.grid.points
+        assert len(rows) - 1 == 20 * config.grid_points
+        # each mode's phase makes a sample of its largest |phi| real and
+        # positive (an odd mode reaches it at two mirrored samples, of both signs)
+        table = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+        for alpha in np.unique(table[:, 1]):
+            mode = table[table[:, 1] == alpha]
+            phi = mode[:, 4] + 1j * mode[:, 5]
+            peak = np.abs(phi) >= np.abs(phi).max() - 1e-12
+            assert np.any(peak & (phi.real > 0) & (np.abs(phi.imag) < 1e-12)), alpha
 
 
 class TestEvolutionMethods:
@@ -478,6 +486,11 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("bogus_key = 1\n")
         assert cli.main(["sweep", "--config", str(bad)]) == 2
+        # 40 points (the least delta = 4 allows is 30) alias the 61 plane waves
+        # the ring state meets in `decompose`, after the ring spectra
+        assert cli.main(["evolve", "--delta", "4", "--grid-points", "40", "--substeps", "512",
+                         "--horizon", "1", "--outdir", str(tmp_path)]) == 2
+        assert "invalid configuration: a cell grid of 40 points" in capsys.readouterr().err
 
         def no_spectra(*args, **kwargs):
             raise AssertionError("input must be rejected before the ring spectra")
@@ -533,7 +546,7 @@ class TestCli:
             *([command, "--basis-size", basis, "--omega-start", "2.8", "--omega-stop", "2.8",
                "--omega-step", "0.01"]
               for command in ("spectrum", "sweep") for basis in ("52", "0", "-3")),
-            # 40 points (the least delta = 4 allows is 30) alias the 41 plane waves
+            # and the 41 plane waves `modes` samples
             ["modes", "--delta", "4", "--grid-points", "40"],
         ):
             code = cli.main([*argv, "--substeps", "512", "--outdir", str(tmp_path)])
@@ -657,6 +670,23 @@ class TestCli:
         ])
         assert code == 4
 
+    def test_grid_coarser_than_the_basis(self, tmp_path):
+        # populations meet the grid in `decompose`, so a 40-point cell fails
+        # a sweep's frequency; the spectrum samples no mode and runs as at 480
+        run = ["--delta", "4", "--substeps", "512", "--horizon", "3",
+               "--omega-start", "2.8", "--omega-stop", "2.8", "--omega-step", "0.1"]
+        assert cli.main(["sweep", *run, "--grid-points", "40", "--outdir", str(tmp_path)]) == 4
+        meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+        assert "40 points" in meta["failures"][0]["error"]
+        rows = {}
+        for points in ("40", "480"):
+            outdir = tmp_path / points
+            argv = ["spectrum", *run, "--grid-points", points, "--outdir", str(outdir)]
+            assert cli.main(argv) == 0
+            lines = (outdir / "spectrum.csv").read_text().splitlines()
+            rows[points] = [line for line in lines if not line.startswith("#")]
+        assert len(rows["40"]) > 1 and rows["40"] == rows["480"]
+
     @pytest.mark.parametrize("command", ["sweep", "spectrum"])
     def test_basis_below_cutoff_is_a_recorded_failure(self, tmp_path, command):
         # B = 41 clears 5 hbar omega at 1.70 but not at 1.80
@@ -710,12 +740,11 @@ class TestCli:
             return json.loads(path.with_suffix(".csv.meta.json").read_text())["numerics"]
 
         spec = dl.LatticeSpec()
-        grid = dl.SupercellGrid.for_spec(spec, 480)
         config = tiny_config(basis_size=61)
-        spectrum = dl.labeled_spectrum(spec, 0.0, grid=grid)
+        spectrum = dl.labeled_spectrum(spec, 0.0)
         assert written(dl.write_modes_csv, config, spectrum) == [
             {"omega": 1.0, "substeps": 192, "basis_size": 41, "route": "quarter"}]
-        outside = dl.diagonalize_monodromy(dl.monodromy_matrix(spec, 0.0), spec, grid=grid)
+        outside = dl.diagonalize_monodromy(dl.monodromy_matrix(spec, 0.0), spec)
         assert written(dl.write_modes_csv, config, outside) == []
         assert dl.labeled_spectrum(dl.LatticeSpec(amplitude=0.0), 0.0).numerics == {
             "omega": 1.0, "substeps": None, "basis_size": 41, "route": "exact"}

@@ -27,7 +27,7 @@ def tiled_ring_modes(spectrum, ring):
     """Every mode of a spectrum extended to the ring by tiling its periodic
     part over the cells (test-local oracle, ring-normalized)."""
     kappa = spectrum.kappa
-    periodic = spectrum.samples * np.exp(-1j * kappa * ring.cell.positions())[:, None]
+    periodic = spectrum.sampled(ring.cell) * np.exp(-1j * kappa * ring.cell.positions())[:, None]
     tiled = np.tile(periodic, (ring.supercells, 1))
     bloch = np.exp(1j * kappa * ring.positions())[:, None]
     return tiled * bloch / math.sqrt(ring.supercells)
@@ -47,26 +47,32 @@ def tiled_coefficients(state, spectra):
 
 def tiled_populations(coefficients, spectra, ring, periods):
     """Dense reconstruction on the ring, every band column multiplied."""
-    times = np.asarray(periods, dtype=float) * REF.period
+    spec = spectra[0].spec
+    times = np.asarray(periods, dtype=float) * spec.period
     psi = np.zeros((ring.points, len(times)), dtype=complex)
     for spectrum, coeffs in zip(spectra, coefficients):
         amp = coeffs[:, None] * np.exp(
-            -1j * np.outer(spectrum.quasienergies, times) / REF.hbar
+            -1j * np.outer(spectrum.quasienergies, times) / spec.hbar
         )
         psi += tiled_ring_modes(spectrum, ring) @ amp
-    weights = dl.site_weights(REF, ring)
+    weights = dl.site_weights(spec, ring)
     return weights @ (np.abs(psi) ** 2)
 
 
-@pytest.fixture(scope="module", params=[1, 3, 4], ids=lambda m: f"M{m}")
+@pytest.fixture(scope="module", params=[(REF, 480, 1), (REF, 480, 3), (REF, 480, 4),
+                                        (replace(REF, delta=4.0), 41, 3)],
+                ids=["M1", "M3", "M4", "M3-P41"])
 def packet_case(request):
-    """Gaussian packet on an M-cell ring with its decomposition; M = 4 puts
-    one kappa on the zone edge, where ring_kappas folds it."""
-    ring = dl.RingDomain(dl.SupercellGrid.for_spec(REF, 480), request.param)
+    """Gaussian packet on an M-cell ring of P points per cell with its
+    decomposition over 41 modes; M = 4 puts one kappa on the zone edge, where
+    ring_kappas folds it, and P = 41 = B is the coarsest cell the ring FFT
+    bins of the modes fit."""
+    spec, points, cells = request.param
+    ring = dl.RingDomain(dl.SupercellGrid.for_spec(spec, points), cells)
     state = dl.make_initial_state(
         dl.GaussianState(ring.length / 2, ring.length / 9), ring
     )
-    spectra, _ = dl.ring_spectra(REF, ring, params=FAST, basis_size=41)
+    spectra, _ = dl.ring_spectra(spec, ring, params=FAST, basis_size=41)
     return state, spectra, dl.decompose(state, spectra)
 
 
@@ -82,8 +88,8 @@ class TestRingSpectra:
             ring = dl.RingDomain(dl.SupercellGrid.for_spec(spec, 480), cells)
             spectra, flags = dl.ring_spectra(spec, ring, params=params, basis_size=basis)
             kappas = dl.ring_kappas(spec, cells)
-            expected = [dl.labeled_spectrum(spec, float(kappas[j]), grid=ring.cell,
-                                            params=params, basis_size=basis) for j in picked]
+            expected = [dl.labeled_spectrum(spec, float(kappas[j]), params=params,
+                                            basis_size=basis) for j in picked]
             _, expected_flags = dl.match_band_labels(expected)
             assert {(picked[i], label) for i, label in expected_flags} == {
                 (j, label) for j, label in flags if j in picked}
@@ -92,12 +98,11 @@ class TestRingSpectra:
                 assert got.kappa == want.kappa
                 assert np.array_equal(got.quasienergies, want.quasienergies)
                 assert np.array_equal(got.coefficients, want.coefficients)
-                assert np.array_equal(got.samples, want.samples)
                 assert got.near_degenerate == want.near_degenerate
 
 
 class TestCellTransform:
-    """The cell x kappa DFT against the tiled ring-mode construction."""
+    """The ring FFT route against the tiled ring-mode construction."""
 
     def test_coefficients_match_tiled_modes(self, packet_case):
         state, spectra, dec = packet_case
@@ -166,6 +171,13 @@ class TestDecompose:
             dl.decompose(state, spectra2[:1])
         with pytest.raises(ValueError, match="normalized"):
             dl.decompose(dl.ComplexState(2.0 * state.psi, ring2), spectra2)
+        # 40 points per cell alias the 41 plane waves: bad input, not a tolerance
+        coarse = dl.RingDomain(dl.SupercellGrid(REF.cell_length, 40), 2)
+        with pytest.raises(dl.ConfigError, match="40 points"):
+            dl.decompose(dl.make_initial_state(dl.UniformState(), coarse), spectra2)
+        longer = dl.RingDomain(dl.SupercellGrid(2 * REF.cell_length, 960), 2)
+        with pytest.raises(dl.GridMismatchError):
+            dl.decompose(dl.make_initial_state(dl.UniformState(), longer), spectra2)
 
     def test_nan_state_raises(self, spectra2):
         # NaN passes no `>` bound, so every check is written `not x <= tol`
@@ -223,11 +235,7 @@ class TestReconstruction:
         twisted = []
         for spectrum in spectra2:
             phases = np.exp(1j * rng.uniform(0, 2 * math.pi, spectrum.basis_size))
-            twisted.append(replace(
-                spectrum,
-                samples=spectrum.samples * phases,
-                coefficients=spectrum.coefficients * phases,
-            ))
+            twisted.append(replace(spectrum, coefficients=spectrum.coefficients * phases))
         trace2 = dl.population_trace(dl.decompose(state, twisted), range(0, 30, 3))
         assert np.abs(trace.values - trace2.values).max() < 1e-12
 
@@ -311,7 +319,7 @@ class TestSymmetryBaseline:
     def test_equal_phases_keep_thirds(self):
         spec = dl.LatticeSpec(phases=(0.0, 0.0, 0.0))
         grid = dl.SupercellGrid.for_spec(spec, 480)
-        spectrum = dl.labeled_spectrum(spec, 0.0, grid=grid, params=FAST)
+        spectrum = dl.labeled_spectrum(spec, 0.0, params=FAST)
         state = dl.make_initial_state(dl.UniformState(), dl.RingDomain(grid, 1))
         dec = dl.decompose(state, [spectrum])
         trace = dl.population_trace(dec, range(51))

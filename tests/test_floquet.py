@@ -477,8 +477,8 @@ class TestBlasThreads:
             for count in (2, 1):
                 for _, set_ in controls:
                     set_(count)
-                spectrum = dl.labeled_spectrum(spec, 0.0, grid=grid, params=FAST)
-                results[count] = (spectrum.quasienergies, spectrum.samples,
+                spectrum = dl.labeled_spectrum(spec, 0.0, params=FAST)
+                results[count] = (spectrum.quasienergies, spectrum.sampled(grid),
                                   spectrum.uniform_weights())
                 # the library ran on one thread and gave the caller's count back
                 assert [get() for get, _ in controls] == [count] * len(controls)
@@ -499,7 +499,7 @@ class TestBlasThreads:
         def work():
             try:
                 for _ in range(40):
-                    dl.diagonalize_monodromy(U, REF, 0.0, grid=grid).uniform_weights()
+                    dl.diagonalize_monodromy(U, REF, 0.0).sampled(grid)
             except Exception as exc:  # reported by the main thread
                 failures.append(exc)
 
@@ -527,16 +527,19 @@ class TestDiagonalize:
     def test_identity_gives_zero_quasienergies(self):
         spectrum = dl.diagonalize_monodromy(np.eye(11), REF, 0.0)
         assert np.abs(spectrum.quasienergies).max() == 0.0
-        norms = np.sum(np.abs(spectrum.samples) ** 2, axis=0) * spectrum.grid.dx
+        grid = dl.SupercellGrid.for_spec(REF)
+        norms = np.sum(np.abs(spectrum.sampled(grid)) ** 2, axis=0) * grid.dx
         assert np.abs(norms - 1.0).max() < 1e-12
 
     def test_rejects_a_grid_coarser_than_the_basis(self):
         U = np.diag(np.exp(1j * np.linspace(0.0, 3.0, 41)))
+        spectrum = dl.diagonalize_monodromy(U, REF, 0.0)
         with pytest.raises(dl.ConfigError, match="40 points"):
-            dl.diagonalize_monodromy(U, REF, 0.0, grid=dl.SupercellGrid(REF.cell_length, 40))
+            spectrum.sampled(dl.SupercellGrid(REF.cell_length, 40))
         # on as many points as plane waves the sampled modes are orthonormal
-        spectrum = dl.diagonalize_monodromy(U, REF, 0.0, grid=dl.SupercellGrid(REF.cell_length, 41))
-        gram = spectrum.samples.conj().T @ spectrum.samples * spectrum.grid.dx
+        grid = dl.SupercellGrid(REF.cell_length, 41)
+        modes = spectrum.sampled(grid)
+        gram = modes.conj().T @ modes * grid.dx
         assert np.abs(gram - np.eye(41)).max() < 1e-12
 
     def test_rejects_non_unitary(self):
@@ -550,17 +553,17 @@ class TestDiagonalize:
         with pytest.raises(dl.UnitarityError):
             dl.diagonalize_monodromy(U, REF, 0.0)
 
-    def test_free_particle_quasienergies(self, grid480):
+    def test_free_particle_quasienergies(self):
         spec = dl.LatticeSpec(v0=0.0)
         U = dl.monodromy_matrix(spec, 0.0, basis_size=41)
-        computed = np.sort(dl.diagonalize_monodromy(U, spec, 0.0, grid480).quasienergies)
+        computed = np.sort(dl.diagonalize_monodromy(U, spec, 0.0).quasienergies)
         for alpha in range(-10, 11):
             target = free_quasienergies(spec, alpha)
             assert min(dl.circle_gap(target, value, spec) for value in computed) < 1e-8
 
-    def test_modes_orthonormal(self, spectrum_w1):
-        modes = spectrum_w1.samples
-        gram = modes.conj().T @ modes * spectrum_w1.grid.dx
+    def test_modes_orthonormal(self, spectrum_w1, grid480):
+        modes = spectrum_w1.sampled(grid480)
+        gram = modes.conj().T @ modes * grid480.dx
         assert np.abs(gram - np.eye(spectrum_w1.basis_size)).max() < 1e-8
 
     def test_quasienergies_inside_zone(self, spectrum_w1):
@@ -568,16 +571,16 @@ class TestDiagonalize:
         eps = spectrum_w1.quasienergies
         assert eps.min() >= -zone / 2 and eps.max() <= zone / 2
 
-    def test_exact_degeneracies_flagged(self, grid480):
+    def test_exact_degeneracies_flagged(self):
         spec = dl.LatticeSpec(v0=0.0)
         U = dl.monodromy_matrix(spec, 0.0, basis_size=41)
-        spectrum = dl.diagonalize_monodromy(U, spec, 0.0, grid480)
+        spectrum = dl.diagonalize_monodromy(U, spec, 0.0)
         assert spectrum.near_degenerate  # +-alpha pairs are exactly degenerate
 
-    def test_gauge_is_deterministic(self, grid480):
-        a = dl.labeled_spectrum(REF, 0.0, grid=grid480, params=FAST)
-        b = dl.labeled_spectrum(REF, 0.0, grid=grid480, params=FAST)
-        assert np.array_equal(a.samples, b.samples)
+    def test_gauge_is_deterministic(self):
+        a = dl.labeled_spectrum(REF, 0.0, params=FAST)
+        b = dl.labeled_spectrum(REF, 0.0, params=FAST)
+        assert np.array_equal(a.coefficients, b.coefficients)
 
     def test_modes_reproduce_their_eigenphase_under_grid_evolution(self, grid480):
         # cross-validates the basis-space monodromy against the grid integrator;
@@ -585,12 +588,13 @@ class TestDiagonalize:
         # The grid side runs at 8192 substeps, where its own 2nd-order time
         # error is well below the bound, so the monodromy's error shows.
         kappa = 0.25 * REF.brillouin_edge
-        spectrum = dl.labeled_spectrum(REF, kappa, grid=grid480, basis_size=131)
+        spectrum = dl.labeled_spectrum(REF, kappa, basis_size=131)
+        modes = spectrum.sampled(grid480)
         params = dl.PropagationParams(substeps_per_period=8192)
         order = np.argsort(spectrum.mean_kinetic(), kind="stable")[:20]
         worst = 0.0
         for i in order:
-            mode = dl.ComplexState(spectrum.samples[:, i], dl.RingDomain(grid480, 1))
+            mode = dl.ComplexState(modes[:, i], dl.RingDomain(grid480, 1))
             evolved = dl.evolve_ring(mode, REF, params, REF.period, kappa=kappa)
             phase = np.exp(-1j * spectrum.quasienergies[i] * REF.period / REF.hbar)
             expected = phase * mode.psi
@@ -628,33 +632,30 @@ class TestLabeling:
         # at kappa = 0 the uniform state is the centre plane wave of the ladder
         grid = dl.SupercellGrid(REF.cell_length, points)
         U = dl.monodromy_matrix(REF, 0.0, FAST, basis_size=41)
-        spectrum = dl.diagonalize_monodromy(U, REF, 0.0, grid=grid)
+        spectrum = dl.diagonalize_monodromy(U, REF, 0.0)
         uniform = dl.make_initial_state(dl.UniformState(), dl.RingDomain(grid, 1))
-        overlap = np.abs(spectrum.samples.conj().T @ uniform.psi * grid.dx) ** 2
+        overlap = np.abs(spectrum.sampled(grid).conj().T @ uniform.psi * grid.dx) ** 2
         assert np.abs(spectrum.uniform_weights() - overlap).max() < 1e-14
 
     def test_lone_labels_do_not_depend_on_the_grid(self):
-        # labels are set at kappa = 0 and carried to a lone kappa by band matching
-        spec = replace(REF, omega=2.74)
-        eps = [dl.labeled_spectrum(spec, 0.1, grid=dl.SupercellGrid.for_spec(spec, points),
-                                   params=FAST).quasienergies
+        # labels are set at kappa = 0 and carried to a lone kappa by band
+        # matching; a spectrum samples no grid, so a config's grid moves nothing
+        config = dl.ExperimentConfig(lattice=REF, initial=dl.UniformState(), substeps=512)
+        eps = [dl.spectrum_at(replace(config, grid_points=points), 2.74, 0.1).quasienergies
                for points in (480, 512, 600)]
         assert all(np.array_equal(e, eps[0]) for e in eps[1:])
 
-    def test_vanishing_barrier_ground_mode_is_uniform(self, grid480):
-        spectrum = dl.labeled_spectrum(
-            dl.LatticeSpec(v0=1e-9, amplitude=0.0), 0.0, grid=grid480
-        )
+    def test_vanishing_barrier_ground_mode_is_uniform(self):
+        spectrum = dl.labeled_spectrum(dl.LatticeSpec(v0=1e-9, amplitude=0.0), 0.0)
         weights = spectrum.uniform_weights()
         assert weights[0] > 1.0 - 1e-6
 
-    def test_third_mode_is_site_localized(self, spectrum_w1):
+    def test_third_mode_is_site_localized(self, spectrum_w1, grid480):
         # the slow population oscillation is carried by a strongly localized
         # mode that outweighs the second one in any single site
+        modes = spectrum_w1.sampled(grid480)
         localization = [
-            site_populations(dl.ComplexState(spectrum_w1.samples[:, i],
-                                             dl.RingDomain(spectrum_w1.grid, 1)),
-                             REF).max()
+            site_populations(dl.ComplexState(modes[:, i], dl.RingDomain(grid480, 1)), REF).max()
             for i in (1, 2)
         ]
         assert localization[1] > localization[0]
@@ -755,14 +756,12 @@ class TestScans:
         minima = dl.detect_dips(sweep.column("omega"), sweep.column("gap"), prominence=0.0)
         assert minima and min(abs(m.omega - target) for m in minima) <= 0.005
 
-    def test_static_lattice_crossings_are_exact(self, grid480):
+    def test_static_lattice_crossings_are_exact(self):
         # no drive, no band coupling: folded static bands cross with zero gap.
         # Oracle: the band energies themselves, read off at a driving
         # frequency too large for any folding.
         spec = dl.LatticeSpec(amplitude=0.0)
-        unfolded = dl.labeled_spectrum(
-            replace(spec, omega=100.0), 0.0, grid=grid480, basis_size=41
-        )
+        unfolded = dl.labeled_spectrum(replace(spec, omega=100.0), 0.0, basis_size=41)
         energies = np.sort(unfolded.quasienergies)
         ground = energies[0]
         crossings = [
@@ -777,18 +776,17 @@ class TestScans:
 
 
 class TestBandMatching:
-    def test_recovers_shuffled_labels(self, grid480):
+    def test_recovers_shuffled_labels(self):
         kappa = 0.5 * REF.brillouin_edge
-        base = dl.labeled_spectrum(REF, 0.0, grid=grid480, params=FAST, basis_size=41)
-        other = dl.labeled_spectrum(REF, kappa, grid=grid480, params=FAST, basis_size=41)
+        base = dl.labeled_spectrum(REF, 0.0, params=FAST, basis_size=41)
+        other = dl.labeled_spectrum(REF, kappa, params=FAST, basis_size=41)
         shuffled = other.relabeled(np.random.default_rng(5).permutation(41))
         matched, _flags = dl.match_band_labels([base, other])
         matched_shuffled, _flags2 = dl.match_band_labels([base, shuffled])
         assert np.allclose(matched[1].quasienergies, matched_shuffled[1].quasienergies)
 
-    def test_requires_common_basis(self, grid480):
-        a = dl.labeled_spectrum(REF, 0.0, grid=grid480, params=FAST, basis_size=41)
-        b = dl.labeled_spectrum(REF, 0.1 * REF.brillouin_edge, grid=grid480,
-                                params=FAST, basis_size=43)
+    def test_requires_common_basis(self):
+        a = dl.labeled_spectrum(REF, 0.0, params=FAST, basis_size=41)
+        b = dl.labeled_spectrum(REF, 0.1 * REF.brillouin_edge, params=FAST, basis_size=43)
         with pytest.raises(ValueError, match="basis"):
             dl.match_band_labels([a, b])
