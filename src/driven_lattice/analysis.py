@@ -27,6 +27,7 @@ import numpy as np
 from .version import __version__
 from .errors import ConfigError, ToleranceError
 from .dynamics import (
+    _check_bands,
     decompose,
     dynamics_basis_size,
     population_trace,
@@ -36,6 +37,8 @@ from .dynamics import (
 )
 from .floquet import (
     FloquetSpectrum,
+    _check_basis_size,
+    _check_grid_resolves,
     ResonancePrediction,
     fold_quasienergy,
     labeled_spectrum,
@@ -50,6 +53,7 @@ from .lattice import (
     RingDomain,
     SupercellGrid,
     UniformState,
+    _MAX_POINTS,
     make_initial_state,
 )
 from .propagate import PropagationParams, default_params
@@ -58,8 +62,6 @@ DIP_PROMINENCE = 0.01       # smallest overlap dip counted as detected
 PEAK_PROMINENCE = 0.02      # smallest n_max peak considered for refinement
 REFINE_ABOVE = 0.4          # only refine n_max peaks above this level
 REFINE_MIN_STEP = 1e-3
-# the most float64 elements numpy allocates in one array
-_MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
 @dataclass(frozen=True)
@@ -88,8 +90,8 @@ class ExperimentConfig:
             raise ConfigError("horizon must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.basis_size is not None and (self.basis_size < 1 or self.basis_size % 2 == 0):
-            raise ConfigError("basis_size must be odd and positive")
+        if self.basis_size is not None:
+            _check_basis_size(self.basis_size)
         grid = (self.omega_start, self.omega_stop, self.omega_step)
         if any(v is not None for v in grid):
             if any(v is None for v in grid):
@@ -98,20 +100,15 @@ class ExperimentConfig:
                     and self.omega_start <= self.omega_stop):
                 raise ConfigError("omega grid must be finite and monotone increasing")
             count = (self.omega_stop - self.omega_start) / self.omega_step
-            if not count < _MAX_GRID_POINTS:
+            if not count < _MAX_POINTS:
                 raise ConfigError(f"omega grid of {count + 1:.3g} points cannot be built")
-        # constructing the domain objects validates every module invariant;
-        # the grid ascends, so its start is its smallest frequency
-        try:
-            if self.substeps is not None:
-                PropagationParams(substeps_per_period=self.substeps)
-            if self.omega_start is not None:
-                replace(self.lattice, omega=self.omega_start)
-            self.make_domain()
-            if isinstance(self.initial, GaussianState):
-                make_initial_state(self.initial, self.make_domain())
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        # constructing the domain objects and the state validates every module
+        # invariant; the grid ascends, so its start is its smallest frequency
+        if self.substeps is not None:
+            PropagationParams(substeps_per_period=self.substeps)
+        if self.omega_start is not None:
+            replace(self.lattice, omega=self.omega_start)
+        self.make_initial_state()
 
     @property
     def params(self) -> PropagationParams | None:
@@ -233,10 +230,7 @@ def config_from_values(values: dict, overrides: dict | None = None) -> Experimen
         raise ConfigError(f"sigma must be >= 0 (0 selects the uniform state), got {sigma!r}")
 
     lattice_keys = {f.name for f in dataclasses.fields(LatticeSpec)} & typed.keys()
-    try:
-        lattice = LatticeSpec(**{key: typed.pop(key) for key in lattice_keys})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    lattice = LatticeSpec(**{key: typed.pop(key) for key in lattice_keys})
     if sites is not None and sites != lattice.sites_per_cell:
         raise ConfigError(
             f"np={sites} does not match the {lattice.sites_per_cell} supplied phases"
@@ -421,8 +415,9 @@ def run_evolution(config: ExperimentConfig, bands=None, method: str = "floquet")
     if method != "floquet":
         raise ConfigError(f"unknown evolution method {method!r}")
     basis = config.basis_size if config.basis_size is not None else dynamics_basis_size(spec)
-    if bands is not None and not (len(bands) and all(0 <= b < basis for b in bands)):
-        raise ConfigError(f"need band labels in [0, {basis}) for basis size {basis}")
+    if bands is not None:
+        _check_bands(bands, basis)
+    _check_grid_resolves(state.grid.cell.points, basis)
     spectra, _ = ring_spectra(spec, state.grid, params=config.params, basis_size=basis)
     dec = decompose(state, spectra)
     if bands is not None:

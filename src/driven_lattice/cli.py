@@ -5,10 +5,10 @@ Subcommands: evolve, spectrum, sweep, modes, resonances.  A config file
 Each subcommand calls public `analysis` functions only, a run and its
 writer; ``spectrum`` is the overlap sweep written one row per mode.
 Exit codes: 0 success, 2 invalid configuration or an unwritable output path
-(checked before the run), 3 numerical-tolerance violation, 4 ``sweep`` or
-``spectrum`` completed with per-frequency failures (each failed frequency
-is listed in the sidecar's ``failures`` and on stderr; ``spectrum`` writes
-no rows for it).
+(checked before the run, ``evolve``'s bands and grid before any spectrum),
+3 numerical-tolerance violation, 4 ``sweep`` or ``spectrum`` completed with
+per-frequency failures (each failed frequency is listed in the sidecar's
+``failures`` and on stderr; ``spectrum`` writes no rows for it).
 """
 
 from __future__ import annotations

@@ -25,16 +25,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import CompletenessError, ConfigError, DegenerateModeError, GridMismatchError
+from .errors import CompletenessError, ConfigError, DegenerateModeError
 from .floquet import (
     FloquetSpectrum,
     _Resolution,
+    _check_grid_resolves,
     _labeled_spectra,
     _one_blas_thread,
     circle_gap,
     default_basis_size,
 )
-from .lattice import ComplexState, LatticeSpec, RingDomain
+from .lattice import ComplexState, LatticeSpec, RingDomain, _check_cell
 from .propagate import PropagationParams, _split_step
 
 _RESIDUAL_TOL = 1e-4
@@ -79,8 +80,7 @@ def ring_spectra(
     shared potential factors: kappa = 0 ordered by uniform-state overlap,
     the others continuing its labels by maximal overlap of periodic parts.
     Returns (spectra, ambiguity flags)."""
-    if ring.cell.length != spec.cell_length:
-        raise GridMismatchError("ring cell length does not match the lattice supercell")
+    _check_cell(ring.cell, spec)
     basis_size = basis_size if basis_size is not None else dynamics_basis_size(spec)
     kappas = ring_kappas(spec, ring.supercells).tolist()  # kappa = 0 first
     return _labeled_spectra(spec, kappas, params, basis_size)
@@ -113,7 +113,7 @@ def decompose(initial: ComplexState, spectra) -> SpectralDecomposition:
 
     Raises CompletenessError when more than 1e-4 of the squared norm falls
     outside the retained basis (basis too small), and ConfigError for a cell
-    grid of fewer points than the basis, on which the plane waves alias.
+    grid of fewer points than the basis (`_check_grid_resolves`).
     """
     ring = initial.grid
     spectra = tuple(spectra)
@@ -132,11 +132,8 @@ def decompose(initial: ComplexState, spectra) -> SpectralDecomposition:
             raise ValueError("spectra are not aligned with the ring kappa ladder")
         if spectrum.basis_size != basis:
             raise ValueError("spectra must share one basis size")
-    if ring.cell.length != spec.cell_length:
-        raise GridMismatchError("ring cell length does not match the lattice supercell")
-    if ring.cell.points < basis:
-        raise ConfigError(f"a cell grid of {ring.cell.points} points cannot resolve a basis "
-                          f"of {basis} plane waves; use at least as many points as the basis")
+    _check_cell(ring.cell, spec)
+    _check_grid_resolves(ring.cell.points, basis)
 
     bins = _ring_waves(ring.supercells, basis) % ring.points
     waves = sfft.fft(initial.psi)[bins] * (ring.dx / math.sqrt(ring.length))
@@ -181,6 +178,14 @@ def stroboscopic_state(dec: SpectralDecomposition, periods: int) -> ComplexState
     return ComplexState(psi, dec.ring)
 
 
+def _check_bands(labels, basis_size: int) -> list[int]:
+    """The labels as integers; a ConfigError unless one at least and each in [0, basis_size)."""
+    labels = [operator.index(b) for b in labels]  # a float label is a TypeError
+    if not (labels and all(0 <= b < basis_size for b in labels)):
+        raise ConfigError(f"need band labels in [0, {basis_size}), got {labels}")
+    return labels
+
+
 def select_bands(dec: SpectralDecomposition, labels) -> SpectralDecomposition:
     """Zero every coefficient outside the given band labels (no renormalization,
     so the retained populations stay comparable with the full ones).
@@ -189,32 +194,20 @@ def select_bands(dec: SpectralDecomposition, labels) -> SpectralDecomposition:
     of largest kappa = 0 uniform-state overlap (see `label_by_overlap`).
     """
     keep = np.zeros(dec.coefficients.shape[1], dtype=bool)
-    labels = [operator.index(b) for b in labels]
-    if not labels:
-        raise ValueError("need at least one band label")
-    if not all(0 <= b < len(keep) for b in labels):
-        raise ValueError(f"band labels {labels} outside the retained basis [0, {len(keep)})")
-    keep[labels] = True
+    keep[_check_bands(labels, len(keep))] = True
     return replace(dec, coefficients=dec.coefficients * keep[None, :])
 
 
-def site_count(spec: LatticeSpec, domain) -> int:
-    ratio = domain.length / spec.spacing
-    count = round(ratio)
-    if abs(ratio - count) > _ALIGNMENT_TOL:
-        raise ValueError("domain length is not a whole number of sites")
-    return int(count)
-
-
-def site_weights(spec: LatticeSpec, domain) -> np.ndarray:
+def site_weights(spec: LatticeSpec, domain: RingDomain) -> np.ndarray:
     """Quadrature weights turning a sampled density into site populations.
 
     Site ``s`` occupies ``[(s-1) L, s L)``, wrapped into the periodic
     domain.  The density is treated as piecewise linear between samples
     (trapezoid rule); a site boundary falling between grid points splits
     the straddling trapezoid.  Returns weights of shape (sites, points),
-    one row per site of the domain.
+    one row per site of the domain, whose cell must be the lattice's supercell.
     """
+    _check_cell(domain.cell, spec)
     n, dx, length = domain.points, domain.dx, domain.length
 
     def cdf_weights(b: float) -> np.ndarray:
@@ -236,7 +229,7 @@ def site_weights(spec: LatticeSpec, domain) -> np.ndarray:
         return w
 
     full = cdf_weights(length)
-    weights = np.empty((site_count(spec, domain), n))
+    weights = np.empty((domain.supercells * spec.sites_per_cell, n))
     for s in range(len(weights)):
         lo = (float(s - 1) * spec.spacing) % length
         hi = (float(s) * spec.spacing) % length

@@ -24,10 +24,10 @@ of W) over the factors the loop runs, bounds every ``||W|| |tau| / hbar``;
 when it reaches 1 the polynomial of ``x / 2^k`` is squared k times instead.
 Every factor is thus unitary on the truncated space to roundoff and the
 product is unitary regardless of basis size; basis adequacy is checked
-separately through the kinetic-energy cutoff and the grid-propagator
-consistency tests.  The time-independent Hamiltonian of a static lattice
-(`LatticeSpec.static`: undriven, or a free particle with v0 = 0) is
-exponentiated exactly instead: the exact route.
+separately, by the kinetic-energy cutoff of `_monodromy_resolution` and
+the grid-propagator consistency tests.  The time-independent Hamiltonian
+of a static lattice (`LatticeSpec.static`: undriven, or a free particle
+with v0 = 0) is exponentiated exactly instead: the exact route.
 
 The potential matrix ``W_ba = c_{b-a}(t)`` does not depend on kappa; only
 the kinetic diagonal does.  A whole kappa ladder therefore shares one stack
@@ -77,8 +77,7 @@ from scipy.linalg import schur
 from scipy.linalg.blas import zaxpy
 
 from .errors import ConfigError, UnitarityError
-from .lattice import LatticeSpec, SupercellGrid
-from .lattice import _in_first_zone
+from .lattice import LatticeSpec, SupercellGrid, _check_cell, _check_first_zone
 from .propagate import PropagationParams
 
 _UNITARITY_TOL = 1e-8
@@ -194,11 +193,27 @@ def basis_wavenumbers(spec: LatticeSpec, basis_size: int, kappa: float = 0.0) ->
     return 2.0 * math.pi * np.arange(-half, half + 1) / spec.cell_length + kappa
 
 
+def _check_basis_size(basis_size: int) -> None:
+    """A ConfigError unless the basis, a ladder centred on kappa, is odd and positive."""
+    if basis_size % 2 == 0 or basis_size < 1:
+        raise ConfigError("basis_size must be odd and positive")
+
+
+def _check_grid_resolves(points: int, basis_size: int) -> None:
+    """A ConfigError unless a cell grid has a point per plane wave of the basis (fewer alias)."""
+    if points < basis_size:
+        raise ConfigError(f"a cell grid of {points} points cannot resolve a basis of "
+                          f"{basis_size} plane waves; use at least as many points")
+
+
+def _cutoff_energy(spec: LatticeSpec, driven: bool = True) -> float:
+    """The kinetic energy a basis edge must reach: _CUTOFF_FACTOR max(v0, hbar*omega if driven)."""
+    return _CUTOFF_FACTOR * max(spec.v0, spec.hbar * spec.omega if driven else 0.0)
+
+
 def default_basis_size(spec: LatticeSpec) -> int:
-    """Smallest odd basis, at least 41, whose edge kinetic energy is
-    >= _CUTOFF_FACTOR max(v0, hbar*omega)."""
-    cutoff = _CUTOFF_FACTOR * max(spec.v0, spec.hbar * spec.omega)
-    k_needed = math.sqrt(2.0 * spec.mass * cutoff) / spec.hbar
+    """Smallest odd basis, at least 41, whose edge reaches the driven `_cutoff_energy`."""
+    k_needed = math.sqrt(2.0 * spec.mass * _cutoff_energy(spec)) / spec.hbar
     half = int(math.ceil(k_needed * spec.cell_length / (2.0 * math.pi)))
     return max(2 * half + 1, _MIN_BASIS_SIZE)
 
@@ -359,11 +374,14 @@ def _monodromy_resolution(
     mirrors the one at t, and the half route otherwise, both at the step
     count rounded up to a multiple of 4 so that the quarter and half
     periods end between steps; any other drive runs the full period
-    unrounded.
+    unrounded.  A basis below the kinetic cutoff is a ConfigError.
     """
     B = basis_size if basis_size is not None else default_basis_size(spec)
-    if B % 2 == 0 or B < 1:
-        raise ConfigError("basis_size must be odd and positive")
+    _check_basis_size(B)
+    edge_kinetic = _edge_kinetic(spec, B)
+    if edge_kinetic < _cutoff_energy(spec, driven=not spec.static):
+        raise ConfigError(f"basis_size={B} puts the kinetic cutoff {edge_kinetic:.3g} below "
+                          f"{_CUTOFF_FACTOR:g}*max(v0, hbar*omega); enlarge the basis")
     if spec.static:
         return _Resolution(float(spec.omega), None, B, "exact")
     per_step = _step_factors()
@@ -410,16 +428,7 @@ def monodromy_matrix(
     kappas = np.asarray(kappa, dtype=float)
     if kappas.ndim > 1 or kappas.size == 0:
         raise ConfigError("kappa must be a number or a non-empty 1-D array")
-    if not np.all(_in_first_zone(kappas, spec)):
-        raise ConfigError("kappa outside the first Brillouin zone")
-    # an undriven lattice absorbs no drive quanta, so only v0 sets the scale
-    demand = _CUTOFF_FACTOR * max(spec.v0, 0.0 if exact else spec.hbar * spec.omega)
-    edge_kinetic = _edge_kinetic(spec, B)
-    if spec.v0 > 0 and edge_kinetic < demand:
-        raise ConfigError(
-            f"basis_size={B} puts the kinetic cutoff {edge_kinetic:.3g} below "
-            f"{_CUTOFF_FACTOR:g}*max(v0, hbar*omega); enlarge the basis"
-        )
+    _check_first_zone(kappas, spec)
 
     # the loop runs the stack `run`; `wanted` indexes the requested kappas
     requested = [float(k) for k in kappas.reshape(-1)]
@@ -534,12 +543,10 @@ class FloquetSpectrum:
 
     @_one_blas_thread
     def sampled(self, grid: SupercellGrid) -> np.ndarray:
-        """The modes on a supercell grid, points x B.  The grid needs at least
-        B points, on which the B plane waves of the ladder sample
-        orthonormally; a coarser one aliases them and is a ConfigError."""
-        if grid.points < self.basis_size:
-            raise ConfigError(f"a grid of {grid.points} points cannot sample a basis of "
-                              f"{self.basis_size} plane waves; use at least as many points")
+        """The modes, points x B, on a grid of the lattice's supercell with at
+        least B points, on which the B plane waves of the ladder are orthonormal."""
+        _check_cell(grid, self.spec)
+        _check_grid_resolves(grid.points, self.basis_size)
         k = basis_wavenumbers(self.spec, self.basis_size, self.kappa)
         waves = np.exp(1j * grid.positions()[:, None] * k) / math.sqrt(self.spec.cell_length)
         return waves @ self.coefficients
@@ -555,14 +562,12 @@ class FloquetSpectrum:
         return np.abs(self.coefficients.T) ** 2 @ energy
 
     def relabeled(self, order) -> "FloquetSpectrum":
-        """The spectrum with mode ``order[i]`` as label ``i``."""
+        """The spectrum with mode ``order[i]`` as label ``i``: a permutation of range(B)."""
         order = np.asarray(order)
+        if order.dtype.kind not in "iu" or sorted(order.tolist()) != list(range(self.basis_size)):
+            raise ConfigError(f"a relabeling needs a permutation of range({self.basis_size})")
         remap = {int(i): new for new, i in enumerate(order)}
-        flags = tuple(
-            tuple(sorted((remap[a], remap[b])))
-            for a, b in self.near_degenerate
-            if a in remap and b in remap
-        )
+        flags = tuple(tuple(sorted((remap[a], remap[b]))) for a, b in self.near_degenerate)
         return replace(
             self,
             quasienergies=self.quasienergies[order],

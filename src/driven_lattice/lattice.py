@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import ConfigError, GridMismatchError
 
 # Barriers further than this many widths from the evaluation window are
 # dropped from the sum (tail below exp(-64)).
@@ -25,6 +25,8 @@ _SEAM_TOL = 1e-3
 _SYMMETRY_TOL = 1e-12
 # samples per supercell of a grid, unless given (site edges may fall between them)
 DEFAULT_GRID_POINTS = 480
+# the most float64 elements numpy allocates in one array
+_MAX_POINTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
 @dataclass(frozen=True)
@@ -49,15 +51,15 @@ class LatticeSpec:
         scalars = (self.v0, self.delta, self.spacing, self.amplitude, self.omega,
                    self.mass, self.hbar)
         if not all(map(math.isfinite, scalars + self.phases)):
-            raise ValueError("lattice parameters and drive phases must be finite")
+            raise ConfigError("lattice parameters and drive phases must be finite")
         for name in ("delta", "spacing", "omega", "mass", "hbar"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+                raise ConfigError(f"{name} must be strictly positive")
         # v0 = 0 is the free-particle limit used by the spectral baselines
         if self.v0 < 0 or self.amplitude < 0:
-            raise ValueError("v0 and amplitude must be >= 0")
+            raise ConfigError("v0 and amplitude must be >= 0")
         if len(self.phases) < 1:
-            raise ValueError("need at least one drive phase per cell")
+            raise ConfigError("need at least one drive phase per cell")
 
     @property
     def sites_per_cell(self) -> int:
@@ -105,10 +107,17 @@ class LatticeSpec:
         return time_reversal, glide
 
 
-def _in_first_zone(kappa, spec: LatticeSpec):
-    """Whether |kappa| lies in the first Brillouin zone, elementwise, with
-    a relative slack of 1e-12 for the roundoff of a folded ladder."""
-    return np.abs(kappa) <= spec.brillouin_edge * (1 + 1e-12)
+def _check_first_zone(kappa, spec: LatticeSpec) -> None:
+    """A ConfigError unless every |kappa| is in the first zone, with 1e-12 relative slack."""
+    if not np.all(np.abs(kappa) <= spec.brillouin_edge * (1 + 1e-12)):  # a NaN fails too
+        raise ConfigError("kappa outside the first Brillouin zone")
+
+
+def _check_cell(cell: "SupercellGrid", spec: LatticeSpec) -> None:
+    """A GridMismatchError unless a grid's cell spans the lattice supercell."""
+    if cell.length != spec.cell_length:
+        raise GridMismatchError(f"grid cell length {cell.length:.6g} does not match the "
+                                f"lattice supercell {spec.cell_length:.6g}")
 
 
 def potential(x, t: float, spec: LatticeSpec) -> np.ndarray:
@@ -141,7 +150,7 @@ class SupercellGrid:
 
     def __post_init__(self):
         if self.length <= 0 or self.points < 1:
-            raise ValueError("grid needs positive length and at least one point")
+            raise ConfigError("grid needs positive length and at least one point")
 
     @property
     def dx(self) -> float:
@@ -154,7 +163,7 @@ class SupercellGrid:
     def for_spec(cls, spec: LatticeSpec, points: int = DEFAULT_GRID_POINTS) -> "SupercellGrid":
         grid = cls(spec.cell_length, points)
         if grid.dx > spec.delta / 4:
-            raise ValueError(
+            raise ConfigError(
                 f"grid spacing {grid.dx:.4g} does not resolve the barrier "
                 f"profile (need dx <= delta/4 = {spec.delta / 4:.4g})"
             )
@@ -176,7 +185,9 @@ class RingDomain:
 
     def __post_init__(self):
         if self.supercells < 1:
-            raise ValueError("need at least one supercell")
+            raise ConfigError("need at least one supercell")
+        if self.points > _MAX_POINTS:
+            raise ConfigError(f"a ring of {self.points} samples cannot be built")
 
     @property
     def length(self) -> float:
@@ -243,7 +254,7 @@ class GaussianState:
 
     def __post_init__(self):
         if not (math.isfinite(self.center) and 0 < self.width < math.inf):
-            raise ValueError("gaussian center must be finite, its width positive and finite")
+            raise ConfigError("gaussian center must be finite, its width positive and finite")
 
 
 @dataclass(frozen=True)
@@ -270,11 +281,11 @@ def make_initial_state(state_spec: InitialStateSpec, domain: RingDomain) -> Comp
         return ComplexState(psi, domain)
     sigma = state_spec.width
     if sigma < domain.dx:
-        raise ValueError(f"gaussian width {sigma:.4g} is below the grid spacing {domain.dx:.4g}")
+        raise ConfigError(f"gaussian width {sigma:.4g} is below grid spacing {domain.dx:.4g}")
     if not 0.0 <= state_spec.center < domain.length:
         # the seam check below measures against a peak that must lie on the ring
-        raise ValueError(f"gaussian center {state_spec.center:.4g} lies off the ring "
-                         f"[0, {domain.length:.4g})")
+        raise ConfigError(f"gaussian center {state_spec.center:.4g} lies off the ring "
+                          f"[0, {domain.length:.4g})")
     try:
         scale = (math.pi * sigma**2) ** -0.25
         edge = max(
@@ -282,10 +293,10 @@ def make_initial_state(state_spec: InitialStateSpec, domain: RingDomain) -> Comp
             math.exp(-((domain.length - state_spec.center) ** 2) / (2 * sigma**2)),
         )
     except ArithmeticError as exc:  # sigma^2 or center^2 overflows
-        raise ValueError(f"gaussian (sigma={sigma:.4g}, center={state_spec.center:.4g}) "
-                         "is out of range") from exc
+        raise ConfigError(f"gaussian (sigma={sigma:.4g}, center={state_spec.center:.4g}) "
+                          "is out of range") from exc
     if edge > _SEAM_TOL:
-        raise ValueError(
+        raise ConfigError(
             f"gaussian (sigma={sigma:.4g}, center={state_spec.center:.4g}) has "
             f"relative boundary amplitude {edge:.2e} > {_SEAM_TOL:.1e}; "
             "domain too small"
@@ -294,6 +305,6 @@ def make_initial_state(state_spec: InitialStateSpec, domain: RingDomain) -> Comp
     state = ComplexState(psi.astype(complex), domain)
     norm = state.norm()
     if not 0.0 < norm < math.inf:
-        raise ValueError(f"gaussian (sigma={sigma:.4g}, center={state_spec.center:.4g}) "
-                         f"samples to norm {norm:.3g} on the domain")
+        raise ConfigError(f"gaussian (sigma={sigma:.4g}, center={state_spec.center:.4g}) "
+                          f"samples to norm {norm:.3g} on the domain")
     return ComplexState(state.psi / norm, domain)

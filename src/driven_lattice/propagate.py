@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import GridMismatchError
-from .lattice import ComplexState, LatticeSpec, _in_first_zone, potential
+from .errors import ConfigError
+from .lattice import ComplexState, LatticeSpec, _check_cell, _check_first_zone, potential
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class PropagationParams:
 
     def __post_init__(self):
         if self.substeps_per_period < 256:
-            raise ValueError("need at least 256 substeps per period")
+            raise ConfigError("need at least 256 substeps per period")
 
 
 def default_params(spec: LatticeSpec) -> PropagationParams:
@@ -74,15 +74,10 @@ def _split_step(
     """Ring samples after each whole period of `duration`, its end last; a
     duration that is not whole periods yields its end only.  The arguments
     are checked when the generator is first advanced."""
-    if not _in_first_zone(kappa, spec):
-        raise ValueError(
-            f"kappa={kappa:.6g} outside the first Brillouin zone "
-            f"[-{spec.brillouin_edge:.6g}, {spec.brillouin_edge:.6g}]"
-        )
-    if state.grid.cell.length != spec.cell_length:
-        raise GridMismatchError("ring cell length does not match the lattice supercell")
+    _check_first_zone(kappa, spec)
+    _check_cell(state.grid.cell, spec)
     if not 0 < duration < math.inf:  # a NaN duration fails too
-        raise ValueError("duration must be positive and finite")
+        raise ConfigError("duration must be positive and finite")
     ring = state.grid
     n = max(1, int(round(params.substeps_per_period * duration / spec.period)))
     dt = duration / n

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import driven_lattice as dl
 from driven_lattice import floquet
@@ -371,6 +371,16 @@ def coefficient_symmetries(spec, basis_size, steps):
     return bool(time_reversal), bool(glide)
 
 
+def symmetry_misses(phases):
+    """How far the phases miss each identity `drive_symmetries` tests:
+    |sin(phi_s)| for time reversal, |phi_{(2-s) mod n} - phi_s| mod 2 pi
+    for the glide."""
+    n = len(phases)
+    return ([abs(math.sin(p)) for p in phases]
+            + [abs(math.remainder(phases[(2 - s) % n] - p, 2 * math.pi))
+               for s, p in enumerate(phases)])
+
+
 class TestRoutes:
     @pytest.mark.parametrize(
         "phases, fraction, route",
@@ -433,9 +443,22 @@ class TestRoutes:
         omega=st.sampled_from((1.0, 2.74, 3.2)),
     )
     def test_offset_check_agrees_with_the_coefficient_check(self, phases, half_steps, omega):
+        # the phase rule and the oracle are two roundoff judgements that meet
+        # near 1e-12, so a draw meets each identity to roundoff or misses it
+        # by at least 1e-9; `test_symmetry_tolerance_boundary` pins the edge
+        assume(all(miss < 1e-15 or miss >= 1e-9 for miss in symmetry_misses(phases)))
         spec = replace(REF, phases=tuple(phases), omega=omega)
         steps = 2 * half_steps  # the glide pairs steps half a period apart
         assert spec.drive_symmetries() == coefficient_symmetries(spec, 41, steps)
+
+    @pytest.mark.parametrize("phases, expected", [
+        ((0.0, 9e-13), (True, True)),
+        ((0.0, 1e-12), (True, True)),
+        ((0.0, 1.1e-12), (False, True)),
+    ])
+    def test_symmetry_tolerance_boundary(self, phases, expected):
+        # time reversal holds while every |sin(phi_s)| <= 1e-12
+        assert replace(REF, phases=phases).drive_symmetries() == expected
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -541,6 +564,12 @@ class TestDiagonalize:
         modes = spectrum.sampled(grid)
         gram = modes.conj().T @ modes * grid.dx
         assert np.abs(gram - np.eye(41)).max() < 1e-12
+
+    def test_rejects_a_grid_of_another_cell(self):
+        # on a 45-long grid these 41 modes would sample 0.5 off orthonormal
+        spectrum = dl.diagonalize_monodromy(np.eye(41), REF, 0.0)
+        with pytest.raises(dl.GridMismatchError, match="cell length 45"):
+            spectrum.sampled(dl.SupercellGrid(45.0, 480))
 
     def test_rejects_non_unitary(self):
         with pytest.raises(dl.UnitarityError):
@@ -784,6 +813,16 @@ class TestBandMatching:
         matched, _flags = dl.match_band_labels([base, other])
         matched_shuffled, _flags2 = dl.match_band_labels([base, shuffled])
         assert np.allclose(matched[1].quasienergies, matched_shuffled[1].quasienergies)
+
+    def test_relabeling_needs_a_permutation(self):
+        spectrum = replace(dl.diagonalize_monodromy(np.eye(3), REF, 0.0),
+                           near_degenerate=((0, 1), (1, 2)))
+        assert spectrum.relabeled([2, 0, 1]).near_degenerate == ((1, 2), (0, 2))
+        # a partial, repeated, over-long or non-integer order would leave
+        # flags and coefficients of another basis size
+        for order in ([0, 1], [0, 1, 1], [0, 1, 2, 3], [0.0, 1.0, 2.0]):
+            with pytest.raises(dl.ConfigError, match="permutation"):
+                spectrum.relabeled(order)
 
     def test_requires_common_basis(self):
         a = dl.labeled_spectrum(REF, 0.0, params=FAST, basis_size=41)
