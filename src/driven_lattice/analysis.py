@@ -578,12 +578,13 @@ def write_spectrum_csv(path, sweep: SweepResult) -> Path:
 
 def write_modes_csv(path, config: ExperimentConfig, spectrum: FloquetSpectrum,
                     count: int = REPORTED_MODES) -> Path:
-    """Mode profiles on the config's supercell grid; only the best-converged
-    (lowest mean kinetic energy) `count` modes are reported.  Each mode's
-    global phase makes its largest-magnitude sample real and positive."""
+    """Mode profiles on the config's supercell grid: the ground mode and the
+    `count` - 1 best-converged (lowest mean kinetic energy) others.  Each
+    mode's global phase makes its largest-magnitude sample real and positive."""
     if count < 1:
         raise ConfigError("mode count must be >= 1")
-    keep = sorted(np.argsort(spectrum.mean_kinetic(), kind="stable")[:count])
+    others = np.argsort(spectrum.mean_kinetic(), kind="stable")
+    keep = sorted([0, *others[others != 0][:count - 1]])
     grid = SupercellGrid.for_spec(spectrum.spec, config.grid_points)
     modes = spectrum.sampled(grid)[:, keep]
     gauge = modes[np.argmax(np.abs(modes), axis=0), np.arange(len(keep))]

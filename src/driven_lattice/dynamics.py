@@ -13,7 +13,9 @@ plane-wave coefficients meet a ring state in one ring FFT: the
 decomposition projects each kappa's B bins with the conjugate coefficients,
 and the reconstruction scatters the evolved plane-wave amplitudes into
 their bins and runs one inverse FFT.  With at least B points per cell the
-M B bins are distinct, so this is the grid projection exactly.
+M B bins are distinct, so this is the grid projection exactly.  Both
+population traces, this one and the direct integrator's, reduce states to
+sites through `site_weights`, each sample's hat function integrated over a site.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 import scipy.fft as sfft
@@ -202,44 +205,27 @@ def site_weights(spec: LatticeSpec, domain: RingDomain) -> np.ndarray:
     """Quadrature weights turning a sampled density into site populations.
 
     Site ``s`` occupies ``[(s-1) L, s L)``, wrapped into the periodic
-    domain.  The density is treated as piecewise linear between samples
-    (trapezoid rule); a site boundary falling between grid points splits
-    the straddling trapezoid.  Returns weights of shape (sites, points),
-    one row per site of the domain, whose cell must be the lattice's supercell.
+    domain.  The density is linear between samples (trapezoid rule), so
+    sample ``i`` weighs ``dx (H((hi - x_i) / dx) - H((lo - x_i) / dx))`` in
+    a site ``[lo, hi)``, H the integral of the unit hat ``max(0, 1 - |v|)``.
+    Each site takes its own window of samples, indices modulo the ring, so
+    one formula covers a site across the seam.  Returns weights of shape
+    (sites, points), one row per site of the domain, whose cell must be the
+    lattice's supercell.
     """
+    def hat_integral(v):
+        v = np.clip(v, -1.0, 1.0)
+        return np.where(v < 0.0, (1.0 + v) ** 2 / 2.0, 1.0 - (1.0 - v) ** 2 / 2.0)
+
     _check_cell(domain.cell, spec)
-    n, dx, length = domain.points, domain.dx, domain.length
-
-    def cdf_weights(b: float) -> np.ndarray:
-        # integral of the piecewise-linear density over [0, b], b in [0, length]
-        w = np.zeros(n)
-        pos = b / dx
-        cell = int(math.floor(pos + _ALIGNMENT_TOL))
-        frac = pos - cell
-        if frac < _ALIGNMENT_TOL:
-            frac = 0.0
-        if cell > 0:
-            w[0] += dx / 2
-            w[1:cell] += dx
-            w[cell % n] += dx / 2
-        if frac > 0.0:
-            h = frac * dx
-            w[cell % n] += (h / 2.0) * (2.0 - frac)
-            w[(cell + 1) % n] += (h / 2.0) * frac
-        return w
-
-    full = cdf_weights(length)
-    weights = np.empty((domain.supercells * spec.sites_per_cell, n))
-    for s in range(len(weights)):
-        lo = (float(s - 1) * spec.spacing) % length
-        hi = (float(s) * spec.spacing) % length
-        if hi <= _ALIGNMENT_TOL * dx:
-            hi = length
-        if lo < hi:
-            weights[s] = cdf_weights(hi) - cdf_weights(lo)
-        else:
-            weights[s] = full - cdf_weights(lo) + cdf_weights(hi)
-    return weights
+    n, dx = domain.points, domain.dx
+    sites = domain.supercells * spec.sites_per_cell
+    edges = np.arange(-1, sites) * spec.spacing / dx  # site s spans [edges[s], edges[s+1]]
+    first = np.floor(edges[:-1])
+    window = first[:, None] + np.arange(int((np.ceil(edges[1:]) - first).max()) + 1)
+    w = dx * (hat_integral(edges[1:, None] - window) - hat_integral(edges[:-1, None] - window))
+    bins = np.arange(sites)[:, None] * n + window.astype(int) % n
+    return np.bincount(bins.ravel(), w.ravel(), minlength=sites * n).reshape(sites, n)
 
 
 def site_populations(state: ComplexState, spec: LatticeSpec) -> np.ndarray:
@@ -283,18 +269,22 @@ class PopulationTrace:
         return float((values.max(axis=1) - values.min(axis=1)).max())
 
 
+def _population_trace(weights, blocks, periods, numerics) -> PopulationTrace:
+    """The trace of `periods` from their states, in blocks of columns (points x m)."""
+    values = np.hstack([np.empty((len(weights), 0)),
+                        *(weights @ (np.abs(states) ** 2) for states in blocks)])
+    return PopulationTrace(periods=periods, values=values, numerics=numerics)
+
+
 @_one_blas_thread
 def population_trace(dec: SpectralDecomposition, periods) -> PopulationTrace:
     """Stroboscopic site populations from the mode expansion."""
     periods = np.asarray(list(periods), dtype=int)
     if (periods < 0).any():
         raise ValueError("periods must be >= 0")
-    weights = site_weights(dec.spec, dec.ring)
-    values = np.empty((len(weights), len(periods)))
-    for start, states in zip(range(0, len(periods), _TRACE_CHUNK),
-                             _reconstruct(dec, periods, _TRACE_CHUNK)):
-        values[:, start:start + _TRACE_CHUNK] = weights @ (np.abs(states) ** 2)
-    return PopulationTrace(periods=periods, values=values, numerics=dec.spectra[0].numerics)
+    return _population_trace(site_weights(dec.spec, dec.ring),
+                             _reconstruct(dec, periods, _TRACE_CHUNK),
+                             periods, dec.spectra[0].numerics)
 
 
 def direct_population_trace(
@@ -313,15 +303,11 @@ def direct_population_trace(
     if max_period < 0:
         raise ValueError("periods must be >= 0")
     weights = site_weights(spec, initial.grid)
-    periods = np.arange(max_period + 1)
-    values = np.empty((len(weights), len(periods)))
-    values[:, 0] = weights @ (np.abs(initial.psi) ** 2)
-    if max_period > 0:
-        states = _split_step(initial, spec, params, max_period * spec.period)
-        for m, psi in enumerate(states, start=1):
-            values[:, m] = weights @ (np.abs(psi) ** 2)
+    states = _split_step(initial, spec, params, max_period * spec.period) if max_period else ()
     numerics = _Resolution(float(spec.omega), params.substeps_per_period, None, None)
-    return PopulationTrace(periods=periods, values=values, numerics=numerics._asdict())
+    # one column a block: a column of a wider product can differ in its last bits
+    return _population_trace(weights, (psi[:, None] for psi in chain([initial.psi], states)),
+                             np.arange(max_period + 1), numerics._asdict())
 
 
 def interference_period(eps_a: float, eps_b: float, spec: LatticeSpec) -> float:

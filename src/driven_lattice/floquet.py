@@ -77,7 +77,7 @@ from scipy.linalg import schur
 from scipy.linalg.blas import zaxpy
 
 from .errors import ConfigError, UnitarityError
-from .lattice import LatticeSpec, SupercellGrid, _check_cell, _check_first_zone
+from .lattice import _MAX_POINTS, LatticeSpec, SupercellGrid, _check_cell, _check_first_zone
 from .propagate import PropagationParams
 
 _UNITARITY_TOL = 1e-8
@@ -109,7 +109,7 @@ _STEPS_PER_OMEGA = 10.0
 _STEPS_PER_EDGE_PHASE = 0.15
 
 # The eigenvalue accuracy of a truncated-basis monodromy degrades near the
-# basis edge; reports keep only this many best-converged modes.
+# basis edge; reports keep this many modes: the ground mode, then the best-converged.
 REPORTED_MODES = 20
 
 
@@ -194,9 +194,11 @@ def basis_wavenumbers(spec: LatticeSpec, basis_size: int, kappa: float = 0.0) ->
 
 
 def _check_basis_size(basis_size: int) -> None:
-    """A ConfigError unless the basis, a ladder centred on kappa, is odd and positive."""
+    """A ConfigError unless the basis is odd, positive and held by a (B, B) array."""
     if basis_size % 2 == 0 or basis_size < 1:
         raise ConfigError("basis_size must be odd and positive")
+    if basis_size > math.isqrt(_MAX_POINTS):
+        raise ConfigError(f"a basis of {basis_size} modes cannot be allocated")
 
 
 def _check_grid_resolves(points: int, basis_size: int) -> None:

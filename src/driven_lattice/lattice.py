@@ -55,6 +55,8 @@ class LatticeSpec:
         for name in ("delta", "spacing", "omega", "mass", "hbar"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be strictly positive")
+        if not math.isfinite(self.period):
+            raise ConfigError(f"omega {self.omega!r} gives no finite drive period 2*pi/omega")
         # v0 = 0 is the free-particle limit used by the spectral baselines
         if self.v0 < 0 or self.amplitude < 0:
             raise ConfigError("v0 and amplitude must be >= 0")

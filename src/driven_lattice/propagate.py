@@ -42,7 +42,8 @@ import numpy as np
 import scipy.fft as sfft
 
 from .errors import ConfigError
-from .lattice import ComplexState, LatticeSpec, _check_cell, _check_first_zone, potential
+from .lattice import (_MAX_POINTS, ComplexState, LatticeSpec, _check_cell, _check_first_zone,
+                      potential)
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,8 @@ class PropagationParams:
     def __post_init__(self):
         if self.substeps_per_period < 256:
             raise ConfigError("need at least 256 substeps per period")
+        if self.substeps_per_period > _MAX_POINTS:
+            raise ConfigError(f"{self.substeps_per_period} substeps per period cannot be allocated")
 
 
 def default_params(spec: LatticeSpec) -> PropagationParams:

@@ -6,10 +6,18 @@ same cache.
 """
 
 import math
+import os
 
 import pytest
+from hypothesis import settings
 
 import driven_lattice as dl
+
+# CI draws the same examples on every run and replays no saved failure:
+# HYPOTHESIS_PROFILE=ci selects it
+settings.register_profile("ci", derandomize=True, database=None)
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

@@ -548,10 +548,18 @@ class TestCli:
             ["evolve", "--delta", "4", "--grid-points", "40"],
             # a drive so slow that its period, and so the horizon, overflows
             ["evolve", "--omega", "1e-320", "--method", "direct"],
+            ["evolve", "--omega", "1e-320", "--horizon", "1"],
+            ["modes", "--omega", "1e-320"],
+            # a drive so fast that its default basis has more elements than an array
+            ["modes", "--omega", "1e300"],
         ):
             code = cli.main([*argv, "--substeps", "512", "--outdir", str(tmp_path)])
             assert code == 2, argv
             assert "invalid configuration:" in capsys.readouterr().err, argv
+        # and its default substep count more than an array holds
+        argv = ["evolve", "--method", "direct", "--omega", "1e300", "--horizon", "1"]
+        assert cli.main([*argv, "--outdir", str(tmp_path)]) == 2
+        assert "substeps per period cannot be allocated" in capsys.readouterr().err
 
     def test_unwritable_output_exit_code_before_the_run(self, tmp_path, monkeypatch, capsys):
         def no_run(*args, **kwargs):
@@ -818,6 +826,15 @@ class TestCli:
         sweep_meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
         assert modes_meta["numerics"][0]["omega"] == 1.0
         assert sweep_meta["numerics"][0]["omega"] == 2.8
+
+    def test_modes_keep_the_ground_mode(self, tmp_path):
+        # at this resonance label 0 ranks beyond 20 by mean kinetic energy
+        assert cli.main(["modes", "--omega", "2.75", "--substeps", "512",
+                         "--outdir", str(tmp_path)]) == 0
+        rows = [l for l in (tmp_path / "modes.csv").read_text().splitlines()
+                if not l.startswith("#")][1:]
+        alphas = {int(row.split(",")[1]) for row in rows}
+        assert 0 in alphas and len(alphas) == floquet.REPORTED_MODES
 
     def test_basis_below_cutoff_exit_code(self, tmp_path):
         code = cli.main([

@@ -296,6 +296,30 @@ class TestSitePopulations:
         assert int(np.argmax(pops)) == 0
         assert pops[0] > 0.999
 
+    @settings(max_examples=40, deadline=None)
+    @given(cells=st.integers(1, 4), points=st.integers(41, 600), sites=st.integers(1, 4),
+           spacing=st.floats(0.5, 20.0), seed=st.integers(0, 2**32 - 1))
+    def test_weights_integrate_the_interpolated_density(self, cells, points, sites,
+                                                        spacing, seed):
+        spec = replace(REF, spacing=spacing, phases=(0.0,) * sites)
+        ring = dl.RingDomain(dl.SupercellGrid(spec.cell_length, points), cells)
+        weights = dl.site_weights(spec, ring)
+        dx = ring.dx
+        assert weights.shape == (cells * sites, ring.points)
+        assert np.all(weights >= 0.0)
+        assert np.allclose(weights.sum(axis=0), dx, rtol=1e-12, atol=0.0)
+        assert np.allclose(weights.sum(axis=1), spacing, rtol=1e-12, atol=0.0)
+        # each site's integral of the periodic piecewise-linear interpolant,
+        # on a 64x refined grid holding both site edges and every sample
+        density = np.random.default_rng(seed).random(ring.points)
+        fine = dx / 64
+        for s, population in enumerate(weights @ density):
+            lo, hi = (s - 1) * spacing, s * spacing
+            nodes = np.arange(math.ceil(lo / fine), math.floor(hi / fine) + 1) * fine
+            nodes = np.concatenate([[lo], nodes[(nodes > lo) & (nodes < hi)], [hi]])
+            values = np.interp(nodes, ring.positions(), density, period=ring.length)
+            assert abs(population - np.trapezoid(values, nodes)) <= 1e-9 * dx
+
 
 class TestInterferencePeriod:
     def test_reference_values(self):
@@ -372,6 +396,10 @@ class TestDirectTrace:
             dl.population_trace(dec_w1_supercell, [-1, 2])
         with pytest.raises(ValueError, match=r"periods must be >= 0"):
             dl.direct_population_trace(state, REF, FAST, -1)
+
+    def test_traces_of_no_period_keep_every_site(self, dec_w1_supercell):
+        trace = dl.population_trace(dec_w1_supercell, [])
+        assert trace.values.shape == (3, 0) and trace.periods.shape == (0,)
 
 
 class TestRingPacket:

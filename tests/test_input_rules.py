@@ -10,6 +10,7 @@ from driven_lattice import analysis, floquet, propagate
 REF = dl.LatticeSpec()
 FAST = dl.PropagationParams(substeps_per_period=512)
 EDGE = REF.brillouin_edge
+FAST_DRIVE = dl.LatticeSpec(omega=1e300)
 
 # rule -> (error, message pattern)
 RULES = {
@@ -20,6 +21,11 @@ RULES = {
     "basis odd and positive": (dl.ConfigError, r"basis_size must be odd and positive"),
     "band labels valid": (dl.ConfigError, r"need band labels in \[0, 41\)"),
     "kinetic cutoff": (dl.ConfigError, r"kinetic cutoff .* below 5\*max\(v0, hbar\*omega\)"),
+    "drive period finite": (dl.ConfigError, r"omega 1e-320 gives no finite drive period "
+                                            r"2\*pi/omega"),
+    "substeps allocatable": (dl.ConfigError, r"^2048\d+ substeps per period cannot be "
+                                             r"allocated$"),
+    "basis allocatable": (dl.ConfigError, r"^a basis of 30\d+ modes cannot be allocated$"),
 }
 
 
@@ -90,6 +96,15 @@ CASES = [
      lambda: dl.labeled_spectrum(REF, 0.0, params=FAST, basis_size=21)),
     ("kinetic cutoff", "ring_spectra",
      lambda: dl.ring_spectra(REF, uniform_on(REF.cell_length, 480).grid, basis_size=21)),
+    ("drive period finite", "ExperimentConfig",
+     lambda: config(omega_start=1e-320, omega_stop=1e-319, omega_step=1e-320)),
+    # omega = 1e300 asks 2048 omega default substeps and a default basis of 3e151
+    ("substeps allocatable", "run_evolution",
+     lambda: dl.run_evolution(
+         dl.ExperimentConfig(lattice=FAST_DRIVE, initial=dl.UniformState(), horizon=1),
+         method="direct")),
+    ("basis allocatable", "labeled_spectrum",
+     lambda: dl.labeled_spectrum(FAST_DRIVE, 0.0)),
 ]
 
 
