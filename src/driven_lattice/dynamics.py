@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import CompletenessError, ConfigError, DegenerateModeError
 from .floquet import (
@@ -139,7 +138,7 @@ def decompose(initial: ComplexState, spectra) -> SpectralDecomposition:
     _check_grid_resolves(ring.cell.points, basis)
 
     bins = _ring_waves(ring.supercells, basis) % ring.points
-    waves = sfft.fft(initial.psi)[bins] * (ring.dx / math.sqrt(ring.length))
+    waves = np.fft.fft(initial.psi)[bins] * (ring.dx / math.sqrt(ring.length))
     coeffs = np.stack([s.coefficients.conj().T @ w for s, w in zip(spectra, waves)])
 
     dec = SpectralDecomposition(spec=spec, ring=ring, spectra=spectra, coefficients=coeffs,
@@ -169,7 +168,7 @@ def _reconstruct(dec: SpectralDecomposition, periods: np.ndarray, chunk: int):
         amp = coeffs * np.exp(-1j * (eps * times) / spec.hbar)
         waves = np.zeros((len(times), ring.points), dtype=complex)
         waves[:, bins] = np.matmul(modes, amp).reshape(len(bins), -1).T
-        yield sfft.ifft(waves, norm="forward", overwrite_x=True).T
+        yield np.fft.ifft(waves, norm="forward", out=waves).T
 
 
 @_one_blas_thread

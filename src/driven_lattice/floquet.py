@@ -73,8 +73,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy
-from scipy.linalg import schur
-from scipy.linalg.blas import zaxpy
 
 from .errors import ConfigError, UnitarityError
 from .lattice import _MAX_POINTS, LatticeSpec, SupercellGrid, _check_cell, _check_first_zone
@@ -216,8 +214,10 @@ def _cutoff_energy(spec: LatticeSpec, driven: bool = True) -> float:
 def default_basis_size(spec: LatticeSpec) -> int:
     """Smallest odd basis, at least 41, whose edge reaches the driven `_cutoff_energy`."""
     k_needed = math.sqrt(2.0 * spec.mass * _cutoff_energy(spec)) / spec.hbar
-    half = int(math.ceil(k_needed * spec.cell_length / (2.0 * math.pi)))
-    return max(2 * half + 1, _MIN_BASIS_SIZE)
+    half = k_needed * spec.cell_length / (2.0 * math.pi)
+    if not math.isfinite(half):
+        raise ConfigError("the default basis size overflows a float")
+    return max(2 * math.ceil(half) + 1, _MIN_BASIS_SIZE)
 
 
 def _fourier_ladder(spec: LatticeSpec, basis_size: int):
@@ -269,6 +269,9 @@ def _taylor_exp(x: np.ndarray, degree: int, squarings: int, work: np.ndarray) ->
     for the powers and the result, which is a view into it, so a loop over
     chunks allocates nothing per chunk.
     """
+    # imported here, as schur is in `diagonalize_monodromy`, so that the
+    # direct route, which needs neither, never loads scipy.linalg (slow, large)
+    from scipy.linalg.blas import zaxpy
     s, n = _block_size(degree), len(x)
     powers = [None, x] + [work[i, :n] for i in range(s - 1)]
     for i in range(2, s + 1):
@@ -601,6 +604,7 @@ def diagonalize_monodromy(
             f"matrix is not unitary within {_UNITARITY_TOL:.0e} (got {deviation:.3e})"
         )
 
+    from scipy.linalg import schur  # imported here: see `_taylor_exp`
     T, Q = schur(U, output="complex")
     eigenphases = np.diag(T)
     if not np.abs(np.abs(eigenphases) - 1.0).max() <= _EIGENPHASE_TOL:

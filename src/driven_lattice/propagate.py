@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import ConfigError
 from .lattice import (_MAX_POINTS, ComplexState, LatticeSpec, _check_cell, _check_first_zone,
@@ -62,9 +61,10 @@ class PropagationParams:
 def default_params(spec: LatticeSpec) -> PropagationParams:
     """Default resolution, scaled so the absolute substep never exceeds the
     omega = 1 baseline (dimensionless units)."""
-    return PropagationParams(
-        substeps_per_period=max(2048, int(math.ceil(2048 * spec.omega)))
-    )
+    substeps = 2048 * spec.omega
+    if not math.isfinite(substeps):
+        raise ConfigError("the default substep count 2048*omega overflows a float")
+    return PropagationParams(substeps_per_period=max(2048, math.ceil(substeps)))
 
 
 def _split_step(
@@ -90,7 +90,7 @@ def _split_step(
     stride = n // periods if whole else n  # substeps between yields
     cells, points = ring.supercells, ring.cell.points
     x = ring.positions()
-    k = 2.0 * math.pi * sfft.fftfreq(ring.points, ring.dx)
+    k = 2.0 * math.pi * np.fft.fftfreq(ring.points, ring.dx)
     hbar, mass = spec.hbar, spec.mass
     # ring wavenumber m = j + M a sits at row j, column a of the frame
     kin_half = np.exp(-1j * hbar * (k + kappa) ** 2 * dt / (4.0 * mass))
@@ -104,7 +104,7 @@ def _split_step(
         return np.exp(-1j * potential(x_cell, t, spec) * dt / hbar)
 
     def leave(w: np.ndarray) -> np.ndarray:
-        u = sfft.ifft(w * twiddle.conj(), axis=0).reshape(-1)
+        u = np.fft.ifft(w * twiddle.conj(), axis=0).reshape(-1)
         return u if kappa == 0.0 else u * np.exp(1j * kappa * x)
 
     # a static lattice has one phase; with time reversal the substeps j and
@@ -120,16 +120,18 @@ def _split_step(
     else:
         table = None
     u = state.psi if kappa == 0.0 else state.psi * np.exp(-1j * kappa * x)
-    w = sfft.fft(u.reshape(cells, points), axis=0) * twiddle
-    w = sfft.ifft(sfft.fft(w, axis=1, overwrite_x=True) * kin_half, axis=1, overwrite_x=True)
+    w = np.fft.fft(u.reshape(cells, points), axis=0) * twiddle
+    np.fft.fft(w, axis=1, out=w)
+    w *= kin_half
+    np.fft.ifft(w, axis=1, out=w)
     for j in range(n):
         w *= phase((j + 0.5) * dt) if table is None else table[rows[j % stride]]
-        w = sfft.fft(w, axis=1, overwrite_x=True)
+        np.fft.fft(w, axis=1, out=w)
         if (j + 1) % stride == 0:
-            yield leave(sfft.ifft(w * kin_half, axis=1, overwrite_x=True))
+            yield leave(np.fft.ifft(w * kin_half, axis=1))
         if j < n - 1:
             w *= kin_full
-            w = sfft.ifft(w, axis=1, overwrite_x=True)
+            np.fft.ifft(w, axis=1, out=w)
 
 
 def evolve_ring(

@@ -339,22 +339,27 @@ class TestDeterminism:
     def test_import_leaves_out_scipy_signal_and_optimize(self, tmp_path):
         # only dip detection, peak refinement and band matching need them,
         # so they are imported there and a run that does none never pays,
-        # neither on import nor in a lone spectrum's labeling
+        # neither on import nor in a lone spectrum's labeling; the split step
+        # transforms with numpy.fft and needs no linear algebra, so neither
+        # the import nor a direct run loads any of these, and the first
+        # Floquet product loads scipy.linalg (the check is not vacuous)
         src = str(Path(dl.__file__).resolve().parents[1])
-        runs = [["sweep", "--overlap-only", "--no-refine", "--substeps", "256",
+        modules = ("scipy.fft", "scipy.linalg", "scipy.signal", "scipy.optimize")
+        runs = [["evolve", "--method", "direct", "--substeps", "256", "--horizon", "1"],
+                ["sweep", "--overlap-only", "--no-refine", "--substeps", "256",
                  "--omega-start", "2.8", "--omega-stop", "2.8", "--omega-step", "0.1"],
                 ["modes", "--count", "1"]]
         code = ("import sys, driven_lattice.cli as cli\n"
-                "loaded = lambda: [m for m in ('scipy.signal', 'scipy.optimize') "
-                "if m in sys.modules]\n"
-                "print(loaded())\n"
+                f"loaded = lambda: [m for m in {modules!r} if m in sys.modules]\n"
+                "print(loaded(), file=sys.stderr)\n"
                 f"for argv in {runs!r}:\n"
                 f"    assert cli.main(argv + ['--outdir', {str(tmp_path)!r}]) == 0\n"
-                "print(loaded())\n")
+                "    print(loaded(), file=sys.stderr)\n")
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src})
         assert run.returncode == 0, run.stderr
-        assert run.stdout.splitlines()[0] == run.stdout.splitlines()[-1] == "[]", run.stdout
+        linalg = "['scipy.linalg']"
+        assert run.stderr.splitlines() == ["[]", "[]", linalg, linalg], run.stderr
 
 
 class TestCsvEmission:
@@ -552,6 +557,8 @@ class TestCli:
             ["modes", "--omega", "1e-320"],
             # a drive so fast that its default basis has more elements than an array
             ["modes", "--omega", "1e300"],
+            # or a count that overflows a float
+            ["modes", "--omega", "1e308"],
         ):
             code = cli.main([*argv, "--substeps", "512", "--outdir", str(tmp_path)])
             assert code == 2, argv
@@ -560,6 +567,10 @@ class TestCli:
         argv = ["evolve", "--method", "direct", "--omega", "1e300", "--horizon", "1"]
         assert cli.main([*argv, "--outdir", str(tmp_path)]) == 2
         assert "substeps per period cannot be allocated" in capsys.readouterr().err
+        # or a default substep count that overflows a float
+        argv = ["evolve", "--method", "direct", "--omega", "1e305", "--horizon", "1"]
+        assert cli.main([*argv, "--outdir", str(tmp_path)]) == 2
+        assert "substep count 2048*omega overflows a float" in capsys.readouterr().err
 
     def test_unwritable_output_exit_code_before_the_run(self, tmp_path, monkeypatch, capsys):
         def no_run(*args, **kwargs):

@@ -26,6 +26,7 @@ RULES = {
     "substeps allocatable": (dl.ConfigError, r"^2048\d+ substeps per period cannot be "
                                              r"allocated$"),
     "basis allocatable": (dl.ConfigError, r"^a basis of 30\d+ modes cannot be allocated$"),
+    "default count finite": (dl.ConfigError, r"^the default .* overflows a float$"),
 }
 
 
@@ -105,6 +106,14 @@ CASES = [
          method="direct")),
     ("basis allocatable", "labeled_spectrum",
      lambda: dl.labeled_spectrum(FAST_DRIVE, 0.0)),
+    # 5 hbar omega and 2048 omega are inf
+    ("default count finite", "labeled_spectrum",
+     lambda: dl.labeled_spectrum(dl.LatticeSpec(omega=1e308), 0.0)),
+    ("default count finite", "run_evolution",
+     lambda: dl.run_evolution(
+         dl.ExperimentConfig(lattice=dl.LatticeSpec(omega=1e305), initial=dl.UniformState(),
+                             horizon=1),
+         method="direct")),
 ]
 
 
